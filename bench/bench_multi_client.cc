@@ -66,7 +66,7 @@ namespace {
  * sequential path.
  */
 void
-batchedFrontDoorSweep(const bench::SlicedKnobs &knobs,
+batchedFrontDoorSweep(const bench::ScanKnobs &knobs,
                       json::Value &json_rows)
 {
     using Request = crs::RetrievalRequest;
@@ -85,8 +85,6 @@ batchedFrontDoorSweep(const bench::SlicedKnobs &knobs,
     term::Program program = kbgen.generate(spec);
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
-    if (knobs.sliced)
-        store.buildSlicedIndexes();
     store.finalize();
 
     term::TermReader reader(sym);
@@ -158,7 +156,6 @@ batchedFrontDoorSweep(const bench::SlicedKnobs &knobs,
         json::Value row = json::Value::object();
         row.set("sweep", "batched_front_door");
         row.set("workers", workers);
-        row.set("sliced", knobs.sliced);
         if (knobs.batchWidth > 0)
             row.set("batch_width", knobs.batchWidth);
         row.set("wall_seconds", seconds);
@@ -372,7 +369,6 @@ liveWriteMixSweep(double write_mix, json::Value &json_rows)
         term::Program program = kbgen.generate(spec);
         crs::PredicateStore store(sym, scw::CodewordGenerator{});
         store.addProgram(program);
-        store.buildSlicedIndexes();
         store.finalize();
 
         std::string wal_path =
@@ -955,7 +951,7 @@ main(int argc, char **argv)
     setQuiet(true);
     std::string json_path = bench::jsonPathArg(argc, argv);
     bench::CacheKnobs cache_knobs = bench::cacheConfigArg(argc, argv);
-    bench::SlicedKnobs sliced_knobs = bench::slicedConfigArg(argc, argv);
+    bench::ScanKnobs scan_knobs = bench::scanConfigArg(argc, argv);
     LoadGenKnobs lg_knobs = loadGenConfigArg(argc, argv);
     json::Value json_rows = json::Value::array();
 
@@ -1021,7 +1017,7 @@ main(int argc, char **argv)
                 "spreading the\nsame update load over disjoint "
                 "predicates removes the contention.\n\n");
 
-    batchedFrontDoorSweep(sliced_knobs, json_rows);
+    batchedFrontDoorSweep(scan_knobs, json_rows);
     repeatedGoalCacheSweep(json_rows, cache_knobs);
     liveWriteMixSweep(writeMixArg(argc, argv), json_rows);
     if (lg_knobs.enabled) {

@@ -58,7 +58,6 @@ slicedScanSweep(json::Value &json_rows)
 
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
-    store.buildSlicedIndexes();
     store.finalize();
     const crs::StoredPredicate &stored = store.predicate(pred);
 
@@ -78,15 +77,17 @@ slicedScanSweep(json::Value &json_rows)
         static_cast<double>(queries.size());
     constexpr int kReps = 3;
 
-    fs1::Fs1Engine row_major(store.generator(), {});
-    fs1::Fs1Config sliced_config;
-    sliced_config.sliced = true;
-    fs1::Fs1Engine sliced(store.generator(), sliced_config);
+    fs1::Fs1Engine engine(store.generator());
 
-    // One timed pass: all queries, grouped `width` at a time (width 0
-    // = row-major per-query scans).
-    auto run = [&](const fs1::Fs1Engine &engine, std::size_t width) {
+    // One timed pass: all queries, grouped `width` at a time through
+    // the plane, or per query through the row-major oracle.
+    auto run = [&](bool is_sliced, std::size_t width) {
         std::vector<fs1::Fs1Result> results;
+        if (!is_sliced) {
+            for (const scw::Signature &q : queries)
+                results.push_back(engine.searchRowMajor(stored.index, q));
+            return results;
+        }
         for (std::size_t q0 = 0; q0 < queries.size();
              q0 += std::max<std::size_t>(width, 1)) {
             std::size_t count =
@@ -118,12 +119,11 @@ slicedScanSweep(json::Value &json_rows)
                             Variant{"sliced", true, 4},
                             Variant{"sliced", true, 8},
                             Variant{"sliced", true, 16}}) {
-        const fs1::Fs1Engine &engine = v.is_sliced ? sliced : row_major;
-        run(engine, v.width);    // warm-up
+        run(v.is_sliced, v.width);    // warm-up
         auto start = std::chrono::steady_clock::now();
         std::vector<fs1::Fs1Result> results;
         for (int rep = 0; rep < kReps; ++rep)
-            results = run(engine, v.width);
+            results = run(v.is_sliced, v.width);
         auto stop = std::chrono::steady_clock::now();
         double seconds =
             std::chrono::duration<double>(stop - start).count() / kReps;
@@ -183,7 +183,7 @@ slicedScanSweep(json::Value &json_rows)
  * actually runs retrievals.)
  */
 void
-workerScalingSweep(const bench::SlicedKnobs &knobs,
+workerScalingSweep(const bench::ScanKnobs &knobs,
                    json::Value &json_rows)
 {
     using Request = crs::RetrievalRequest;
@@ -202,8 +202,6 @@ workerScalingSweep(const bench::SlicedKnobs &knobs,
 
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
-    if (knobs.sliced)
-        store.buildSlicedIndexes();
     store.finalize();
 
     workload::QuerySpec qspec;
@@ -272,7 +270,6 @@ workerScalingSweep(const bench::SlicedKnobs &knobs,
         json::Value row = json::Value::object();
         row.set("sweep", "worker_scaling");
         row.set("workers", workers);
-        row.set("sliced", knobs.sliced);
         if (knobs.batchWidth > 0)
             row.set("batch_width", knobs.batchWidth);
         row.set("wall_seconds", seconds);
@@ -404,7 +401,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     std::string json_path = bench::jsonPathArg(argc, argv);
-    bench::SlicedKnobs sliced_knobs = bench::slicedConfigArg(argc, argv);
+    bench::ScanKnobs scan_knobs = bench::scanConfigArg(argc, argv);
     json::Value json_rows = json::Value::array();
 
     // A 4 MB Sun3/160-class memory budget, minus system overhead:
@@ -528,7 +525,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\n");
-    workerScalingSweep(sliced_knobs, json_rows);
+    workerScalingSweep(scan_knobs, json_rows);
     std::printf("\n");
     pacedDeviceSweep(json_rows);
     std::printf("\n");

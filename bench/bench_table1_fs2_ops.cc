@@ -67,7 +67,8 @@ measureOp(const OpScenario &scenario)
     term::ParsedQuery q = reader.parseQuery(scenario.query);
     fs2::Fs2Engine engine;
     engine.setQuery(q.arena, q.goals[0]);
-    fs2::Fs2SearchResult r = engine.search(file);
+    // Table 1 is measured through the paper's microcode interpreter.
+    fs2::Fs2SearchResult r = engine.searchInterpreted(file);
 
     std::uint64_t total = toNanoseconds(r.tueBusyTime);
     for (std::size_t i = 0; i < unify::kTueOpCount; ++i) {
@@ -137,7 +138,8 @@ sweepFile(term::TermReader &reader, term::TermWriter &writer,
 
 /** One full pass: every query searched once; returns the result set. */
 std::vector<fs2::Fs2SearchResult>
-sweepPass(const fs2::Fs2Config &config, const storage::ClauseFile &file,
+sweepPass(const fs2::Fs2Config &config, bool interpreted,
+          const storage::ClauseFile &file,
           const std::vector<const char *> &queries,
           term::SymbolTable &sym)
 {
@@ -147,7 +149,8 @@ sweepPass(const fs2::Fs2Config &config, const storage::ClauseFile &file,
         term::ParsedQuery q = reader.parseQuery(text);
         fs2::Fs2Engine engine(config);
         engine.setQuery(q.arena, q.goals[0]);
-        out.push_back(engine.search(file));
+        out.push_back(interpreted ? engine.searchInterpreted(file)
+                                  : engine.search(file));
     }
     return out;
 }
@@ -189,17 +192,15 @@ runSweep(std::size_t clause_count, std::size_t iterations)
         "p(X, Y, Z)",
     };
 
-    fs2::Fs2Config interp;
-    interp.level = 3;
-    interp.sequencerOverhead = 125 * kNanosecond;
-    fs2::Fs2Config compiled = interp;
-    compiled.compiled = true;
+    fs2::Fs2Config config;
+    config.level = 3;
+    config.sequencerOverhead = 125 * kNanosecond;
 
     // Identity first (one pass is enough: searches are deterministic).
     std::vector<fs2::Fs2SearchResult> ri =
-        sweepPass(interp, file, queries, sym);
+        sweepPass(config, true, file, queries, sym);
     std::vector<fs2::Fs2SearchResult> rc =
-        sweepPass(compiled, file, queries, sym);
+        sweepPass(config, false, file, queries, sym);
 
     SweepResult sweep;
     sweep.clauses = file.clauseCount();
@@ -213,10 +214,10 @@ runSweep(std::size_t clause_count, std::size_t iterations)
     using clock = std::chrono::steady_clock;
     auto t0 = clock::now();
     for (std::size_t i = 0; i < iterations; ++i)
-        sweepPass(interp, file, queries, sym);
+        sweepPass(config, true, file, queries, sym);
     auto t1 = clock::now();
     for (std::size_t i = 0; i < iterations; ++i)
-        sweepPass(compiled, file, queries, sym);
+        sweepPass(config, false, file, queries, sym);
     auto t2 = clock::now();
 
     auto us = [](auto d) {

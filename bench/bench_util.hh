@@ -43,8 +43,6 @@ compileStore(term::SymbolTable &symbols, const term::Program &program,
     out.store = std::make_unique<crs::PredicateStore>(
         symbols, scw::CodewordGenerator(scw_config));
     out.store->addProgram(program);
-    if (crs_config.fs1.sliced)
-        out.store->buildSlicedIndexes();
     out.store->finalize();
     out.server = std::make_unique<crs::ClauseRetrievalServer>(
         symbols, *out.store, crs_config);
@@ -224,59 +222,45 @@ cacheConfigArg(int argc, char **argv)
 }
 
 /**
- * Parsed `--sliced` / `--batch-width=K` knobs shared by the bench
- * harnesses.  Absent flags leave both off, so a default run is
- * bit-identical to the row-major scan path.
+ * Parsed `--batch-width=K` / `--kernel=NAME` knobs shared by the bench
+ * harnesses.  Absent flags leave the server defaults (one query per
+ * plane pass, the widest supported kernel).
  */
-struct SlicedKnobs
+struct ScanKnobs
 {
-    /** `--sliced`: scan through the bit-sliced plane. */
-    bool sliced = false;
     /** `--batch-width=K`: group up to K FS1 goals per plane pass
-     *  (implies `--sliced`; 0 means "not given"). */
+     *  (0 means "not given"). */
     std::uint32_t batchWidth = 0;
-    /** `--kernel=NAME`: force an FS1 block kernel (implies
-     *  `--sliced`; Auto means "not given"). */
+    /** `--kernel=NAME`: force an FS1 block kernel (Auto means "not
+     *  given"). */
     fs1::Fs1Kernel kernel = fs1::Fs1Kernel::Auto;
-    /** `--fs2-compiled`: dispatch FS2 through the AOT-compiled
-     *  microroutines instead of the WCS interpreter. */
-    bool fs2Compiled = false;
 
     /** Fold the knobs into a server config. */
     void
     apply(crs::CrsConfig &config) const
     {
-        if (sliced)
-            config.fs1.sliced = true;
         if (batchWidth > 0)
             config.batchWidth = batchWidth;
         config.fs1.kernel = kernel;
-        config.fs2.compiled = fs2Compiled;
     }
 };
 
 /**
- * Parse the bit-sliced scan knobs: `--sliced` turns the word-parallel
- * FS1 kernel on, `--batch-width=K` groups up to K same-predicate FS1
- * goals into one plane pass (and implies `--sliced`),
- * `--kernel=NAME` forces a specific block kernel from the registry
- * (scalar64 / avx2 / avx512 / auto; implies `--sliced`), and
- * `--fs2-compiled` routes FS2 matching through the AOT-compiled
- * microroutines (bit-identical to the interpreter, just faster on the
- * host).  An unknown kernel name exits with the supported list rather
- * than silently falling back.
+ * Parse the plane-scan knobs: `--batch-width=K` groups up to K
+ * same-predicate FS1 goals into one plane pass, and `--kernel=NAME`
+ * forces a specific block kernel from the registry (scalar64 / avx2 /
+ * avx512 / auto) — every kernel is bit-identical, so this is how the
+ * benches compare kernels.  An unknown kernel name exits with the
+ * supported list rather than silently falling back.
  */
-inline SlicedKnobs
-slicedConfigArg(int argc, char **argv)
+inline ScanKnobs
+scanConfigArg(int argc, char **argv)
 {
-    SlicedKnobs knobs;
+    ScanKnobs knobs;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sliced") == 0) {
-            knobs.sliced = true;
-        } else if (std::strncmp(argv[i], "--batch-width=", 14) == 0) {
+        if (std::strncmp(argv[i], "--batch-width=", 14) == 0) {
             knobs.batchWidth = static_cast<std::uint32_t>(
                 std::strtoul(argv[i] + 14, nullptr, 10));
-            knobs.sliced = true;
         } else if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
             const char *name = argv[i] + 9;
             fs1::Fs1Kernel parsed = fs1::Fs1Kernel::Auto;
@@ -295,9 +279,6 @@ slicedConfigArg(int argc, char **argv)
                 std::exit(2);
             }
             knobs.kernel = parsed;
-            knobs.sliced = true;
-        } else if (std::strcmp(argv[i], "--fs2-compiled") == 0) {
-            knobs.fs2Compiled = true;
         }
     }
     return knobs;

@@ -123,7 +123,10 @@ ClareDriver::fs1Search(const scw::Signature &query,
     sequence_.clear();
     setMode(OperationalMode::SetQuery, FilterSelect::Fs1);
     setMode(OperationalMode::Search, FilterSelect::Fs1);
-    fs1::Fs1Result result = board_.fs1().search(index, query);
+    // The board streams raw entries past the PLAs as the hardware
+    // does; it holds no bit-sliced plane, so it runs the row-major
+    // scan (bit-identical to the host's plane scan).
+    fs1::Fs1Result result = board_.fs1().searchRowMajor(index, query);
     board_.noteSearchOutcome(!result.ordinals.empty());
     setMode(OperationalMode::ReadResult, FilterSelect::Fs1);
     return result;

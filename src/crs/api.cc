@@ -104,15 +104,12 @@ CrsConfig::validate() const
             "more than 1024 workers is a configuration error");
 
     // Batch scanning groups FS1 goals into one pass over the sliced
-    // plane; without the sliced kernel the grouping would only
-    // serialize otherwise-pipelined scans.
+    // plane.
     require(batchWidth >= 1, "batchWidth",
             "batch width 0 would mean no query is ever scanned");
     require(batchWidth <= 256, "batchWidth",
             "more than 256 queries per plane pass is a configuration "
             "error");
-    require(batchWidth == 1 || fs1.sliced, "batchWidth",
-            "multi-query batch scanning requires fs1.sliced");
 
     // Fault handling: zero attempts would mean "never read anything";
     // an unbounded retry count turns a permanently bad sector into a

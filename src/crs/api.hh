@@ -31,6 +31,8 @@
 
 namespace clare::crs {
 
+struct StoredPredicate;
+
 /**
  * A configuration field rejected by CrsConfig::validate().  Carries
  * the dotted field path so callers can report (or test) exactly which
@@ -197,6 +199,16 @@ struct RetrievalResponse
      * decoding a response always leaves it empty.
      */
     std::shared_ptr<const std::vector<std::uint8_t>> replayBlob;
+
+    /**
+     * The MVCC predicate version this retrieval pinned: candidates and
+     * answers are ordinals of this version, so a caller resolving them
+     * to clauses (kb::KnowledgeBase::clausesFor) reads this version,
+     * never the possibly newer head.  Like replayBlob it is a local
+     * handle — never compared by responsesIdentical, never sent on the
+     * wire, never cached.
+     */
+    std::shared_ptr<const StoredPredicate> version;
 
     /**
      * Candidates that failed full unification.  A correct filter never

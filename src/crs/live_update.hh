@@ -23,7 +23,8 @@
  *    predicate's images — composite clause/index files byte-identical
  *    to a from-scratch rebuild — and transposes only the appended
  *    tail into an LSM-flavored delta mini-plane (the base bit-sliced
- *    plane is shared untouched across commits).  asserta/retract
+ *    plane is shared untouched across commits).  The decoded clause
+ *    table splits the same way: shared base, per-version delta.  asserta/retract
  *    trigger a per-predicate minor compaction: the predicate is
  *    rebuilt from its evolving source-text list, which is exactly the
  *    LSM tombstone-merge rule with a level count of one.  Either way
@@ -217,12 +218,6 @@ class LiveStore
     CacheInvalidationSink *sink_ = nullptr;
 
     std::mutex writerMutex_;
-    /**
-     * Whether the attached store carries bit-sliced planes (decides
-     * the indexing of brand-new live predicates: a v2/row-major store
-     * stays row-major everywhere so scans remain tick-identical).
-     */
-    bool storeSliced_ = false;
     std::uint64_t appliedLsn_ = 0;
     std::size_t recoveredCommits_ = 0;
     std::uint64_t commits_ = 0;

@@ -33,7 +33,7 @@ constexpr double kTicksPerUs = static_cast<double>(kMicrosecond);
 
 } // namespace
 
-ClauseRetrievalServer::ClauseRetrievalServer(term::SymbolTable &symbols,
+ClauseRetrievalServer::ClauseRetrievalServer(const term::SymbolTable &symbols,
                                              const PredicateStore &store,
                                              CrsConfig config)
     : symbols_(symbols), store_(store), config_(config),
@@ -417,6 +417,7 @@ ClauseRetrievalServer::maybeCacheGoal(const std::string &goal_key,
     hit.breakdown.cacheTime = config_.cache.goalHitCost;
     hit.elapsed = hit.breakdown.serviceTime();
     hit.traceSpan = 0;
+    hit.version.reset();
     if (goalCache_->put(goal_key, pred, std::move(hit)))
         ++metrics_.counter("crs.cache.evictions",
                            "L3 entries displaced by capacity");
@@ -465,11 +466,15 @@ ClauseRetrievalServer::hostUnify(const StoredPredicate &stored,
                                  const TermArena &q_arena, TermRef goal,
                                  RetrievalResponse &response) const
 {
-    term::TermReader reader(symbols_);
+    // Candidates unify against the version's pre-decoded heads, with
+    // one scratch arena and binding trail for the whole call — the
+    // same verdicts as parsing each candidate's source text and
+    // calling wouldUnify(), without the per-candidate parse.
+    unify::HeadUnifier unifier(q_arena, goal);
+    response.answers.reserve(response.candidates.size());
     for (std::uint32_t ordinal : response.candidates) {
-        std::string text = stored.clauses.sourceText(ordinal);
-        term::Clause clause = reader.parseClause(text);
-        if (unify::wouldUnify(q_arena, goal, clause))
+        term::ClauseView clause = stored.decodedClause(ordinal);
+        if (unifier.unifies(*clause.arena, clause.head))
             response.answers.push_back(ordinal);
     }
     response.breakdown.hostUnifyTime = config_.host.perCandidateUnify *
@@ -506,7 +511,7 @@ ClauseRetrievalServer::serve(const RetrievalRequest &request)
                         stored.ruleFraction);
     obs::Observer ob = observer(request.trace);
     obs::ScopedSpan root(ob.tracer, "crs.retrieve");
-    root.attr("mode", std::string(searchModeSlug(response.mode)));
+    root.attr("mode", searchModeSlug(response.mode));
 
     const bool caching = cachingActive(request);
     std::string goal_key;
@@ -517,6 +522,7 @@ ClauseRetrievalServer::serve(const RetrievalRequest &request)
                 goalCache_->find(goal_key)) {
             serveGoalHit(*cached, response);
             accountQuery(response, root);
+            response.version = std::move(pinned);
             return response;
         }
         obs::Counter *misses =
@@ -542,6 +548,7 @@ ClauseRetrievalServer::serve(const RetrievalRequest &request)
     if (caching)
         maybeCacheGoal(goal_key, pred, response);
     accountQuery(response, root);
+    response.version = std::move(pinned);
     return response;
 }
 
@@ -728,7 +735,7 @@ ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
     auto finish_one = [&](std::size_t i, IndexScan scanned) {
         obs::ScopedSpan root(batch[i].trace.enabled ? &tracer_ : nullptr,
                              "crs.retrieve", batch_span.id());
-        root.attr("mode", std::string(searchModeSlug(modes[i])));
+        root.attr("mode", searchModeSlug(modes[i]));
         root.attr("batch_index", static_cast<std::uint64_t>(i));
         RetrievalRequest request = batch[i];
         request.mode = modes[i];
@@ -803,6 +810,7 @@ ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
                 out[i].breakdown.hostUnifyTime;
         }
         accountQuery(out[i], root);
+        out[i].version = pins[i];
     };
 
     if (!pool_) {
@@ -1037,9 +1045,8 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
             span.attr("candidates",
                       static_cast<std::uint64_t>(
                           response.candidates.size()));
-            span.attr("strategy", seeks < sweep
-                      ? std::string("seek_per_candidate")
-                      : std::string("sweep"));
+            span.attr("strategy",
+                      seeks < sweep ? "seek_per_candidate" : "sweep");
             span.setSimTicks(stages.filterTime);
         }
         break;

@@ -62,7 +62,6 @@
 #include "support/obs.hh"
 #include "support/sim_time.hh"
 #include "support/thread_pool.hh"
-#include "term/term_reader.hh"
 #include "unify/tue_op.hh"
 
 namespace clare::crs {
@@ -134,10 +133,9 @@ struct CrsConfig
      * serveBatch() multi-query batch scanning: up to this many
      * FS1-mode goals of one predicate are answered by a single pass
      * over the predicate's bit-sliced plane.  1 (default) scans per
-     * query.  Widths > 1 require fs1.sliced (grouping without the
-     * sliced kernel would just serialize the scans) and compose with
-     * workers and the caches; results stay bit-identical because each
-     * grouped query is accounted exactly like its own full-file scan.
+     * query.  Widths > 1 compose with workers and the caches; results
+     * stay bit-identical because each grouped query is accounted
+     * exactly like its own full-file scan.
      */
     std::uint32_t batchWidth = 1;
 
@@ -214,11 +212,10 @@ class ClauseRetrievalServer : public CacheInvalidationSink
 {
   public:
     /**
-     * @param symbols shared symbol table (non-const: candidate clauses
-     *        are re-parsed for host-side unification)
+     * @param symbols shared symbol table (names in error messages)
      * @throws ConfigError when @p config is incoherent
      */
-    ClauseRetrievalServer(term::SymbolTable &symbols,
+    ClauseRetrievalServer(const term::SymbolTable &symbols,
                           const PredicateStore &store,
                           CrsConfig config = {});
 
@@ -296,7 +293,7 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     std::size_t goalCacheSize() const;
 
   private:
-    term::SymbolTable &symbols_;
+    const term::SymbolTable &symbols_;
     const PredicateStore &store_;
     CrsConfig config_;
     /** Persistent FS1 engine, shared across retrievals and threads. */
@@ -482,15 +479,17 @@ class ClauseRetrievalServer : public CacheInvalidationSink
      * Everything after the FS1 stage: degradation of unhealthy index
      * scans, FS2 / software filtering, fault-recovery accounting,
      * host unification, and the single authoritative stage
-     * accounting.  Runs on the calling thread (it parses candidate
-     * clauses through the shared symbol table).
+     * accounting.  Runs on the calling thread.
      */
     void finishRetrieval(const StoredPredicate &stored,
                          const RetrievalRequest &request,
                          IndexScan scan, const obs::Observer &obs,
                          obs::SpanId root, RetrievalResponse &response);
 
-    /** Host full unification over candidates; fills answers + time. */
+    /**
+     * Host full unification of the candidates against the version's
+     * decoded heads; fills answers + time.
+     */
     void hostUnify(const StoredPredicate &stored,
                    const term::TermArena &q_arena, term::TermRef goal,
                    RetrievalResponse &response) const;

@@ -2,10 +2,30 @@
 
 #include "support/crc32.hh"
 #include "support/logging.hh"
+#include "term/term_reader.hh"
 
 namespace clare::crs {
 
-PredicateStore::PredicateStore(const term::SymbolTable &symbols,
+term::ClauseView
+StoredPredicate::decodedClause(std::uint32_t ordinal) const
+{
+    const std::size_t base = decoded->size();
+    return ordinal < base ? decoded->view(ordinal)
+                          : decodedDelta->view(ordinal - base);
+}
+
+void
+decodeClauses(const storage::ClauseFile &file, std::size_t begin,
+              std::size_t end, term::SymbolTable &symbols,
+              term::ClauseTable &out)
+{
+    term::TermReader reader(symbols);
+    for (std::size_t i = begin; i < end; ++i)
+        out.add(reader.parseClause(file.sourceText(i)));
+    out.shrinkToFit();
+}
+
+PredicateStore::PredicateStore(term::SymbolTable &symbols,
                                scw::CodewordGenerator generator,
                                storage::DiskGeometry geometry)
     : symbols_(symbols), generator_(std::move(generator)),
@@ -76,18 +96,6 @@ PredicateStore::addStored(const term::PredicateId &pred,
 }
 
 void
-PredicateStore::buildSlicedIndexes()
-{
-    for (auto &kv : preds_) {
-        StoredPredicate &stored = kv.second;
-        if (stored.sliced != nullptr)
-            continue;
-        stored.sliced = std::make_shared<scw::BitSlicedIndex>(
-            scw::BitSlicedIndex::build(generator_, stored.index));
-    }
-}
-
-void
 PredicateStore::finalize()
 {
     clare_assert(!finalized_, "store already finalized");
@@ -105,6 +113,13 @@ PredicateStore::finalize()
                            stored.index.image().end());
         stored.indexPageCrcs = support::pageChecksums(
             stored.index.image().data(), stored.index.image().size());
+        if (stored.sliced == nullptr)
+            stored.sliced = std::make_shared<scw::BitSlicedIndex>(
+                scw::BitSlicedIndex::build(generator_, stored.index));
+        auto decoded = std::make_shared<term::ClauseTable>();
+        decodeClauses(stored.clauses, 0, stored.clauses.clauseCount(),
+                      symbols_, *decoded);
+        stored.decoded = std::move(decoded);
     }
     dataDisk_.load(std::move(data_image));
     indexDisk_.load(std::move(index_image));

@@ -47,11 +47,11 @@ struct StoredPredicate
     std::vector<std::uint32_t> indexPageCrcs;
 
     /**
-     * Transposed (bit-sliced) plane of the secondary file, for the
-     * word-parallel FS1 host kernel.  Null when planes were neither
-     * loaded from a v3 store nor built with buildSlicedIndexes();
-     * the engine then scans row-major.  Shared so cached IndexScans
-     * and concurrent workers can hold it without copying.
+     * Transposed (bit-sliced) plane of the secondary file, scanned by
+     * the word-parallel FS1 kernel.  Loaded from a v3 store or built
+     * by PredicateStore::finalize(), so every published version has
+     * one.  Shared so cached IndexScans and concurrent workers can
+     * hold it without copying.
      */
     std::shared_ptr<const scw::BitSlicedIndex> sliced;
 
@@ -78,7 +78,35 @@ struct StoredPredicate
      * version carries no un-sliced tail.
      */
     std::shared_ptr<const scw::BitSlicedIndex> deltaSliced;
+
+    /**
+     * Decoded clauses (heads and bodies) in one shared arena, for host
+     * unification and the knowledge base: the first decoded->size()
+     * clauses, each parsed once from its source text.  Like `sliced`
+     * it is built at finalize() and shared untouched by the versions
+     * of later assertz commits.
+     */
+    std::shared_ptr<const term::ClauseTable> decoded;
+
+    /**
+     * Decoded tail appended by assertz commits since `decoded` was
+     * built (the clause-side twin of deltaSliced); null when none.
+     */
+    std::shared_ptr<const term::ClauseTable> decodedDelta;
+
+    /** Clause @p ordinal of this version, from the decoded tables. */
+    term::ClauseView decodedClause(std::uint32_t ordinal) const;
 };
+
+/**
+ * Decode clauses [begin, end) of @p file onto the end of @p out by
+ * parsing their source text — exactly the text-parse oracle, run once
+ * per clause when a version is built instead of once per candidate at
+ * serve time.
+ */
+void decodeClauses(const storage::ClauseFile &file, std::size_t begin,
+                   std::size_t end, term::SymbolTable &symbols,
+                   term::ClauseTable &out);
 
 /**
  * The predicate store: builds clause and secondary files from parsed
@@ -89,7 +117,11 @@ struct StoredPredicate
 class PredicateStore
 {
   public:
-    PredicateStore(const term::SymbolTable &symbols,
+    /**
+     * @param symbols shared symbol table (non-const: finalize() parses
+     *        stored clause text to build the decoded tables)
+     */
+    PredicateStore(term::SymbolTable &symbols,
                    scw::CodewordGenerator generator,
                    storage::DiskGeometry geometry =
                        storage::DiskGeometry::fujitsuM2351A());
@@ -101,7 +133,7 @@ class PredicateStore
      * Insert an already-compiled predicate (the store-loading path);
      * the rule fraction is re-derived from the record flags.
      * @param sliced pre-built bit-sliced plane (e.g. deserialized from
-     *        a v3 store), or null to leave the predicate row-major
+     *        a v3 store), or null to have finalize() transpose one
      */
     void addStored(const term::PredicateId &pred,
                    storage::ClauseFile clauses,
@@ -110,14 +142,11 @@ class PredicateStore
                        nullptr);
 
     /**
-     * Build the transposed plane for every predicate that lacks one
-     * (addProgram leaves them unbuilt; v2 stores load without them).
-     * Idempotent; callable before or after finalize() — the plane is
-     * host-side metadata and does not change the on-disk images.
+     * Finish layout: load the concatenated images onto the disks, and
+     * build the host-side metadata every version carries — the
+     * bit-sliced plane (unless one was loaded) and the decoded clause
+     * table.  Neither changes the on-disk images.
      */
-    void buildSlicedIndexes();
-
-    /** Finish layout: load the concatenated images onto the disks. */
     void finalize();
 
     bool has(const term::PredicateId &pred) const;
@@ -190,7 +219,7 @@ class PredicateStore
     std::uint64_t indexBytes() const;
 
   private:
-    const term::SymbolTable &symbols_;
+    term::SymbolTable &symbols_;
     scw::CodewordGenerator generator_;
     term::TermWriter writer_;
     storage::DiskModel dataDisk_;

@@ -11,11 +11,13 @@
  * combines that busy time with the disk streaming time — the engine
  * can only be as fast as the disk feeds it.
  *
- * The scan can be sharded: the secondary file is split into contiguous
- * entry ranges that are matched concurrently on a worker pool, and the
- * per-shard hit lists are concatenated in shard order so the merged
- * result is bit-identical to the sequential scan.  Counters accumulate
- * per worker and fold into the engine's StatGroup once at merge time.
+ * The host scans the bit-sliced plane of the secondary file with a
+ * word-parallel kernel.  The scan can be sharded: the plane is split
+ * into contiguous entry ranges that are matched concurrently on a
+ * worker pool, and the per-shard hit lists are concatenated in shard
+ * order so the merged result is bit-identical to the sequential scan.
+ * Counters accumulate per worker and fold into the engine's StatGroup
+ * once at merge time.
  * One engine may be shared by several threads: search() is logically
  * const and its statistics are thread-safe.
  */
@@ -54,22 +56,11 @@ struct Fs1Config
     double paceScale = 0.0;
 
     /**
-     * Scan through the bit-sliced plane when the caller supplies one
-     * (word-parallel host path).  The survivor sets, modeled busy
-     * time, and every Fs1Result field are bit-identical to the
-     * row-major scan — only the host CPU cost changes — so defaulting
-     * off keeps clean-run metric dumps byte-stable (no fs1.sliced.*
-     * counters appear).
-     */
-    bool sliced = false;
-
-    /**
-     * Block kernel for sliced scans: Auto (default) resolves to the
+     * Block kernel for the plane scan: Auto (default) resolves to the
      * widest vector ISA the host supports; explicit choices must be
      * supported (CrsConfig::validate rejects the rest).  Every kernel
      * is bit-identical in answers, survivor order, scan stats, and
-     * modeled busyTime — only host CPU cost changes.  Ignored on the
-     * row-major path (sliced == false).
+     * modeled busyTime — only host CPU cost changes.
      */
     Fs1Kernel kernel = Fs1Kernel::Auto;
 };
@@ -95,7 +86,16 @@ struct Fs1Result
     Tick busyTime = 0;
 };
 
-/** The FS1 codeword-matching engine. */
+/**
+ * The FS1 codeword-matching engine.
+ *
+ * Production scans run the word-parallel kernel over the bit-sliced
+ * plane of the secondary file (PredicateStore builds or loads a plane
+ * for every predicate).  The row-major scan, which decodes one entry
+ * at a time as the paper's hardware streams it, survives only as the
+ * oracle searchRowMajor() that tests and the paper-figure benches
+ * compare against: both produce bit-identical results.
+ */
 class Fs1Engine
 {
   public:
@@ -106,63 +106,27 @@ class Fs1Engine
     const scw::CodewordGenerator &generator() const { return generator_; }
 
     /**
-     * Scan a secondary file against a query signature.
+     * Scan one predicate version against a query signature.  The
+     * base plane @p sliced covers entries [0, base_entries) of
+     * @p index and the delta mini-plane @p delta covers the appended
+     * tail [base_entries, entryCount); with no delta, @p sliced covers
+     * the whole file and @p base_entries is ignored.  The delta
+     * plane's entries carry composite ordinals and clause offsets, so
+     * base hits then delta hits reproduce the sequential order over
+     * the composite file.  bytesScanned sums both parts before the
+     * one ticks conversion, so busyTime is bit-identical to scanning
+     * one full plane (or the row-major file).
+     *
+     * A delta-free scan is sharded into @p shards contiguous ranges on
+     * @p pool (null or a 0-thread pool scans sequentially); the merge
+     * is bit-identical to the sequential scan.
      *
      * @param obs optional tracer/metrics sinks; a "fs1.scan" span
      *        wraps the search with one "fs1.shard" child per shard,
      *        and counters fs1.searches / fs1.entries_scanned /
      *        fs1.hits / fs1.bytes_scanned accumulate in the registry
      * @param parent span the "fs1.scan" span nests under (0 = root)
-     */
-    Fs1Result search(const scw::SecondaryFile &index,
-                     const scw::Signature &query,
-                     const obs::Observer &obs = {},
-                     obs::SpanId parent = 0) const;
-
-    /**
-     * Sharded scan: split the file into @p shards contiguous ranges
-     * and match them on @p pool (the calling thread participates).
-     * The result is bit-identical to the sequential search().
-     *
-     * @param pool worker pool; null or a 0-thread pool degrades to the
-     *        sequential path
-     * @param shards desired shard count; clamped to the entry count
-     */
-    Fs1Result search(const scw::SecondaryFile &index,
-                     const scw::Signature &query,
-                     support::ThreadPool *pool, std::uint32_t shards,
-                     const obs::Observer &obs = {},
-                     obs::SpanId parent = 0) const;
-
-    /**
-     * Like the sharded search(), additionally offering a bit-sliced
-     * plane of @p index.  The plane is used only when config().sliced
-     * is set and the plane covers the file; either way the result is
-     * bit-identical (the sliced kernel changes host CPU cost, never
-     * the survivors or the modeled timing).  @p sliced may be null.
-     */
-    Fs1Result search(const scw::SecondaryFile &index,
-                     const scw::BitSlicedIndex *sliced,
-                     const scw::Signature &query,
-                     support::ThreadPool *pool, std::uint32_t shards,
-                     const obs::Observer &obs = {},
-                     obs::SpanId parent = 0) const;
-
-    /**
-     * Sliced scan over a live (base + delta) predicate version: the
-     * base plane covers entries [0, base_entries) of @p index and the
-     * delta mini-plane covers the appended tail [base_entries,
-     * entryCount) — the delta plane's entries carry composite
-     * ordinals and clause offsets, so concatenating base hits then
-     * delta hits reproduces the sequential order over the composite
-     * file exactly.  bytesScanned sums both parts before the one
-     * ticks conversion, so busyTime is bit-identical to scanning a
-     * freshly rebuilt full plane (or the row-major composite file).
-     *
-     * Falls back to the plain sliced/row-major search when the split
-     * does not cover the file (then @p sliced typically fails the
-     * coverage check too and the scan runs row-major — still
-     * bit-identical in answers and timing).
+     * @throws FatalError when the planes do not tile @p index
      */
     Fs1Result search(const scw::SecondaryFile &index,
                      const scw::BitSlicedIndex *sliced,
@@ -175,13 +139,11 @@ class Fs1Engine
 
     /**
      * Multi-query batch scan: answer @p queries over one index in a
-     * single pass over the sliced plane (blocks outer, queries
-     * inner), amortizing index memory traffic across the batch.
-     * Element k is bit-identical to search(index, queries[k]) — same
+     * single pass over its plane (blocks outer, queries inner),
+     * amortizing index memory traffic across the batch.  Element k is
+     * bit-identical to the delta-free search() of queries[k] — same
      * survivors, same entriesScanned/bytesScanned/busyTime — and each
      * query is accounted (stats, metrics, spans) as its own search.
-     * Falls back to sequential per-query scans when the plane is
-     * absent, config().sliced is off, or the batch has one query.
      *
      * @param observers one observer per query (sizes must match)
      */
@@ -191,6 +153,17 @@ class Fs1Engine
                 const std::vector<scw::Signature> &queries,
                 const std::vector<obs::Observer> &observers,
                 obs::SpanId parent = 0) const;
+
+    /**
+     * Oracle: the row-major scan, decoding every entry of @p index
+     * and applying the SCW+MB match rule to it.  Bit-identical to
+     * search() in every Fs1Result field; it exists for tests and the
+     * paper-figure benches, never for serving.
+     */
+    Fs1Result searchRowMajor(const scw::SecondaryFile &index,
+                             const scw::Signature &query,
+                             const obs::Observer &obs = {},
+                             obs::SpanId parent = 0) const;
 
     /** Cumulative statistics across searches. */
     StatGroup &stats() { return stats_; }
@@ -203,41 +176,43 @@ class Fs1Engine
         std::vector<std::uint32_t> ordinals;
         std::uint64_t entriesScanned = 0;
         std::uint64_t bytesScanned = 0;
-        /** 64-bit plane operations (sliced kernel only). */
+        /** 64-bit plane operations (0 on the row-major oracle). */
         std::uint64_t wordOps = 0;
-        /** This shard ran through the bit-sliced kernel. */
-        bool sliced = false;
     };
 
     /**
-     * @param sliced bit-sliced plane to scan through (null, or ignored
-     *        unless config().sliced is set and it covers the file)
+     * Scan entries @p range of @p plane (a plane of a file with
+     * @p entry_bytes-byte entries) as one "fs1.shard".
+     *
      * @param prefix_bytes bytes scanned by the shards before this one,
      *        so the shard's span ticks can be computed as a difference
      *        of cumulative conversions (see busyTicks()) and per-shard
      *        span totals telescope exactly to the merged busyTime
      */
-    ShardScan scanRange(const scw::SecondaryFile &index,
-                        const scw::BitSlicedIndex *sliced,
+    ShardScan scanPlane(const scw::BitSlicedIndex &plane,
+                        std::size_t entry_bytes,
                         const scw::Signature &query,
                         const scw::EntryRange &range,
                         std::uint64_t prefix_bytes,
                         const obs::Observer &obs,
                         obs::SpanId parent) const;
 
-    /** Is the sliced kernel usable for this (config, plane, file)? */
-    bool slicedUsable(const scw::SecondaryFile &index,
-                      const scw::BitSlicedIndex *sliced) const
-    {
-        return config_.sliced && sliced != nullptr &&
-            sliced->entryCount() == index.entryCount();
-    }
+    /** Span attributes, span ticks and pacing shared by every shard. */
+    void finishShard(const ShardScan &scan, obs::ScopedSpan &span,
+                     std::uint64_t prefix_bytes) const;
 
     /** Cumulative bytes-to-ticks conversion shared by spans + merge. */
     Tick busyTicks(std::uint64_t bytes) const;
 
+    /** Paced replay: sleep the modeled device time of @p bytes. */
+    void pace(std::uint64_t bytes) const;
+
     Fs1Result merge(std::vector<ShardScan> shards,
                     const obs::Observer &obs) const;
+
+    /** Fill the "fs1.scan" span of a finished search. */
+    static void finishScan(const Fs1Result &result,
+                           obs::ScopedSpan &span);
 
     scw::CodewordGenerator generator_;
     Fs1Config config_;

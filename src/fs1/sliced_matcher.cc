@@ -81,6 +81,13 @@ SlicedMatcher::scanBlock(const scw::BitSlicedIndex &plane,
             (field.planes.size() + 1);
     }
 
+    // Size the hit lists once per block, so a scan's allocations do
+    // not grow with its survivor count.
+    std::size_t hits = out.ordinals.size();
+    for (std::size_t j = 0; j < word_count; ++j)
+        hits += static_cast<std::size_t>(std::popcount(surv_[j]));
+    out.clauseOffsets.reserve(hits);
+    out.ordinals.reserve(hits);
     for (std::size_t j = 0; j < word_count; ++j) {
         std::uint64_t w = surv_[j];
         const std::size_t base = (word_begin + j) * 64;

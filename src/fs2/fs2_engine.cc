@@ -57,15 +57,21 @@ Fs2Engine::setQuery(pif::EncodedArgs query, term::PredicateId predicate)
     queryLoaded_ = true;
 }
 
-Fs2SearchResult
-Fs2Engine::search(const ClauseFile &file, const DiskModel *disk,
-                  std::uint64_t file_offset)
+std::vector<std::uint32_t>
+Fs2Engine::allOrdinals(const ClauseFile &file)
 {
     std::vector<std::uint32_t> all;
     all.reserve(file.clauseCount());
     for (std::size_t i = 0; i < file.clauseCount(); ++i)
         all.push_back(static_cast<std::uint32_t>(i));
-    return runStream(file, all, disk, file_offset);
+    return all;
+}
+
+Fs2SearchResult
+Fs2Engine::search(const ClauseFile &file, const DiskModel *disk,
+                  std::uint64_t file_offset)
+{
+    return runStream(file, allOrdinals(file), disk, file_offset, false);
 }
 
 Fs2SearchResult
@@ -73,18 +79,34 @@ Fs2Engine::searchSelected(const ClauseFile &file,
                           const std::vector<std::uint32_t> &ordinals,
                           const DiskModel *disk, std::uint64_t file_offset)
 {
-    for (std::size_t i = 1; i < ordinals.size(); ++i)
-        clare_assert(ordinals[i - 1] < ordinals[i],
-                     "selected ordinals must be ascending");
-    return runStream(file, ordinals, disk, file_offset);
+    return runStream(file, ordinals, disk, file_offset, false);
+}
+
+Fs2SearchResult
+Fs2Engine::searchInterpreted(const ClauseFile &file, const DiskModel *disk,
+                             std::uint64_t file_offset)
+{
+    return runStream(file, allOrdinals(file), disk, file_offset, true);
+}
+
+Fs2SearchResult
+Fs2Engine::searchSelectedInterpreted(
+    const ClauseFile &file, const std::vector<std::uint32_t> &ordinals,
+    const DiskModel *disk, std::uint64_t file_offset)
+{
+    return runStream(file, ordinals, disk, file_offset, true);
 }
 
 Fs2SearchResult
 Fs2Engine::runStream(const ClauseFile &file,
                      const std::vector<std::uint32_t> &ordinals,
-                     const DiskModel *disk, std::uint64_t file_offset)
+                     const DiskModel *disk, std::uint64_t file_offset,
+                     bool interpreted)
 {
     clare_assert(queryLoaded_, "search started before Set Query");
+    for (std::size_t i = 1; i < ordinals.size(); ++i)
+        clare_assert(ordinals[i - 1] < ordinals[i],
+                     "selected ordinals must be ascending");
     if (!(file.predicate() == predicate_))
         clare_fatal("clause file predicate does not match the query "
                     "(functor %u/%u vs %u/%u)",
@@ -157,16 +179,15 @@ Fs2Engine::runStream(const ClauseFile &file,
         // Both dispatch targets accumulate the identical sequencer
         // clock, so the busy-time delta reads whichever one ran.
         Tick busy_before = tue_.busyTime() +
-            (config_.compiled ? compiled_.sequencerTime()
-                              : wcs_.sequencerTime());
-        ClauseVerdict verdict = config_.compiled
-            ? compiled_.runClause(tue_, db_args.items, rec.arity,
-                                  query_)
-            : wcs_.runClause(tue_, db_args.items, rec.arity, query_);
+            (interpreted ? wcs_.sequencerTime()
+                         : compiled_.sequencerTime());
+        ClauseVerdict verdict = interpreted
+            ? wcs_.runClause(tue_, db_args.items, rec.arity, query_)
+            : compiled_.runClause(tue_, db_args.items, rec.arity,
+                                  query_);
         Tick processing = (tue_.busyTime() +
-                           (config_.compiled
-                                ? compiled_.sequencerTime()
-                                : wcs_.sequencerTime())) -
+                           (interpreted ? wcs_.sequencerTime()
+                                        : compiled_.sequencerTime())) -
             busy_before;
 
         doubleBuffer_.admit(delivered, processing, rec.length);
@@ -195,11 +216,11 @@ Fs2Engine::runStream(const ClauseFile &file,
 
     result.ops = tue_.opCounts();
     result.tueBusyTime = tue_.busyTime();
-    result.sequencerTime = config_.compiled
-        ? compiled_.sequencerTime() : wcs_.sequencerTime();
-    result.microInstructions = config_.compiled
-        ? compiled_.instructionsExecuted()
-        : wcs_.instructionsExecuted();
+    result.sequencerTime = interpreted
+        ? wcs_.sequencerTime() : compiled_.sequencerTime();
+    result.microInstructions = interpreted
+        ? wcs_.instructionsExecuted()
+        : compiled_.instructionsExecuted();
     result.stallTime = doubleBuffer_.stallTime();
     result.overruns = doubleBuffer_.overruns();
     if (disk) {

@@ -10,7 +10,9 @@
  *      the Query Memory.
  *   3. Search mode — clause records stream from the (modeled) disk
  *      through the Double Buffer; the TUE examines each; satisfiers
- *      are captured in the Result Memory.
+ *      are captured in the Result Memory.  The host runs the
+ *      microprogram as AOT-compiled routines; the WCS interpreter
+ *      stays as the oracle they are checked against.
  *   4. Read Result mode — the captured satisfiers are read back.
  *
  * The engine reports both functional results (accepted ordinals,
@@ -45,16 +47,6 @@ struct Fs2Config
     int level = 3;                  ///< matching level (paper: 3)
     bool crossBinding = true;       ///< cross-binding checks (added)
     Tick sequencerOverhead = 0;     ///< per-microinstruction time
-    /**
-     * Run clauses through the AOT-compiled match routines instead of
-     * the microcode interpreter.  Verdicts, Table-1 op streams,
-     * microinstruction counts, and every timing field are
-     * bit-identical either way (the EngineEquivalence fuzz enforces
-     * it); only the host CPU cost per clause changes.  The
-     * microprogram is still assembled and loaded, so disassembly and
-     * the WCS remain inspectable.
-     */
-    bool compiled = false;
     std::uint32_t doubleBufferBank = 8192;
     std::uint32_t resultMemoryBytes = 32 * 1024;
     std::uint32_t resultSlotBytes = 512;
@@ -153,6 +145,28 @@ class Fs2Engine
                                        nullptr,
                                    std::uint64_t file_offset = 0);
 
+    /**
+     * @name Oracle: the microcode interpreter
+     *
+     * search() and searchSelected() run every clause through the
+     * AOT-compiled match routines.  These twins run the same stream
+     * through the WCS interpreter instead; verdicts, Table-1 op
+     * streams, microinstruction counts, and every timing field are
+     * bit-identical (the EngineEquivalence fuzz enforces it).  They
+     * exist for tests and the paper-figure benches, never for serving.
+     */
+    /// @{
+    Fs2SearchResult searchInterpreted(const storage::ClauseFile &file,
+                                      const storage::DiskModel *disk =
+                                          nullptr,
+                                      std::uint64_t file_offset = 0);
+    Fs2SearchResult
+    searchSelectedInterpreted(const storage::ClauseFile &file,
+                              const std::vector<std::uint32_t> &ordinals,
+                              const storage::DiskModel *disk = nullptr,
+                              std::uint64_t file_offset = 0);
+    /// @}
+
     /** Read Result mode: the capture memory. */
     const ResultMemory &results() const { return resultMemory_; }
 
@@ -179,10 +193,19 @@ class Fs2Engine
     obs::SpanId obsParent_ = 0;
     std::uint32_t maxDetailSpans_ = 32;
 
+    /** Every ordinal of @p file, for the whole-file searches. */
+    static std::vector<std::uint32_t>
+    allOrdinals(const storage::ClauseFile &file);
+
+    /**
+     * The one stream loop; @p interpreted dispatches clauses to the
+     * WCS interpreter (the oracle) instead of the compiled routines.
+     */
     Fs2SearchResult runStream(const storage::ClauseFile &file,
                               const std::vector<std::uint32_t> &ordinals,
                               const storage::DiskModel *disk,
-                              std::uint64_t file_offset);
+                              std::uint64_t file_offset,
+                              bool interpreted);
 };
 
 } // namespace clare::fs2

@@ -287,25 +287,23 @@ KnowledgeBase::clausesFor(const term::TermArena &q_arena,
         request.goal = goal;
         request.mode = mode;
         crs::RetrievalResponse r = server_->serve(request);
-        const crs::StoredPredicate &stored = store_->predicate(pred);
-        for (std::uint32_t ordinal : r.candidates) {
-            std::string text = stored.clauses.sourceText(ordinal);
-            out.clauses.push_back(reader_.parseClause(text));
-        }
+        const crs::StoredPredicate &stored = *r.version;
+        out.clauses.reserve(r.candidates.size());
+        for (std::uint32_t ordinal : r.candidates)
+            out.clauses.push_back(stored.decodedClause(ordinal));
+        out.owner = r.version;
         out.retrieval = std::move(r);
         return out;
     }
 
-    for (std::size_t i : program_.clausesOf(pred)) {
-        const term::Clause &c = program_.clause(i);
-        term::TermArena arena;
-        term::TermRef head = arena.import(c.arena(), c.head(), 0);
-        std::vector<term::TermRef> body;
-        for (term::TermRef g : c.body())
-            body.push_back(arena.import(c.arena(), g, 0));
-        out.clauses.push_back(term::Clause(std::move(arena), head,
-                                           std::move(body)));
-    }
+    // Snapshot the in-memory predicate: resolution may assert or
+    // retract while it walks the list.
+    auto snapshot = std::make_shared<term::ClauseTable>();
+    for (std::size_t i : program_.clausesOf(pred))
+        snapshot->add(program_.clause(i));
+    for (std::size_t i = 0; i < snapshot->size(); ++i)
+        out.clauses.push_back(snapshot->view(i));
+    out.owner = std::move(snapshot);
     return out;
 }
 

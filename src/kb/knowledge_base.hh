@@ -46,11 +46,20 @@ struct KbConfig
 /** Clauses retrieved for a goal, plus retrieval accounting if CLARE ran. */
 struct RetrievedClauses
 {
-    /** Candidate clauses in source order (superset of the unifiers). */
-    std::vector<term::Clause> clauses;
+    /**
+     * Candidate clauses in source order (superset of the unifiers), as
+     * views into decoded clause tables that `owner` keeps alive.
+     */
+    std::vector<term::ClauseView> clauses;
 
     /** Present when the goal hit a large (disk-resident) predicate. */
     std::optional<crs::RetrievalResponse> retrieval;
+
+    /**
+     * Owner of the tables the views point into: the predicate version
+     * the retrieval pinned, or a snapshot of an in-memory predicate.
+     */
+    std::shared_ptr<const void> owner;
 };
 
 /** The integrated knowledge base. */
@@ -129,9 +138,11 @@ class KnowledgeBase
 
     /**
      * Clauses whose heads could match the goal, in source order.  For
-     * small predicates this is the in-memory clause list; for large
-     * ones it is a CLARE retrieval (mode chosen by the CRS unless
-     * forced).
+     * small predicates this is a snapshot of the in-memory clause
+     * list; for large ones it is a CLARE retrieval (mode chosen by the
+     * CRS unless forced) whose candidates are read from the decoded
+     * table of the very version the retrieval pinned, so a concurrent
+     * commit can never tear the list.
      */
     RetrievedClauses clausesFor(const term::TermArena &q_arena,
                                 term::TermRef goal,

@@ -447,13 +447,13 @@ class SearchState
         }
 
         const std::shared_ptr<bool> &parent_barrier = goals[idx].barrier;
-        for (const term::Clause &clause : retrieved.clauses) {
+        for (const term::ClauseView &clause : retrieved.clauses) {
             if (++stats_.steps > options_.maxSteps) {
                 stats_.budgetExhausted = true;
                 return true;
             }
             term::VarId offset = arena_.varCeiling();
-            TermRef head = arena_.import(clause.arena(), clause.head(),
+            TermRef head = arena_.import(*clause.arena, clause.head,
                                          offset);
             unify::TrailMark mark = bindings_.mark();
             unify::UnifyOptions uopt;
@@ -461,10 +461,10 @@ class SearchState
             if (unify::unifyTerms(arena_, goal, head, bindings_, uopt)) {
                 auto barrier = std::make_shared<bool>(false);
                 std::vector<GoalEntry> next;
-                next.reserve(clause.body().size() +
+                next.reserve(clause.body.size() +
                              (goals.size() - idx - 1));
-                for (TermRef g : clause.body())
-                    next.push_back({arena_.import(clause.arena(), g,
+                for (TermRef g : clause.body)
+                    next.push_back({arena_.import(*clause.arena, g,
                                                   offset),
                                     barrier});
                 for (std::size_t j = idx + 1; j < goals.size(); ++j)

@@ -28,6 +28,7 @@
 #ifndef CLARE_SUPPORT_ARENA_HH
 #define CLARE_SUPPORT_ARENA_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -198,9 +199,10 @@ class ArenaVector
   private:
     void grow(std::size_t need)
     {
-        std::size_t cap = capacity_ == 0 ? 8 : capacity_ * 2;
-        while (cap < need)
-            cap *= 2;
+        // Doubling amortizes push_back; a bulk append past that takes
+        // exactly what it needs (a copied TermArena is sized to fit).
+        std::size_t cap = std::max(capacity_ == 0 ? 8 : capacity_ * 2,
+                                   need);
         if (data_ != nullptr &&
             arena_->tryExtend(data_, capacity_ * sizeof(T),
                               cap * sizeof(T))) {

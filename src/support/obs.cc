@@ -67,18 +67,19 @@ currentSpan()
     return tCurrentSpan;
 }
 
-ScopedSpan::ScopedSpan(Tracer *tracer, std::string name)
+ScopedSpan::ScopedSpan(Tracer *tracer, std::string_view name)
 {
-    open(tracer, std::move(name), tCurrentSpan);
+    open(tracer, name, tCurrentSpan);
 }
 
-ScopedSpan::ScopedSpan(Tracer *tracer, std::string name, SpanId parent)
+ScopedSpan::ScopedSpan(Tracer *tracer, std::string_view name,
+                       SpanId parent)
 {
-    open(tracer, std::move(name), parent);
+    open(tracer, name, parent);
 }
 
 void
-ScopedSpan::open(Tracer *tracer, std::string name, SpanId parent)
+ScopedSpan::open(Tracer *tracer, std::string_view name, SpanId parent)
 {
     if (tracer == nullptr)
         return;
@@ -86,17 +87,26 @@ ScopedSpan::open(Tracer *tracer, std::string name, SpanId parent)
     open_ = true;
     rec_.id = tracer->allocate();
     rec_.parent = parent;
-    rec_.name = std::move(name);
+    rec_.name = std::string(name);
     rec_.wallStartNs = tracer->sinceEpochNs();
     prevCurrent_ = tCurrentSpan;
     tCurrentSpan = rec_.id;
 }
 
 ScopedSpan &
-ScopedSpan::attr(std::string key, AttrValue value)
+ScopedSpan::attr(std::string_view key, AttrValue value)
 {
     if (open_)
-        rec_.attrs.push_back(SpanAttr{std::move(key), std::move(value)});
+        rec_.attrs.push_back(SpanAttr{std::string(key), std::move(value)});
+    return *this;
+}
+
+ScopedSpan &
+ScopedSpan::attr(std::string_view key, const char *value)
+{
+    if (open_)
+        rec_.attrs.push_back(SpanAttr{std::string(key),
+                                      AttrValue(std::string(value))});
     return *this;
 }
 

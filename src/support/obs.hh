@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -130,11 +131,15 @@ class ScopedSpan
   public:
     ScopedSpan() = default;
 
-    /** Open a span whose parent is the thread's current span. */
-    ScopedSpan(Tracer *tracer, std::string name);
+    /**
+     * Open a span whose parent is the thread's current span.  The name
+     * is copied only when the span is active, so an inert span over a
+     * static name never allocates.
+     */
+    ScopedSpan(Tracer *tracer, std::string_view name);
 
     /** Open a span under an explicit parent (0 for a root). */
-    ScopedSpan(Tracer *tracer, std::string name, SpanId parent);
+    ScopedSpan(Tracer *tracer, std::string_view name, SpanId parent);
 
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
@@ -151,13 +156,19 @@ class ScopedSpan
     void setSimTicks(Tick t) { rec_.simTicks = t; }
 
     /** Attach an attribute (no-op when inert). */
-    ScopedSpan &attr(std::string key, AttrValue value);
+    ScopedSpan &attr(std::string_view key, AttrValue value);
+
+    /**
+     * Attach a string attribute, built only when the span is active
+     * (an AttrValue argument would build its string either way).
+     */
+    ScopedSpan &attr(std::string_view key, const char *value);
 
     /** Close and record the span now (idempotent). */
     void finish();
 
   private:
-    void open(Tracer *tracer, std::string name, SpanId parent);
+    void open(Tracer *tracer, std::string_view name, SpanId parent);
 
     Tracer *tracer_ = nullptr;
     bool open_ = false;

@@ -55,6 +55,57 @@ Clause::predicate() const
     return PredicateId{arena_.functor(head_), arena_.arity(head_)};
 }
 
+void
+ClauseTable::add(const Clause &clause)
+{
+    add(clause.arena(), clause.head(), clause.body());
+}
+
+void
+ClauseTable::append(const ClauseTable &other)
+{
+    for (std::size_t i = 0; i < other.size(); ++i) {
+        ClauseView c = other.view(i);
+        add(*c.arena, c.head, c.body);
+    }
+}
+
+void
+ClauseTable::add(const TermArena &arena, TermRef head,
+                 std::span<const TermRef> body)
+{
+    Entry e;
+    e.head = arena_.import(arena, head, 0);
+    e.bodyBegin = static_cast<std::uint32_t>(goals_.size());
+    e.bodyCount = static_cast<std::uint32_t>(body.size());
+    for (TermRef g : body)
+        goals_.push_back(arena_.import(arena, g, 0));
+    entries_.push_back(e);
+}
+
+void
+ClauseTable::shrinkToFit()
+{
+    // Copy-assigning into a fresh arena appends each node and argument
+    // span in one exactly sized allocation.
+    TermArena compact;
+    compact = arena_;
+    arena_ = std::move(compact);
+    entries_.shrink_to_fit();
+    goals_.shrink_to_fit();
+}
+
+ClauseView
+ClauseTable::view(std::size_t i) const
+{
+    clare_assert(i < entries_.size(), "clause %zu outside a table of %zu",
+                 i, entries_.size());
+    const Entry &e = entries_[i];
+    return ClauseView{&arena_, e.head,
+                      std::span<const TermRef>(goals_.data() + e.bodyBegin,
+                                               e.bodyCount)};
+}
+
 std::size_t
 Program::add(Clause clause)
 {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,64 @@ class Clause
     std::vector<TermRef> body_;
 
     static bool groundTerm(const TermArena &arena, TermRef t);
+};
+
+/**
+ * A read-only view of one clause whose terms live in a shared arena
+ * (a ClauseTable, or a Clause's own arena).
+ */
+struct ClauseView
+{
+    const TermArena *arena = nullptr;
+    TermRef head = kNoTerm;
+    std::span<const TermRef> body;
+
+    bool isFact() const { return body.empty(); }
+};
+
+/**
+ * Many clauses decoded into one shared arena, in insertion order.
+ * Unlike a vector of Clause — one arena (and its first block) per
+ * clause — the table holds every head and body in a single arena plus
+ * two flat index vectors, so a large predicate costs a few bytes per
+ * term node.  Variable ids are copied unchanged: each clause keeps its
+ * own numbering from 0, and readers standardize apart on import
+ * exactly as they would from the clause's own arena.
+ */
+class ClauseTable
+{
+  public:
+    /** Append a copy of @p clause. */
+    void add(const Clause &clause);
+
+    /** Append copies of every clause of @p other, in order. */
+    void append(const ClauseTable &other);
+
+    /**
+     * Release growth slack: the arena's vectors double as clauses are
+     * added, leaving relocated copies behind in the bump arena.  A
+     * finished table is copied once into exactly sized storage.
+     */
+    void shrinkToFit();
+
+    std::size_t size() const { return entries_.size(); }
+
+    ClauseView view(std::size_t i) const;
+
+  private:
+    struct Entry
+    {
+        TermRef head;
+        std::uint32_t bodyBegin;
+        std::uint32_t bodyCount;
+    };
+
+    void add(const TermArena &arena, TermRef head,
+             std::span<const TermRef> body);
+
+    TermArena arena_;
+    std::vector<Entry> entries_;
+    std::vector<TermRef> goals_;
 };
 
 /**

@@ -22,7 +22,7 @@ termKindName(TermKind kind)
 }
 
 TermArena::TermArena()
-    : mem_(std::make_unique<support::Arena>())
+    : mem_(std::make_unique<support::Arena>(kBlockBytes))
 {
     nodes_.attach(*mem_);
     args_.attach(*mem_);
@@ -232,23 +232,28 @@ TermArena::import(const TermArena &src, TermRef t, VarId var_offset)
         return makeFloat(n.a);
       case TermKind::Var:
         return makeVar(n.a + var_offset, n.b);
-      case TermKind::Struct: {
-        std::vector<TermRef> args;
-        args.reserve(n.argsCount);
-        for (std::uint32_t i = 0; i < n.argsCount; ++i)
-            args.push_back(import(src, src.args_[n.argsBegin + i],
-                                  var_offset));
-        return makeStruct(n.a, args);
-      }
+      case TermKind::Struct:
       case TermKind::List: {
-        std::vector<TermRef> elems;
-        elems.reserve(n.argsCount);
+        // Children are imported first (they append to args_ too), so
+        // their refs are gathered aside; small arities stay on the
+        // stack, keeping the per-candidate import on the serving path
+        // free of heap traffic.
+        constexpr std::uint32_t kInline = 8;
+        TermRef inline_refs[kInline];
+        std::vector<TermRef> spilled;
+        TermRef *refs = inline_refs;
+        if (n.argsCount > kInline) {
+            spilled.resize(n.argsCount);
+            refs = spilled.data();
+        }
         for (std::uint32_t i = 0; i < n.argsCount; ++i)
-            elems.push_back(import(src, src.args_[n.argsBegin + i],
-                                   var_offset));
+            refs[i] = import(src, src.args_[n.argsBegin + i], var_offset);
+        std::span<const TermRef> children(refs, n.argsCount);
+        if (n.kind == TermKind::Struct)
+            return makeStruct(n.a, children);
         TermRef tail = n.b == kNoTerm
             ? kNoTerm : import(src, n.b, var_offset);
-        return makeList(elems, tail);
+        return makeList(children, tail);
       }
     }
     clare_panic("unreachable term kind");

@@ -137,6 +137,14 @@ class TermArena
     VarId varCeiling() const { return varCeiling_; }
 
   private:
+    /**
+     * Bump-arena block size.  Most arenas hold one clause or goal of a
+     * few nodes (a Program keeps one per clause), so blocks stay small;
+     * the node and argument vectors of a large arena outgrow them and
+     * get dedicated blocks sized to each request.
+     */
+    static constexpr std::size_t kBlockBytes = 256;
+
     struct Node
     {
         TermKind kind;

@@ -1,23 +1,28 @@
 #include "unify/oracle.hh"
 
-#include "unify/bindings.hh"
 #include "unify/unify.hh"
 
 namespace clare::unify {
 
 bool
-wouldUnify(const term::TermArena &q_arena, term::TermRef q_goal,
-           const term::Clause &clause)
+HeadUnifier::unifies(const term::TermArena &arena, term::TermRef head)
 {
     // Scratch arena: goal first, then the clause head standardized
     // apart by offsetting its variable ids past the goal's.
-    term::TermArena scratch;
-    term::TermRef goal = scratch.import(q_arena, q_goal, 0);
-    term::VarId offset = q_arena.varCeiling();
-    term::TermRef head = scratch.import(clause.arena(), clause.head(),
-                                        offset);
-    Bindings bindings;
-    return unifyTerms(scratch, goal, head, bindings);
+    scratch_.reset();
+    term::TermRef goal = scratch_.import(qArena_, qGoal_, 0);
+    term::TermRef h = scratch_.import(arena, head, qArena_.varCeiling());
+    bool ok = unifyTerms(scratch_, goal, h, bindings_);
+    bindings_.undo(0);
+    return ok;
+}
+
+bool
+wouldUnify(const term::TermArena &q_arena, term::TermRef q_goal,
+           const term::Clause &clause)
+{
+    return HeadUnifier(q_arena, q_goal).unifies(clause.arena(),
+                                                clause.head());
 }
 
 } // namespace clare::unify

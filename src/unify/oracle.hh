@@ -15,8 +15,35 @@
 
 #include "term/clause.hh"
 #include "term/term.hh"
+#include "unify/bindings.hh"
 
 namespace clare::unify {
+
+/**
+ * Full unification of one query goal against many clause heads, with
+ * one scratch arena and one binding trail reused across heads.  Each
+ * unifies() call is exactly wouldUnify() against a clause with that
+ * head: the scratch is rewound, the goal and the head are imported
+ * standardized apart (head variables offset past the goal's), and the
+ * trail is undone afterwards.  Once warm, a call touches no heap.
+ */
+class HeadUnifier
+{
+  public:
+    HeadUnifier(const term::TermArena &q_arena, term::TermRef q_goal)
+        : qArena_(q_arena), qGoal_(q_goal)
+    {
+    }
+
+    /** Does @p head (a term of @p arena) unify with the goal? */
+    bool unifies(const term::TermArena &arena, term::TermRef head);
+
+  private:
+    const term::TermArena &qArena_;
+    term::TermRef qGoal_;
+    term::TermArena scratch_;
+    Bindings bindings_;
+};
 
 /**
  * Would the clause head fully unify with the query goal?

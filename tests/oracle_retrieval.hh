@@ -1,0 +1,158 @@
+/**
+ * @file
+ * The retrieval oracle shared by the exactness suites: one retrieval
+ * computed only from the reference implementations — the row-major FS1
+ * scan, the WCS-interpreted FS2 stream, the software PIF matcher, and
+ * host unification by re-parsing each candidate's source text — with
+ * the server's modeled stage accounting for a clean run (no faults, no
+ * caches).  Production serve() must equal it in candidates, answers,
+ * filter statistics and every StageBreakdown tick.
+ */
+
+#ifndef CLARE_TESTS_ORACLE_RETRIEVAL_HH
+#define CLARE_TESTS_ORACLE_RETRIEVAL_HH
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+
+#include "crs/server.hh"
+#include "crs/store.hh"
+#include "fs1/fs1_engine.hh"
+#include "fs2/fs2_engine.hh"
+#include "pif/encoder.hh"
+#include "term/term_reader.hh"
+#include "unify/oracle.hh"
+#include "unify/pif_matcher.hh"
+
+namespace clare::oracle {
+
+/** The oracle response for @p goal against one pinned @p stored version. */
+inline crs::RetrievalResponse
+retrieve(term::SymbolTable &symbols, const crs::PredicateStore &store,
+         const crs::StoredPredicate &stored, const crs::CrsConfig &config,
+         const term::TermArena &arena, term::TermRef goal,
+         crs::SearchMode mode)
+{
+    using crs::SearchMode;
+    crs::RetrievalResponse r;
+    r.mode = mode;
+    crs::StageBreakdown &stages = r.breakdown;
+    const storage::ClauseFile &file = stored.clauses;
+    const storage::DiskModel &data_disk = store.dataDisk();
+
+    fs1::Fs1Result fs1;
+    if (mode == SearchMode::Fs1Only || mode == SearchMode::TwoStage) {
+        fs1::Fs1Engine engine(store.generator(), config.fs1);
+        fs1 = engine.searchRowMajor(stored.index,
+                                    store.generator().encode(arena, goal));
+        r.indexEntriesScanned = fs1.entriesScanned;
+        r.fs1Hits = fs1.ordinals.size();
+        // With the track cache off a read is access + transfer.
+        const storage::DiskModel &disk = store.indexDisk();
+        stages.indexTime = disk.accessTime() +
+            std::max(disk.transferTime(fs1.bytesScanned), fs1.busyTime);
+    }
+
+    pif::EncodedArgs q_args =
+        pif::Encoder().encodeArgs(arena, goal, pif::Side::Query);
+    const term::PredicateId pred = file.predicate();
+    switch (mode) {
+      case SearchMode::SoftwareOnly: {
+        unify::PifMatcher matcher(unify::PifMatchConfig{
+            config.fs2.level, config.fs2.crossBinding});
+        Tick scan_cost = 0;
+        for (std::size_t i = 0; i < file.clauseCount(); ++i) {
+            unify::PifMatchResult m = matcher.match(file.decodeArgs(i),
+                                                    q_args);
+            scan_cost += config.host.perClause +
+                config.host.perOp * m.datapathOps();
+            ++r.clausesExamined;
+            for (std::size_t o = 0; o < unify::kTueOpCount; ++o)
+                r.filterOps[o] += m.opCounts[o];
+            if (m.hit)
+                r.candidates.push_back(static_cast<std::uint32_t>(i));
+        }
+        stages.filterTime = data_disk.accessTime() +
+            std::max(data_disk.transferTime(file.image().size()),
+                     scan_cost);
+        break;
+      }
+      case SearchMode::Fs1Only: {
+        r.candidates = fs1.ordinals;
+        if (!r.candidates.empty()) {
+            const auto &first = file.record(r.candidates.front());
+            const auto &last = file.record(r.candidates.back());
+            std::uint64_t selected = 0;
+            for (std::uint32_t c : r.candidates)
+                selected += file.record(c).length;
+            Tick sweep = data_disk.accessTime() +
+                data_disk.transferTime(last.offset + last.length -
+                                       first.offset);
+            Tick seeks = data_disk.accessTime() * r.candidates.size() +
+                data_disk.transferTime(selected);
+            stages.filterTime = std::min(sweep, seeks);
+        }
+        break;
+      }
+      case SearchMode::Fs2Only:
+      case SearchMode::TwoStage: {
+        fs2::Fs2Engine engine(config.fs2);
+        engine.setQuery(q_args, pred);
+        fs2::Fs2SearchResult f = mode == SearchMode::Fs2Only
+            ? engine.searchInterpreted(file, &data_disk,
+                                       stored.clauseFileOffset)
+            : engine.searchSelectedInterpreted(file, fs1.ordinals,
+                                               &data_disk,
+                                               stored.clauseFileOffset);
+        r.candidates = f.acceptedOrdinals;
+        r.clausesExamined = f.clausesExamined;
+        r.filterOps = f.ops;
+        r.resultOverflow = f.resultOverflow;
+        r.satisfiersRequeued = f.satisfiersDropped;
+        stages.filterTime = f.elapsed;
+        break;
+      }
+    }
+
+    // Host unification: re-parse every candidate from its source text.
+    term::TermReader reader(symbols);
+    for (std::uint32_t c : r.candidates)
+        if (unify::wouldUnify(arena, goal,
+                              reader.parseClause(file.sourceText(c))))
+            r.answers.push_back(c);
+    stages.hostUnifyTime = config.host.perCandidateUnify *
+        r.candidates.size();
+    r.elapsed = stages.serviceTime();
+    return r;
+}
+
+/** Every observable of a retrieval that the oracle models. */
+inline void
+expectSame(const crs::RetrievalResponse &want,
+           const crs::RetrievalResponse &got, const std::string &label)
+{
+    EXPECT_EQ(want.mode, got.mode) << label;
+    EXPECT_EQ(want.candidates, got.candidates) << label;
+    EXPECT_EQ(want.answers, got.answers) << label;
+    EXPECT_EQ(want.indexEntriesScanned, got.indexEntriesScanned) << label;
+    EXPECT_EQ(want.fs1Hits, got.fs1Hits) << label;
+    EXPECT_EQ(want.clausesExamined, got.clausesExamined) << label;
+    EXPECT_EQ(want.filterOps, got.filterOps) << label;
+    EXPECT_EQ(want.resultOverflow, got.resultOverflow) << label;
+    EXPECT_EQ(want.satisfiersRequeued, got.satisfiersRequeued) << label;
+    EXPECT_EQ(want.breakdown.queueWait, got.breakdown.queueWait) << label;
+    EXPECT_EQ(want.breakdown.cacheTime, got.breakdown.cacheTime) << label;
+    EXPECT_EQ(want.breakdown.indexTime, got.breakdown.indexTime) << label;
+    EXPECT_EQ(want.breakdown.filterTime, got.breakdown.filterTime)
+        << label;
+    EXPECT_EQ(want.breakdown.hostUnifyTime, got.breakdown.hostUnifyTime)
+        << label;
+    EXPECT_EQ(want.elapsed, got.elapsed) << label;
+    EXPECT_EQ(got.elapsed, got.breakdown.serviceTime()) << label;
+}
+
+} // namespace clare::oracle
+
+#endif // CLARE_TESTS_ORACLE_RETRIEVAL_HH

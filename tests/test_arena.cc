@@ -598,5 +598,60 @@ TEST_F(ZeroCopyServingTest, SteadyStateWarmHitsAllocateAlmostNothing)
         << cold_allocs << ")";
 }
 
+TEST(ColdServeAllocationTest, AllocationsDoNotScaleWithCandidates)
+{
+    if (!support::allocCountingEnabled())
+        GTEST_SKIP() << "build with -DCLARE_COUNT_ALLOCS=ON";
+
+    // One predicate where p(hot, X) passes ~200 FS1 candidates and
+    // p(cold, X) passes 2: a cold FS1-mode serve of the first may
+    // allocate only a small constant more than the second (candidates
+    // unify against pre-decoded heads, not re-parsed text).
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    std::string text;
+    for (int i = 0; i < 200; ++i)
+        text += "p(hot, v" + std::to_string(i) + ").\n";
+    text += "p(cold, w0).\np(cold, w1).\n";
+    for (int i = 0; i < 300; ++i)
+        text += "p(k" + std::to_string(i) + ", u" + std::to_string(i) +
+            ").\n";
+    term::Program program;
+    for (auto &c : reader.parseProgram(text))
+        program.add(std::move(c));
+    crs::PredicateStore store(sym, scw::CodewordGenerator{});
+    store.addProgram(program);
+    store.finalize();
+    crs::ClauseRetrievalServer server(sym, store);
+
+    term::ParsedTerm warm = reader.parseTerm("p(k7, X)");
+    term::ParsedTerm hot = reader.parseTerm("p(hot, X)");
+    term::ParsedTerm few = reader.parseTerm("p(cold, X)");
+    auto serve = [&](const term::ParsedTerm &goal) {
+        crs::RetrievalRequest request;
+        request.arena = &goal.arena;
+        request.goal = goal.root;
+        request.mode = crs::SearchMode::Fs1Only;
+        return server.serve(request);
+    };
+    // Registers the lazily created per-mode metrics.
+    serve(warm);
+
+    std::uint64_t before = support::allocationCount();
+    crs::RetrievalResponse few_r = serve(few);
+    const std::uint64_t few_allocs = support::allocationCount() - before;
+    before = support::allocationCount();
+    crs::RetrievalResponse hot_r = serve(hot);
+    const std::uint64_t hot_allocs = support::allocationCount() - before;
+
+    EXPECT_EQ(few_r.answers.size(), 2u);
+    EXPECT_GE(hot_r.candidates.size(), 200u);
+    EXPECT_EQ(hot_r.answers.size(), 200u);
+    EXPECT_LE(hot_allocs, few_allocs + 4)
+        << "cold serve allocations: " << hot_allocs << " for "
+        << hot_r.candidates.size() << " candidates vs " << few_allocs
+        << " for " << few_r.candidates.size();
+}
+
 } // namespace
 } // namespace clare

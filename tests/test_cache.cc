@@ -331,7 +331,8 @@ TEST(Fs1SpanAccountingTest, ShardSpanTicksSumToMergedBusyTime)
     for (std::uint32_t shards : {1u, 3u, 7u}) {
         tracer.clear();
         fs1::Fs1Result result =
-            engine.search(stored.index, sig, &pool, shards, obs);
+            engine.search(stored.index, stored.sliced.get(), nullptr, 0,
+                          sig, &pool, shards, obs);
         Tick span_sum = 0;
         for (const obs::SpanRecord &span : tracer.snapshot())
             if (span.name == "fs1.shard")

@@ -26,9 +26,11 @@
 #include "crs/server.hh"
 #include "crs/store.hh"
 #include "crs/transaction.hh"
+#include "kb/knowledge_base.hh"
 #include "support/stats.hh"
 #include "support/thread_pool.hh"
 #include "term/term_reader.hh"
+#include "term/term_writer.hh"
 #include "workload/kb_generator.hh"
 #include "workload/query_generator.hh"
 
@@ -178,13 +180,14 @@ TEST(Fs1ShardedScanTest, MatchesSequentialScanForAnyShardWidth)
     scw::Signature sig = store.generator().encode(goal.arena, goal.root);
 
     fs1::Fs1Engine engine(store.generator(), fs1::Fs1Config{});
-    fs1::Fs1Result seq = engine.search(stored.index, sig);
+    fs1::Fs1Result seq = engine.searchRowMajor(stored.index, sig);
     ASSERT_GT(seq.entriesScanned, 0u);
 
     support::ThreadPool pool(3);
     for (std::uint32_t shards : {2u, 4u, 16u}) {
         fs1::Fs1Result par =
-            engine.search(stored.index, sig, &pool, shards);
+            engine.search(stored.index, stored.sliced.get(), nullptr, 0,
+                          sig, &pool, shards);
         EXPECT_EQ(par.ordinals, seq.ordinals) << shards << " shards";
         EXPECT_EQ(par.clauseOffsets, seq.clauseOffsets);
         EXPECT_EQ(par.entriesScanned, seq.entriesScanned);
@@ -491,7 +494,6 @@ TEST(LiveInterleavingTest, SnapshotReadsAreIsolatedFromAStreamingWriter)
             auto store = std::make_unique<crs::PredicateStore>(
                 sym, scw::CodewordGenerator{});
             store->addProgram(program);
-            store->buildSlicedIndexes();
             store->finalize();
             return store;
         };
@@ -622,6 +624,86 @@ TEST(LiveInterleavingTest, SnapshotReadsAreIsolatedFromAStreamingWriter)
         }
         std::remove(wal_path.c_str());
     }
+}
+
+// ---------------------------------------------------------------------
+// kb torn read: clausesFor resolves candidate ordinals through the
+// version its retrieval pinned, so a concurrent asserta — which shifts
+// every ordinal by one — can never splice two generations together.
+// ---------------------------------------------------------------------
+
+TEST(KbTornReadTest, ClausesForReturnsSomeCommittedGeneration)
+{
+    constexpr int kCommits = 40;
+    constexpr int kReaders = 3;
+    kb::KbConfig config;
+    config.largeThreshold = 2;
+    kb::KnowledgeBase kb(config);
+    kb.consult("q(a, 0).\nq(b, 0).\nq(c, 0).\n");
+    kb.compile();
+    const std::string wal_path = ::testing::TempDir() + "kb_torn_read.wal";
+    std::remove(wal_path.c_str());
+    kb.enableLiveUpdates(wal_path);
+
+    // Everything that interns a symbol happens here, before the
+    // threads start: the writer's commits then only look symbols up.
+    term::TermReader reader(kb.symbols());
+    term::TermWriter writer(kb.symbols());
+    std::vector<term::Clause> pushed;
+    std::vector<std::string> pushed_text;
+    for (int k = 1; k <= kCommits; ++k) {
+        pushed.push_back(reader.parseClause(
+            "q(g" + std::to_string(k) + ", " + std::to_string(k) + ")."));
+        pushed_text.push_back(writer.write(pushed.back().arena(),
+                                           pushed.back().head()));
+    }
+    // Generation k lists q(gk, k), ..., q(g1, 1), then the base.
+    std::vector<std::string> base;
+    for (const char *t : {"q(a, 0)", "q(b, 0)", "q(c, 0)"}) {
+        term::ParsedTerm p = reader.parseTerm(t);
+        base.push_back(writer.write(p.arena, p.root));
+    }
+    auto generation = [&](int k) {
+        std::vector<std::string> list;
+        for (int i = k; i >= 1; --i)
+            list.push_back(pushed_text[static_cast<std::size_t>(i - 1)]);
+        list.insert(list.end(), base.begin(), base.end());
+        return list;
+    };
+    term::ParsedTerm goal = reader.parseTerm("q(X, Y)");
+
+    std::atomic<bool> done{false};
+    std::atomic<int> torn{0};
+    std::atomic<int> reads{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+        readers.emplace_back([&] {
+            while (!done.load(std::memory_order_acquire)) {
+                kb::RetrievedClauses got =
+                    kb.clausesFor(goal.arena, goal.root);
+                std::vector<std::string> list;
+                for (const term::ClauseView &c : got.clauses)
+                    list.push_back(writer.write(*c.arena, c.head));
+                const int k = static_cast<int>(list.size()) - 3;
+                if (k < 0 || k > kCommits || list != generation(k))
+                    torn.fetch_add(1);
+                reads.fetch_add(1);
+            }
+        });
+    }
+    for (const term::Clause &clause : pushed)
+        kb.asserta(clause);
+    // Let the readers observe the final generation too.
+    while (reads.load() < 50 * kReaders)
+        std::this_thread::yield();
+    done.store(true, std::memory_order_release);
+    for (std::thread &t : readers)
+        t.join();
+
+    EXPECT_EQ(torn.load(), 0) << "of " << reads.load() << " reads";
+    EXPECT_EQ(kb.clausesFor(goal.arena, goal.root).clauses.size(),
+              static_cast<std::size_t>(kCommits) + 3);
+    std::remove(wal_path.c_str());
 }
 
 } // namespace

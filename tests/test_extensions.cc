@@ -135,7 +135,7 @@ TEST(PlaMatcherTest, ScanMatchesEngineSearch)
     auto structural = pla.scan(index);
 
     fs1::Fs1Engine engine(gen);
-    fs1::Fs1Result behavioural = engine.search(index, qsig);
+    fs1::Fs1Result behavioural = engine.searchRowMajor(index, qsig);
 
     ASSERT_EQ(structural.size(), behavioural.ordinals.size());
     for (std::size_t i = 0; i < structural.size(); ++i)

@@ -17,6 +17,24 @@
 namespace clare::fs1 {
 namespace {
 
+/** The production plane scan, checked against the row-major oracle. */
+Fs1Result
+planeSearch(const Fs1Engine &engine, const scw::SecondaryFile &index,
+            const scw::Signature &query)
+{
+    scw::BitSlicedIndex plane =
+        scw::BitSlicedIndex::build(engine.generator(), index);
+    Fs1Result r = engine.search(index, &plane, nullptr, 0, query, nullptr,
+                                1);
+    Fs1Result oracle = engine.searchRowMajor(index, query);
+    EXPECT_EQ(r.ordinals, oracle.ordinals);
+    EXPECT_EQ(r.clauseOffsets, oracle.clauseOffsets);
+    EXPECT_EQ(r.entriesScanned, oracle.entriesScanned);
+    EXPECT_EQ(r.bytesScanned, oracle.bytesScanned);
+    EXPECT_EQ(r.busyTime, oracle.busyTime);
+    return r;
+}
+
 class Fs1Test : public ::testing::Test
 {
   protected:
@@ -48,7 +66,7 @@ class Fs1Test : public ::testing::Test
     {
         term::ParsedTerm q = reader.parseTerm(query);
         Fs1Engine engine(gen);
-        return engine.search(index, gen.encode(q.arena, q.root));
+        return planeSearch(engine, index, gen.encode(q.arena, q.root));
     }
 };
 
@@ -104,7 +122,8 @@ TEST_F(Fs1Test, ScanRateConfigurable)
     Fs1Config slow;
     slow.scanRate = 1.0e6;
     Fs1Engine engine(gen, slow);
-    Fs1Result r = engine.search(index, gen.encode(q.arena, q.root));
+    Fs1Result r = planeSearch(engine, index,
+                              gen.encode(q.arena, q.root));
     EXPECT_NEAR(toSeconds(r.busyTime),
                 static_cast<double>(r.bytesScanned) / 1.0e6, 1e-9);
 }
@@ -119,7 +138,8 @@ TEST_F(Fs1Test, BusyTimeRoundsToNearestTick)
     Fs1Config cfg;
     cfg.scanRate = 7.0e6;   // bytes/rate lands between ticks
     Fs1Engine engine(gen, cfg);
-    Fs1Result r = engine.search(index, gen.encode(q.arena, q.root));
+    Fs1Result r = planeSearch(engine, index,
+                              gen.encode(q.arena, q.root));
 
     double exact = static_cast<double>(r.bytesScanned) / cfg.scanRate *
         static_cast<double>(kSecond);
@@ -163,7 +183,7 @@ TEST_F(Fs1Test, CandidateSetIsSupersetOfAnswers)
     term::TermRef goal = q_arena.import(all[17].arena(), all[17].head(),
                                         0);
     Fs1Engine engine(gen);
-    Fs1Result r = engine.search(idx, gen.encode(q_arena, goal));
+    Fs1Result r = planeSearch(engine, idx, gen.encode(q_arena, goal));
 
     std::set<std::uint32_t> selected(r.ordinals.begin(),
                                      r.ordinals.end());

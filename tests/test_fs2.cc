@@ -769,9 +769,8 @@ TEST_P(EngineEquivalence, CompiledRoutinesMatchInterpreter)
 
             Fs2Engine interp(config);
             interp.setQuery(qargs, pred);
-            Fs2SearchResult expected = interp.search(file);
+            Fs2SearchResult expected = interp.searchInterpreted(file);
 
-            config.compiled = true;
             Fs2Engine compiled(config);
             compiled.setQuery(qargs, pred);
             Fs2SearchResult got = compiled.search(file);
@@ -827,10 +826,10 @@ TEST(WcsAccountingTest, SequencerTimeIsInstructionsTimesOverhead)
         for (bool compiled : {false, true}) {
             Fs2Config config;
             config.sequencerOverhead = overhead;
-            config.compiled = compiled;
             Fs2Engine engine(config);
             engine.setQuery(q.arena, q.goals[0]);
-            Fs2SearchResult r = engine.search(file);
+            Fs2SearchResult r = compiled ? engine.search(file)
+                                         : engine.searchInterpreted(file);
             EXPECT_GT(r.microInstructions, 0u);
             EXPECT_EQ(r.sequencerTime,
                       static_cast<Tick>(r.microInstructions) * overhead)

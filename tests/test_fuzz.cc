@@ -49,6 +49,8 @@
 #include "workload/kb_generator.hh"
 #include "workload/query_generator.hh"
 
+#include "oracle_retrieval.hh"
+
 namespace clare {
 namespace {
 
@@ -255,6 +257,30 @@ answersPerMode(crs::ClauseRetrievalServer &server,
     return out;
 }
 
+/**
+ * The per-mode answer sets of one fixed query through the oracle
+ * entry points (row-major FS1, interpreted FS2, text-parse unify).
+ */
+std::vector<std::vector<std::uint32_t>>
+oracleAnswersPerMode(const crs::PredicateStore &store,
+                     term::SymbolTable &sym, const char *query)
+{
+    term::TermReader reader(sym);
+    term::ParsedTerm q = reader.parseTerm(query);
+    const crs::StoredPredicate &stored = store.predicate(
+        term::PredicateId{q.arena.functor(q.root), q.arena.arity(q.root)});
+    std::vector<std::vector<std::uint32_t>> out;
+    for (crs::SearchMode mode : {crs::SearchMode::SoftwareOnly,
+                                 crs::SearchMode::Fs1Only,
+                                 crs::SearchMode::Fs2Only,
+                                 crs::SearchMode::TwoStage})
+        out.push_back(oracle::retrieve(sym, store, stored,
+                                              crs::CrsConfig{}, q.arena,
+                                              q.root, mode)
+                          .answers);
+    return out;
+}
+
 class StoreCorruptionFuzz : public ::testing::TestWithParam<std::uint64_t>
 {
   protected:
@@ -334,16 +360,13 @@ TEST_P(StoreCorruptionFuzz, DamagedStoresFailTypedOrAnswerCorrectly)
             crs::PredicateStore loaded = crs::loadStore(dir_, fresh);
             // The mutation slipped past the load (e.g. it re-created
             // the original bytes): retrieval must still be correct —
-            // through the row-major path and through the loaded
-            // bit-sliced plane alike.
+            // through the oracle paths over the loaded files and
+            // through the loaded bit-sliced plane alike.
+            EXPECT_EQ(oracleAnswersPerMode(loaded, fresh, "p(a, X)"),
+                      expected_)
+                << "oracle, iteration " << iter << " on " << victim;
             crs::ClauseRetrievalServer server(fresh, loaded);
             EXPECT_EQ(answersPerMode(server, fresh, "p(a, X)"),
-                      expected_)
-                << "iteration " << iter << " on " << victim;
-            crs::CrsConfig sliced_cfg;
-            sliced_cfg.fs1.sliced = true;
-            crs::ClauseRetrievalServer sliced(fresh, loaded, sliced_cfg);
-            EXPECT_EQ(answersPerMode(sliced, fresh, "p(a, X)"),
                       expected_)
                 << "sliced, iteration " << iter << " on " << victim;
         } catch (const Error &) {
@@ -734,9 +757,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SlicedOracleFuzz,
 
 TEST(InjectedFaultSweep, SlicedServerDegradesIdentically)
 {
-    // The sliced twin of NoSeedCrashesTheServer: with the plane built
-    // and fs1.sliced on, every fault seed still yields either a typed
-    // error or the exact clean-run answers.
+    // The oracle twin of NoSeedCrashesTheServer: every fault seed
+    // still yields either a typed error or exactly the answers of the
+    // oracle paths (row-major FS1, interpreted FS2, text-parse unify).
     term::SymbolTable sym;
     term::TermReader reader(sym);
     std::string text;
@@ -749,12 +772,10 @@ TEST(InjectedFaultSweep, SlicedServerDegradesIdentically)
         program.add(std::move(c));
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
-    store.buildSlicedIndexes();
     store.finalize();
 
-    crs::ClauseRetrievalServer clean(sym, store);
     std::vector<std::vector<std::uint32_t>> expected =
-        answersPerMode(clean, sym, "p(k2, V)");
+        oracleAnswersPerMode(store, sym, "p(k2, V)");
 
     support::FaultConfig config;
     config.bitFlipRate = 0.3;
@@ -765,7 +786,6 @@ TEST(InjectedFaultSweep, SlicedServerDegradesIdentically)
         support::FaultInjector inj(config);
         crs::CrsConfig cfg;
         cfg.faults = &inj;
-        cfg.fs1.sliced = true;
         crs::ClauseRetrievalServer faulty(sym, store, cfg);
         term::ParsedTerm q = reader.parseTerm("p(k2, V)");
         const crs::SearchMode modes[] = {crs::SearchMode::SoftwareOnly,
@@ -788,10 +808,11 @@ TEST(InjectedFaultSweep, SlicedServerDegradesIdentically)
 }
 
 // ---------------------------------------------------------------------
-// Kernel-sweep fuzz: the same seed replayed across every dispatch
-// target — each supported FS1 kernel crossed with interpreted and
-// compiled FS2 — must produce byte-identical responses and stage
-// breakdowns (unsupported ISAs are skipped, not failed).
+// Kernel-sweep fuzz: the same seed replayed through every supported
+// FS1 kernel (with the compiled FS2 routines) must reproduce the
+// oracle — row-major FS1, interpreted FS2, text-parse unification —
+// in every response field and stage tick (unsupported ISAs are
+// skipped, not failed).
 // ---------------------------------------------------------------------
 
 class KernelSweepFuzz : public ::testing::TestWithParam<std::uint64_t>
@@ -817,7 +838,6 @@ TEST_P(KernelSweepFuzz, DispatchTargetsAreBitIdentical)
         term::Program program = kbgen.generate(spec);
         crs::PredicateStore store(sym, scw::CodewordGenerator{});
         store.addProgram(program);
-        store.buildSlicedIndexes();
         store.finalize();
 
         workload::QuerySpec qspec;
@@ -842,59 +862,33 @@ TEST_P(KernelSweepFuzz, DispatchTargetsAreBitIdentical)
                                  modes[rng.below(4)]});
         }
 
-        // The baseline target: row-major FS1, interpreted FS2.
-        auto responses = [&](const crs::CrsConfig &cfg) {
-            crs::ClauseRetrievalServer server(sym, store, cfg);
-            std::vector<crs::RetrievalResponse> out;
-            for (const Goal &goal : goals)
-                out.push_back(serveOne(server, goal.q.arena,
-                                       goal.q.goal, goal.mode));
-            return out;
-        };
-        std::vector<crs::RetrievalResponse> expected =
-            responses(crs::CrsConfig{});
+        // The baseline: the oracle entry points.
+        std::vector<crs::RetrievalResponse> expected;
+        for (const Goal &goal : goals) {
+            const crs::StoredPredicate &stored = store.predicate(
+                term::PredicateId{goal.q.arena.functor(goal.q.goal),
+                                  goal.q.arena.arity(goal.q.goal)});
+            expected.push_back(oracle::retrieve(
+                sym, store, stored, crs::CrsConfig{}, goal.q.arena,
+                goal.q.goal, goal.mode));
+        }
 
         for (fs1::Fs1Kernel kernel : {fs1::Fs1Kernel::Scalar64,
                                       fs1::Fs1Kernel::Avx2,
                                       fs1::Fs1Kernel::Avx512}) {
             if (!fs1::kernelSupported(kernel))
                 continue;
-            for (bool compiled : {false, true}) {
-                crs::CrsConfig cfg;
-                cfg.fs1.sliced = true;
-                cfg.fs1.kernel = kernel;
-                cfg.fs2.compiled = compiled;
-                std::vector<crs::RetrievalResponse> got = responses(cfg);
-                ASSERT_EQ(got.size(), expected.size());
-                for (std::size_t i = 0; i < got.size(); ++i) {
-                    const std::string label = std::string("iter ") +
-                        std::to_string(iter) + " " +
-                        fs1::kernelName(kernel) +
-                        (compiled ? " compiled" : " interpreted") +
-                        " goal " + std::to_string(i);
-                    const crs::RetrievalResponse &a = expected[i];
-                    const crs::RetrievalResponse &b = got[i];
-                    EXPECT_EQ(a.answers, b.answers) << label;
-                    EXPECT_EQ(a.candidates, b.candidates) << label;
-                    EXPECT_EQ(a.indexEntriesScanned,
-                              b.indexEntriesScanned) << label;
-                    EXPECT_EQ(a.fs1Hits, b.fs1Hits) << label;
-                    EXPECT_EQ(a.clausesExamined, b.clausesExamined)
-                        << label;
-                    EXPECT_EQ(a.filterOps, b.filterOps) << label;
-                    EXPECT_EQ(a.breakdown.queueWait,
-                              b.breakdown.queueWait) << label;
-                    EXPECT_EQ(a.breakdown.cacheTime,
-                              b.breakdown.cacheTime) << label;
-                    EXPECT_EQ(a.breakdown.indexTime,
-                              b.breakdown.indexTime) << label;
-                    EXPECT_EQ(a.breakdown.filterTime,
-                              b.breakdown.filterTime) << label;
-                    EXPECT_EQ(a.breakdown.hostUnifyTime,
-                              b.breakdown.hostUnifyTime) << label;
-                    EXPECT_EQ(a.elapsed, b.elapsed) << label;
-                }
-            }
+            crs::CrsConfig cfg;
+            cfg.fs1.kernel = kernel;
+            crs::ClauseRetrievalServer server(sym, store, cfg);
+            for (std::size_t i = 0; i < goals.size(); ++i)
+                oracle::expectSame(
+                    expected[i],
+                    serveOne(server, goals[i].q.arena, goals[i].q.goal,
+                             goals[i].mode),
+                    std::string("iter ") + std::to_string(iter) + " " +
+                        fs1::kernelName(kernel) + " goal " +
+                        std::to_string(i));
         }
     }
 }

@@ -36,6 +36,8 @@
 #include "workload/kb_generator.hh"
 #include "workload/query_generator.hh"
 
+#include "oracle_retrieval.hh"
+
 namespace clare {
 namespace {
 
@@ -245,17 +247,14 @@ TEST(Fs1SlicedEngineTest, SearchBitIdenticalAtAnyWorkerCount)
     spec.seed = 44;
     BuiltIndex built = buildIndex(sym, {}, spec, 5, 0.7);
 
-    fs1::Fs1Engine scalar(built.generator);
-    fs1::Fs1Config sliced_config;
-    sliced_config.sliced = true;
-    fs1::Fs1Engine sliced(built.generator, sliced_config);
+    fs1::Fs1Engine sliced(built.generator);
 
     support::ThreadPool pool(4);
     for (const scw::Signature &query : built.queries) {
-        fs1::Fs1Result baseline = scalar.search(built.index, query);
+        fs1::Fs1Result baseline = sliced.searchRowMajor(built.index, query);
         for (std::uint32_t shards : {1u, 2u, 4u, 7u}) {
             fs1::Fs1Result got = sliced.search(
-                built.index, &built.plane, query,
+                built.index, &built.plane, nullptr, 0, query,
                 shards > 1 ? &pool : nullptr, shards);
             expectSameResult(baseline, got,
                              std::to_string(shards) + " shards");
@@ -275,42 +274,51 @@ TEST(Fs1SlicedEngineTest, SearchBatchIdenticalToPerQuerySearches)
     spec.seed = 55;
     BuiltIndex built = buildIndex(sym, {}, spec, 8, 0.8);
 
-    fs1::Fs1Config config;
-    config.sliced = true;
-    fs1::Fs1Engine engine(built.generator, config);
+    fs1::Fs1Engine engine(built.generator);
     std::vector<obs::Observer> no_obs(built.queries.size());
     std::vector<fs1::Fs1Result> batch = engine.searchBatch(
         built.index, &built.plane, built.queries, no_obs);
     ASSERT_EQ(batch.size(), built.queries.size());
 
-    fs1::Fs1Engine scalar(built.generator);
     for (std::size_t q = 0; q < built.queries.size(); ++q) {
         fs1::Fs1Result expected =
-            scalar.search(built.index, built.queries[q]);
+            engine.searchRowMajor(built.index, built.queries[q]);
         expectSameResult(expected, batch[q],
                          "query " + std::to_string(q));
     }
 }
 
-TEST(Fs1SlicedEngineTest, MissingPlaneFallsBackToScalarScan)
+TEST(Fs1SlicedEngineTest, MissingOrMismatchedPlaneIsRejected)
 {
+    // There is no row-major fallback on the production path: a plane
+    // that does not cover the index is a typed error, never a silent
+    // change of scan path (or wrong survivors).
     term::SymbolTable sym;
     workload::KbSpec spec;
     spec.predicates = 1;
     spec.clausesPerPredicate = 80;
     spec.seed = 66;
     BuiltIndex built = buildIndex(sym, {}, spec, 2, 0.7);
+    spec.clausesPerPredicate = 79;
+    BuiltIndex shorter = buildIndex(sym, {}, spec, 1, 0.7);
 
-    fs1::Fs1Config config;
-    config.sliced = true;
-    fs1::Fs1Engine engine(built.generator, config);
-    fs1::Fs1Engine scalar(built.generator);
+    fs1::Fs1Engine engine(built.generator);
+    std::vector<obs::Observer> two_obs(2);
     for (const scw::Signature &query : built.queries) {
-        expectSameResult(scalar.search(built.index, query),
-                         engine.search(built.index, nullptr, query,
-                                       nullptr, 1),
-                         "null plane");
+        EXPECT_THROW(engine.search(built.index, nullptr, nullptr, 0,
+                                   query, nullptr, 1),
+                     FatalError);
+        EXPECT_THROW(engine.search(built.index, &shorter.plane, nullptr,
+                                   0, query, nullptr, 1),
+                     FatalError);
+        // A delta that does not tile the file is rejected too.
+        EXPECT_THROW(engine.search(built.index, &built.plane,
+                                   &shorter.plane, 80, query, nullptr, 1),
+                     FatalError);
     }
+    EXPECT_THROW(engine.searchBatch(built.index, &shorter.plane,
+                                    built.queries, two_obs),
+                 FatalError);
 }
 
 // ---------------------------------------------------------------------
@@ -336,7 +344,6 @@ class SlicedStoreTest : public ::testing::Test
         store_ = std::make_unique<crs::PredicateStore>(
             sym_, scw::CodewordGenerator{});
         store_->addProgram(program);
-        store_->buildSlicedIndexes();
         store_->finalize();
         crs::saveStore(dir_, *store_, sym_);
     }
@@ -361,15 +368,18 @@ class SlicedStoreTest : public ::testing::Test
     }
 };
 
-TEST_F(SlicedStoreTest, BuildSlicedIndexesIsIdempotent)
+TEST_F(SlicedStoreTest, FinalizeBuildsPlanesAndDecodedTables)
 {
-    for (const term::PredicateId &pred : store_->predicates())
-        ASSERT_NE(store_->predicate(pred).sliced, nullptr);
-    const scw::BitSlicedIndex *before =
-        store_->predicate(store_->predicates()[0]).sliced.get();
-    store_->buildSlicedIndexes();
-    EXPECT_EQ(store_->predicate(store_->predicates()[0]).sliced.get(),
-              before);
+    for (const term::PredicateId &pred : store_->predicates()) {
+        const crs::StoredPredicate &stored = store_->predicate(pred);
+        ASSERT_NE(stored.sliced, nullptr);
+        EXPECT_TRUE(*stored.sliced ==
+                    scw::BitSlicedIndex::build(store_->generator(),
+                                               stored.index));
+        ASSERT_NE(stored.decoded, nullptr);
+        EXPECT_EQ(stored.decoded->size(), stored.clauses.clauseCount());
+        EXPECT_EQ(stored.decodedDelta, nullptr);
+    }
 }
 
 TEST_F(SlicedStoreTest, V3RoundTripCarriesIdenticalPlanes)
@@ -390,8 +400,8 @@ TEST_F(SlicedStoreTest, V3RoundTripCarriesIdenticalPlanes)
 
 TEST_F(SlicedStoreTest, SaveWithoutPrebuiltPlanesStillWritesV3)
 {
-    // A store whose planes were never built saves a transient
-    // transpose, so every v3 store loads with planes available.
+    // A store built without an explicit plane step saves v3, so every
+    // v3 store loads with planes available.
     term::SymbolTable sym2;
     term::TermReader reader(sym2);
     term::Program program;
@@ -448,7 +458,7 @@ TEST_F(SlicedStoreTest, TrailingBytesAfterPlaneSectionRejected)
 }
 
 // ---------------------------------------------------------------------
-// Server: --sliced + batchWidth is bit-identical to the plain server.
+// Server: serve() and batchWidth are bit-identical to the oracle.
 // ---------------------------------------------------------------------
 
 class SlicedServerTest : public ::testing::Test
@@ -474,7 +484,6 @@ class SlicedServerTest : public ::testing::Test
         store = std::make_unique<crs::PredicateStore>(
             sym, scw::CodewordGenerator{});
         store->addProgram(program);
-        store->buildSlicedIndexes();
         store->finalize();
         reader = std::make_unique<term::TermReader>(sym);
         for (const char *text :
@@ -553,11 +562,23 @@ TEST_F(SlicedServerTest, ServeBatchIdenticalAcrossWidthsAndWorkers)
         auto plain = makeServer(plain_config);
         std::vector<crs::RetrievalResponse> expected =
             plain->serveBatch(batch);
+        // The sequential pipeline (no modeled queue) is the oracle's.
+        for (std::size_t i = 0; workers == 1 && i < batch.size(); ++i) {
+            const crs::RetrievalRequest &r = batch[i];
+            const crs::StoredPredicate &stored = store->predicate(
+                term::PredicateId{r.arena->functor(r.goal),
+                                  r.arena->arity(r.goal)});
+            oracle::expectSame(
+                oracle::retrieve(sym, *store, stored, crs::CrsConfig{},
+                                 *r.arena, r.goal, *r.mode),
+                expected[i],
+                "oracle, workers " + std::to_string(workers) +
+                    " request " + std::to_string(i));
+        }
 
         for (std::uint32_t width : {2u, 4u, 8u}) {
             crs::CrsConfig config;
             config.workers = workers;
-            config.fs1.sliced = true;
             config.batchWidth = width;
             auto server = makeServer(config);
             std::vector<crs::RetrievalResponse> got =
@@ -573,18 +594,21 @@ TEST_F(SlicedServerTest, ServeBatchIdenticalAcrossWidthsAndWorkers)
     }
 }
 
-TEST_F(SlicedServerTest, SlicedSingleRequestsMatchPlainServer)
+TEST_F(SlicedServerTest, SlicedSingleRequestsMatchOracle)
 {
-    auto plain = makeServer();
-    crs::CrsConfig config;
-    config.fs1.sliced = true;
-    auto sliced = makeServer(config);
+    auto server = makeServer();
     for (const term::ParsedTerm &goal : goals) {
+        const crs::StoredPredicate &stored = store->predicate(
+            term::PredicateId{goal.arena.functor(goal.root),
+                              goal.arena.arity(goal.root)});
         for (crs::SearchMode mode : {crs::SearchMode::Fs1Only,
                                      crs::SearchMode::TwoStage}) {
-            expectIdentical(plain->serve(request(goal, mode)),
-                            sliced->serve(request(goal, mode)),
-                            crs::searchModeSlug(mode));
+            crs::RetrievalResponse want =
+                oracle::retrieve(sym, *store, stored, crs::CrsConfig{},
+                                 goal.arena, goal.root, mode);
+            crs::RetrievalResponse got = server->serve(request(goal, mode));
+            expectIdentical(want, got, crs::searchModeSlug(mode));
+            oracle::expectSame(want, got, crs::searchModeSlug(mode));
         }
     }
 }
@@ -592,9 +616,7 @@ TEST_F(SlicedServerTest, SlicedSingleRequestsMatchPlainServer)
 TEST_F(SlicedServerTest, BatchWidthConfigValidation)
 {
     crs::CrsConfig config;
-    config.batchWidth = 4;      // requires fs1.sliced
-    EXPECT_THROW(makeServer(config), crs::ConfigError);
-    config.fs1.sliced = true;
+    config.batchWidth = 4;
     EXPECT_NO_THROW(makeServer(config));
     config.batchWidth = 0;
     EXPECT_THROW(makeServer(config), crs::ConfigError);
@@ -659,7 +681,6 @@ TEST(KernelRegistryTest, UnsupportedExplicitKernelIsConfigError)
     for (fs1::Fs1Kernel k : {fs1::Fs1Kernel::Avx2,
                              fs1::Fs1Kernel::Avx512}) {
         crs::CrsConfig config;
-        config.fs1.sliced = true;
         config.fs1.kernel = k;
         if (fs1::kernelSupported(k))
             EXPECT_NO_THROW(config.validate()) << fs1::kernelName(k);
@@ -815,18 +836,19 @@ TEST(SlicedKernelTest, EngineBitIdenticalAcrossKernelsShardsAndBatches)
     std::vector<obs::Observer> no_obs(built.queries.size());
     for (fs1::Fs1Kernel kernel : supportedKernels()) {
         fs1::Fs1Config config;
-        config.sliced = true;
         config.kernel = kernel;
         fs1::Fs1Engine engine(built.generator, config);
         const std::string name = fs1::kernelName(kernel);
 
         for (const scw::Signature &query : built.queries) {
-            fs1::Fs1Result baseline = scalar.search(built.index, query);
+            fs1::Fs1Result baseline =
+                scalar.searchRowMajor(built.index, query);
             for (std::uint32_t shards : {1u, 3u, 7u}) {
                 expectSameResult(
                     baseline,
-                    engine.search(built.index, &built.plane, query,
-                                  shards > 1 ? &pool : nullptr, shards),
+                    engine.search(built.index, &built.plane, nullptr, 0,
+                                  query, shards > 1 ? &pool : nullptr,
+                                  shards),
                     name + " " + std::to_string(shards) + " shards");
             }
         }
@@ -834,8 +856,8 @@ TEST(SlicedKernelTest, EngineBitIdenticalAcrossKernelsShardsAndBatches)
             built.index, &built.plane, built.queries, no_obs);
         ASSERT_EQ(batch.size(), built.queries.size());
         for (std::size_t q = 0; q < built.queries.size(); ++q)
-            expectSameResult(scalar.search(built.index,
-                                           built.queries[q]),
+            expectSameResult(scalar.searchRowMajor(built.index,
+                                                   built.queries[q]),
                              batch[q],
                              name + " batch query " + std::to_string(q));
     }

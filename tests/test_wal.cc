@@ -73,8 +73,8 @@ writeFileBytes(const std::string &path,
 }
 
 std::unique_ptr<PredicateStore>
-makeStore(const term::SymbolTable &sym, term::TermReader &reader,
-          const std::string &text, bool sliced)
+makeStore(term::SymbolTable &sym, term::TermReader &reader,
+          const std::string &text)
 {
     term::Program program;
     for (auto &c : reader.parseProgram(text))
@@ -82,8 +82,6 @@ makeStore(const term::SymbolTable &sym, term::TermReader &reader,
     auto store = std::make_unique<PredicateStore>(
         sym, scw::CodewordGenerator{});
     store->addProgram(program);
-    if (sliced)
-        store->buildSlicedIndexes();
     store->finalize();
     return store;
 }
@@ -376,7 +374,7 @@ TEST(LiveUpdate, SnapshotReadersPinOldGenerations)
     term::SymbolTable sym;
     term::TermReader reader(sym);
     TempDir dir;
-    auto store = makeStore(sym, reader, kBaseProgram, true);
+    auto store = makeStore(sym, reader, kBaseProgram);
     LiveStore live(*store, sym, dir.path + "/wal.log");
     ClauseRetrievalServer server(sym, *store);
 
@@ -415,28 +413,30 @@ TEST(LiveUpdate, BrandNewPredicateFollowsStoreIndexing)
 {
     term::SymbolTable sym;
     term::TermReader reader(sym);
-    for (bool sliced : {true, false}) {
-        TempDir dir;
-        auto store = makeStore(sym, reader, kBaseProgram, sliced);
-        LiveStore live(*store, sym, dir.path + "/wal.log");
-        live.assertz(reader.parseClause("fresh(a)."));
-        const term::PredicateId p{sym.lookup("fresh"), 1};
-        ASSERT_TRUE(store->has(p));
-        auto v = store->predicateVersion(p);
-        ASSERT_NE(v, nullptr);
-        EXPECT_EQ(v->clauses.clauseCount(), 1u);
-        // A predicate born after generation 0 has no gen-0 version.
-        EXPECT_EQ(store->predicateVersion(p, 0), nullptr);
-        // New predicates match the store's indexing flavor so scans
-        // stay tick-identical with the rest of the store.
-        EXPECT_EQ(v->sliced != nullptr, sliced);
-        EXPECT_EQ(v->deltaSliced, nullptr);
+    TempDir dir;
+    auto store = makeStore(sym, reader, kBaseProgram);
+    LiveStore live(*store, sym, dir.path + "/wal.log");
+    live.assertz(reader.parseClause("fresh(a)."));
+    const term::PredicateId p{sym.lookup("fresh"), 1};
+    ASSERT_TRUE(store->has(p));
+    auto v = store->predicateVersion(p);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->clauses.clauseCount(), 1u);
+    // A predicate born after generation 0 has no gen-0 version.
+    EXPECT_EQ(store->predicateVersion(p, 0), nullptr);
+    // New predicates carry a full plane and decoded table, like every
+    // other version of the store.
+    ASSERT_NE(v->sliced, nullptr);
+    EXPECT_EQ(v->sliced->entryCount(), 1u);
+    EXPECT_EQ(v->deltaSliced, nullptr);
+    ASSERT_NE(v->decoded, nullptr);
+    EXPECT_EQ(v->decoded->size(), 1u);
+    EXPECT_EQ(v->decodedDelta, nullptr);
 
-        ClauseRetrievalServer server(sym, *store);
-        RetrievalResponse r = serveOn(server, reader, "fresh(X)",
-                                      SearchMode::TwoStage);
-        EXPECT_EQ(r.answers, (std::vector<std::uint32_t>{0}));
-    }
+    ClauseRetrievalServer server(sym, *store);
+    RetrievalResponse r = serveOn(server, reader, "fresh(X)",
+                                  SearchMode::TwoStage);
+    EXPECT_EQ(r.answers, (std::vector<std::uint32_t>{0}));
 }
 
 // ---------------------------------------------------------------------
@@ -447,9 +447,9 @@ TEST(LiveUpdate, AssertzDeltaIsBitIdenticalToRebuild)
 {
     term::SymbolTable sym;
     term::TermReader reader(sym);
-    for (bool sliced : {true, false}) {
+    {
         TempDir dir;
-        auto live_store = makeStore(sym, reader, kBaseProgram, sliced);
+        auto live_store = makeStore(sym, reader, kBaseProgram);
         LiveStore live(*live_store, sym, dir.path + "/wal.log");
         ClauseRetrievalServer live_server(sym, *live_store);
 
@@ -464,7 +464,7 @@ TEST(LiveUpdate, AssertzDeltaIsBitIdenticalToRebuild)
 
         const std::string rebuilt_text = std::string(kBaseProgram) +
             "edge(a, e).\nedge(e, b).\nedge(f, f).\n";
-        auto ref_store = makeStore(sym, reader, rebuilt_text, sliced);
+        auto ref_store = makeStore(sym, reader, rebuilt_text);
         ClauseRetrievalServer ref_server(sym, *ref_store);
 
         const term::PredicateId edge{sym.lookup("edge"), 2};
@@ -476,16 +476,18 @@ TEST(LiveUpdate, AssertzDeltaIsBitIdenticalToRebuild)
         for (std::size_t i = 0; i < v->clauses.clauseCount(); ++i)
             EXPECT_EQ(v->clauses.sourceText(i),
                       ref_store->predicate(edge).clauses.sourceText(i));
-        if (sliced) {
-            // The base plane is shared; only the tail got a delta.
-            ASSERT_NE(v->deltaSliced, nullptr);
-            EXPECT_EQ(v->baseEntries, 5u);
-            EXPECT_EQ(v->sliced->entryCount(), 5u);
-            EXPECT_EQ(v->deltaSliced->entryCount(), 3u);
-        } else {
-            EXPECT_EQ(v->sliced, nullptr);
-            EXPECT_EQ(v->deltaSliced, nullptr);
-        }
+        // The base plane is shared; only the tail got a delta.
+        ASSERT_NE(v->deltaSliced, nullptr);
+        EXPECT_EQ(v->baseEntries, 5u);
+        EXPECT_EQ(v->sliced->entryCount(), 5u);
+        EXPECT_EQ(v->deltaSliced->entryCount(), 3u);
+        // So is the base decoded table; the tail was decoded alone.
+        const term::PredicateId base_edge{sym.lookup("edge"), 2};
+        EXPECT_EQ(v->decoded,
+                  live_store->predicateVersion(base_edge, 0)->decoded);
+        EXPECT_EQ(v->decoded->size(), 5u);
+        ASSERT_NE(v->decodedDelta, nullptr);
+        EXPECT_EQ(v->decodedDelta->size(), 3u);
 
         for (const char *goal : kOracleQueries)
             for (SearchMode mode : kAllModes) {
@@ -494,9 +496,7 @@ TEST(LiveUpdate, AssertzDeltaIsBitIdenticalToRebuild)
                 RetrievalResponse b =
                     serveOn(ref_server, reader, goal, mode);
                 expectSameResponse(
-                    a, b,
-                    std::string(goal) + " " + searchModeName(mode) +
-                        (sliced ? " sliced" : " row-major"));
+                    a, b, std::string(goal) + " " + searchModeName(mode));
             }
 
         // serveBatch over the delta-carrying store matches too.
@@ -531,9 +531,9 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
         "item(d, 4).\n";
     term::SymbolTable sym;
     term::TermReader reader(sym);
-    for (bool sliced : {true, false}) {
+    {
         TempDir dir;
-        auto live_store = makeStore(sym, reader, base, sliced);
+        auto live_store = makeStore(sym, reader, base);
         LiveStore live(*live_store, sym, dir.path + "/wal.log");
         ClauseRetrievalServer live_server(sym, *live_store);
 
@@ -553,7 +553,7 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
             "item(c, 3).\n"
             "item(d, 4).\n"
             "item(e, 5).\n";
-        auto ref_store = makeStore(sym, reader, rebuilt_text, sliced);
+        auto ref_store = makeStore(sym, reader, rebuilt_text);
         ClauseRetrievalServer ref_server(sym, *ref_store);
 
         const term::PredicateId item{sym.lookup("item"), 2};
@@ -561,10 +561,15 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
         ASSERT_NE(v, nullptr);
         EXPECT_EQ(v->index.image(),
                   ref_store->predicate(item).index.image());
-        // Compaction folds the delta back into one full plane.
+        // Compaction folds the delta back into one full plane and one
+        // full decoded table.
         EXPECT_EQ(v->deltaSliced, nullptr);
         EXPECT_EQ(v->baseEntries, 0u);
-        EXPECT_EQ(v->sliced != nullptr, sliced);
+        ASSERT_NE(v->sliced, nullptr);
+        EXPECT_EQ(v->sliced->entryCount(), 5u);
+        EXPECT_EQ(v->decodedDelta, nullptr);
+        ASSERT_NE(v->decoded, nullptr);
+        EXPECT_EQ(v->decoded->size(), 5u);
 
         for (const char *goal : {"item(X, Y)", "item(z, X)",
                                  "item(b, X)", "item(X, 5)"})
@@ -581,7 +586,7 @@ TEST(LiveUpdate, RetractConvenienceReportsMatch)
     term::SymbolTable sym;
     term::TermReader reader(sym);
     TempDir dir;
-    auto store = makeStore(sym, reader, kBaseProgram, true);
+    auto store = makeStore(sym, reader, kBaseProgram);
     LiveStore live(*store, sym, dir.path + "/wal.log");
 
     term::ParsedTerm hit = reader.parseTerm("edge(c, d)");
@@ -618,7 +623,7 @@ TEST(LiveUpdate, AbortAndEmptyCommitPublishNothing)
     term::SymbolTable sym;
     term::TermReader reader(sym);
     TempDir dir;
-    auto store = makeStore(sym, reader, kBaseProgram, true);
+    auto store = makeStore(sym, reader, kBaseProgram);
     LiveStore live(*store, sym, dir.path + "/wal.log");
     CountingSink sink;
     live.attachSink(&sink);
@@ -649,7 +654,7 @@ TEST(LiveUpdate, MultiPredicateTransactionIsOneGeneration)
     term::SymbolTable sym;
     term::TermReader reader(sym);
     TempDir dir;
-    auto store = makeStore(sym, reader, kBaseProgram, true);
+    auto store = makeStore(sym, reader, kBaseProgram);
     LiveStore live(*store, sym, dir.path + "/wal.log");
     CountingSink sink;
     live.attachSink(&sink);
@@ -684,11 +689,11 @@ TEST(WalKillPoints, CommitSweepRecoversPreOrPostState)
     term::SymbolTable sym;
     term::TermReader reader(sym);
 
-    auto pre_store = makeStore(sym, reader, kBaseProgram, true);
+    auto pre_store = makeStore(sym, reader, kBaseProgram);
     ClauseRetrievalServer pre_server(sym, *pre_store);
     const std::string post_text = std::string(kBaseProgram) +
         "edge(a, e).\nedge(e, b).\n";
-    auto post_store = makeStore(sym, reader, post_text, true);
+    auto post_store = makeStore(sym, reader, post_text);
     ClauseRetrievalServer post_server(sym, *post_store);
 
     RetrievalResponse pre_all =
@@ -706,7 +711,7 @@ TEST(WalKillPoints, CommitSweepRecoversPreOrPostState)
         ASSERT_LT(k, 5000u) << "commit stream implausibly large";
         TempDir dir;
         const std::string wal_path = dir.path + "/wal.log";
-        auto store = makeStore(sym, reader, kBaseProgram, true);
+        auto store = makeStore(sym, reader, kBaseProgram);
         support::FaultConfig config;
         config.killSite = "wal.commit";
         config.killAtByte = k;
@@ -739,7 +744,7 @@ TEST(WalKillPoints, CommitSweepRecoversPreOrPostState)
         }
 
         // Recover onto a fresh pre-commit store, no faults.
-        auto rec_store = makeStore(sym, reader, kBaseProgram, true);
+        auto rec_store = makeStore(sym, reader, kBaseProgram);
         LiveStore rec(*rec_store, sym, wal_path);
         ClauseRetrievalServer rec_server(sym, *rec_store);
         RetrievalResponse r_all = serveOn(rec_server, reader,
@@ -781,14 +786,14 @@ TEST(WalKillPoints, CheckpointSweepAlwaysRecoversCommittedState)
     term::TermReader ref_reader(ref_sym);
     const std::string post_text =
         std::string(kBaseProgram) + "edge(a, e).\n";
-    auto post_store = makeStore(ref_sym, ref_reader, post_text, true);
+    auto post_store = makeStore(ref_sym, ref_reader, post_text);
     ClauseRetrievalServer post_server(ref_sym, *post_store);
     RetrievalResponse post_ref = serveOn(post_server, ref_reader,
                                          "edge(X, Y)",
                                          SearchMode::TwoStage);
     // Reference for the post-recovery commit made inside runOne.
     const std::string post2_text = post_text + "edge(e, b).\n";
-    auto post2_store = makeStore(ref_sym, ref_reader, post2_text, true);
+    auto post2_store = makeStore(ref_sym, ref_reader, post2_text);
     ClauseRetrievalServer post2_server(ref_sym, *post2_store);
     RetrievalResponse post2_ref = serveOn(post2_server, ref_reader,
                                           "edge(X, Y)",
@@ -800,7 +805,7 @@ TEST(WalKillPoints, CheckpointSweepAlwaysRecoversCommittedState)
         {
             term::SymbolTable s0;
             term::TermReader r0(s0);
-            auto st = makeStore(s0, r0, kBaseProgram, true);
+            auto st = makeStore(s0, r0, kBaseProgram);
             saveStore(root.path, *st, s0);
         }
         term::SymbolTable sym;
@@ -895,7 +900,7 @@ TEST(WalKillPoints, CheckpointSweepAlwaysRecoversCommittedState)
         TempDir dir;
         term::SymbolTable sym;
         term::TermReader reader(sym);
-        auto store = makeStore(sym, reader, kBaseProgram, true);
+        auto store = makeStore(sym, reader, kBaseProgram);
         LiveStore live(*store, sym, dir.path + "/wal.log");
         live.assertz(reader.parseClause("edge(a, e)."));
         commit_bytes = live.wal().tailLsn();
@@ -921,7 +926,7 @@ TEST(LiveUpdate, CheckpointRoundTrip)
     {
         term::SymbolTable s0;
         term::TermReader r0(s0);
-        auto st = makeStore(s0, r0, kBaseProgram, true);
+        auto st = makeStore(s0, r0, kBaseProgram);
         saveStore(root.path, *st, s0);
     }
 
@@ -965,7 +970,7 @@ TEST(LiveUpdate, CheckpointRoundTrip)
     term::TermReader ref_reader(ref_sym);
     const std::string post_text = std::string(kBaseProgram) +
         "edge(a, e).\nedge(e, b).\n";
-    auto ref_store = makeStore(ref_sym, ref_reader, post_text, true);
+    auto ref_store = makeStore(ref_sym, ref_reader, post_text);
     ClauseRetrievalServer ref_server(ref_sym, *ref_store);
     ClauseRetrievalServer server(sym, store);
     for (const char *goal : kOracleQueries)
