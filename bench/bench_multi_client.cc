@@ -58,119 +58,6 @@ using namespace clare;
 namespace {
 
 /**
- * The batched front door: every client's pending retrievals enter one
- * serveBatch() call and the sharded pipeline serves them — FS1 of
- * query k+1 overlapped with FS2 + host unification of query k.  The
- * table sweeps the worker count and reports real wall-clock makespan
- * for the whole batch, checking answers stay bit-identical to the
- * sequential path.
- */
-void
-batchedFrontDoorSweep(const bench::ScanKnobs &knobs,
-                      json::Value &json_rows)
-{
-    using Request = crs::RetrievalRequest;
-
-    // A read-heavy working set large enough that retrieval cost is
-    // the index scan, as in the paper's disk-resident modules.
-    term::SymbolTable sym;
-    workload::KbGenerator kbgen(sym);
-    workload::KbSpec spec;
-    spec.predicates = 4;
-    spec.clausesPerPredicate = 5000;
-    spec.arityMin = 2;
-    spec.arityMax = 2;
-    spec.atomVocabulary = 2000;
-    spec.seed = 19;
-    term::Program program = kbgen.generate(spec);
-    crs::PredicateStore store(sym, scw::CodewordGenerator{});
-    store.addProgram(program);
-    store.finalize();
-
-    term::TermReader reader(sym);
-    std::vector<term::ParsedTerm> goals;
-    // 8 clients x 8 jobs: keyed lookups (first argument bound),
-    // round-robin over the stored predicates.
-    Rng rng(41);
-    for (int c = 0; c < 8; ++c) {
-        for (int j = 0; j < 8; ++j) {
-            std::string pred =
-                "p" + std::to_string((c + j) % spec.predicates);
-            std::string key =
-                "a" + std::to_string(rng.below(spec.atomVocabulary));
-            goals.push_back(reader.parseTerm(pred + "(" + key + ", B)"));
-        }
-    }
-    std::vector<Request> batch;
-    for (const term::ParsedTerm &g : goals) {
-        Request r;
-        r.arena = &g.arena;
-        r.goal = g.root;
-        batch.push_back(r);
-    }
-
-    Table t("Batched multi-client retrieval: wall-clock vs workers "
-            "(64 jobs, auto mode)");
-    t.header({"Workers", "Wall time", "Jobs/s", "Speedup",
-              "Identical results"});
-    std::vector<crs::RetrievalResponse> baseline;
-    double base_seconds = 0.0;
-    for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-        crs::CrsConfig config;
-        config.workers = workers;
-        knobs.apply(config);
-        crs::ClauseRetrievalServer server(sym, store, config);
-        server.serveBatch(batch);    // warm-up
-
-        auto start = std::chrono::steady_clock::now();
-        std::vector<crs::RetrievalResponse> results =
-            server.serveBatch(batch);
-        auto stop = std::chrono::steady_clock::now();
-        double seconds =
-            std::chrono::duration<double>(stop - start).count();
-
-        bool identical = true;
-        if (workers == 1) {
-            baseline = results;
-            base_seconds = seconds;
-        } else {
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                identical = identical &&
-                    results[i].candidates == baseline[i].candidates &&
-                    results[i].answers == baseline[i].answers;
-            }
-        }
-
-        char wall[32], jps[32], speedup[32];
-        std::snprintf(wall, sizeof(wall), "%.1f ms", seconds * 1e3);
-        std::snprintf(jps, sizeof(jps), "%.0f",
-                      static_cast<double>(batch.size()) / seconds);
-        std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                      base_seconds / seconds);
-        t.row({std::to_string(workers), wall, jps, speedup,
-               identical ? "yes" : "NO"});
-
-        Tick queue_wait = 0;
-        for (const crs::RetrievalResponse &r : results)
-            queue_wait += r.breakdown.queueWait;
-        json::Value row = json::Value::object();
-        row.set("sweep", "batched_front_door");
-        row.set("workers", workers);
-        if (knobs.batchWidth > 0)
-            row.set("batch_width", knobs.batchWidth);
-        row.set("wall_seconds", seconds);
-        row.set("identical", identical);
-        row.set("total_queue_wait_ticks", queue_wait);
-        row.set("queries",
-                static_cast<std::uint64_t>(
-                    server.metrics().counter("crs.queries").value()));
-        json_rows.push(std::move(row));
-    }
-    t.print(std::cout);
-    std::printf("\n");
-}
-
-/**
  * The cache-hierarchy payoff on a multi-client workload: clients keep
  * re-asking a small set of hot goals (8 distinct goals, 8 times each).
  * A cold / cache-disabled server pays the full index scan every time;
@@ -377,9 +264,7 @@ liveWriteMixSweep(double write_mix, json::Value &json_rows)
               ".wal")).string();
         std::filesystem::remove(wal_path);
         crs::LiveStore live(store, sym, wal_path);
-        crs::CrsConfig config;
-        config.workers = 4;
-        crs::ClauseRetrievalServer server(sym, store, config);
+        crs::ClauseRetrievalServer server(sym, store);
         live.attachSink(&server);
 
         // Pre-parse everything so all symbol interning happens before
@@ -951,7 +836,6 @@ main(int argc, char **argv)
     setQuiet(true);
     std::string json_path = bench::jsonPathArg(argc, argv);
     bench::CacheKnobs cache_knobs = bench::cacheConfigArg(argc, argv);
-    bench::ScanKnobs scan_knobs = bench::scanConfigArg(argc, argv);
     LoadGenKnobs lg_knobs = loadGenConfigArg(argc, argv);
     json::Value json_rows = json::Value::array();
 
@@ -1017,23 +901,12 @@ main(int argc, char **argv)
                 "spreading the\nsame update load over disjoint "
                 "predicates removes the contention.\n\n");
 
-    batchedFrontDoorSweep(scan_knobs, json_rows);
     repeatedGoalCacheSweep(json_rows, cache_knobs);
     liveWriteMixSweep(writeMixArg(argc, argv), json_rows);
     if (lg_knobs.enabled) {
         routerLoadSweep(lg_knobs, json_rows);
         shardedClusterSweep(json_rows);
     }
-    std::printf("\nhost cores: %u\n",
-                std::thread::hardware_concurrency());
-    std::printf("shape: batching the clients' pending retrievals "
-                "through serveBatch() lets the\nsharded FS1 scan "
-                "and the pipeline overlap turn host cores into "
-                "throughput while\nevery client still sees exactly "
-                "the sequential answers.  With fewer cores than\n"
-                "workers the sweep demonstrates determinism only — "
-                "speedup needs real cores.\n");
-
     if (!bench::writeBenchJson(json_path, "multi_client",
                                std::move(json_rows)))
         return 1;

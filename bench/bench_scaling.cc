@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <thread>
 
 #include "bench_util.hh"
 #include "fs1/fs1_engine.hh"
@@ -37,12 +36,11 @@ namespace {
  * Experiment S4 — host scan rate of the bit-sliced FS1 kernel: the
  * row-major scan decodes every entry's signature per query, while the
  * transposed plane evaluates 64 entries per word op and touches only
- * the planes whose query bits are set; batch widths > 1 then amortize
- * plane memory traffic across same-predicate queries.  Survivor sets
- * (and all modeled timing) are checked bit-identical per row.
+ * the planes whose query bits are set.  Survivor sets (and all
+ * modeled timing) are checked bit-identical per row.
  */
 void
-slicedScanSweep(json::Value &json_rows)
+slicedScanSweep(fs1::Fs1Kernel kernel, json::Value &json_rows)
 {
     term::SymbolTable sym;
     workload::KbGenerator kbgen(sym);
@@ -59,7 +57,9 @@ slicedScanSweep(json::Value &json_rows)
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
     store.finalize();
-    const crs::StoredPredicate &stored = store.predicate(pred);
+    const std::shared_ptr<const crs::StoredPredicate> pinned =
+        store.predicateVersion(pred);
+    const crs::StoredPredicate &stored = *pinned;
 
     workload::QuerySpec qspec;
     qspec.boundArgProb = 0.9;
@@ -77,59 +77,44 @@ slicedScanSweep(json::Value &json_rows)
         static_cast<double>(queries.size());
     constexpr int kReps = 3;
 
-    fs1::Fs1Engine engine(store.generator());
+    fs1::Fs1Config fs1_config;
+    fs1_config.kernel = kernel;
+    fs1::Fs1Engine engine(store.generator(), fs1_config);
 
-    // One timed pass: all queries, grouped `width` at a time through
-    // the plane, or per query through the row-major oracle.
-    auto run = [&](bool is_sliced, std::size_t width) {
+    // One timed pass: every query through the plane, or through the
+    // row-major oracle.
+    auto run = [&](bool is_sliced) {
         std::vector<fs1::Fs1Result> results;
-        if (!is_sliced) {
-            for (const scw::Signature &q : queries)
-                results.push_back(engine.searchRowMajor(stored.index, q));
-            return results;
-        }
-        for (std::size_t q0 = 0; q0 < queries.size();
-             q0 += std::max<std::size_t>(width, 1)) {
-            std::size_t count =
-                std::min(std::max<std::size_t>(width, 1),
-                         queries.size() - q0);
-            std::vector<scw::Signature> group(
-                queries.begin() + static_cast<std::ptrdiff_t>(q0),
-                queries.begin() + static_cast<std::ptrdiff_t>(q0 +
-                                                              count));
-            std::vector<obs::Observer> obss(count);
-            std::vector<fs1::Fs1Result> part = engine.searchBatch(
-                stored.index, stored.sliced.get(), group, obss);
-            for (fs1::Fs1Result &r : part)
-                results.push_back(std::move(r));
-        }
+        for (const scw::Signature &q : queries)
+            results.push_back(
+                is_sliced
+                    ? engine.search(stored.index, stored.sliced.get(),
+                                    nullptr, 0, q, nullptr, 1)
+                    : engine.searchRowMajor(stored.index, q));
         return results;
     };
 
-    Table t("Bit-sliced FS1 kernel: host scan rate vs batch width "
-            "(60k entries, 16 queries)");
-    t.header({"Kernel", "Width", "Wall time", "Scan rate", "Speedup",
+    Table t("Bit-sliced FS1 kernel: host scan rate (60k entries, 16 "
+            "queries)");
+    t.header({"Scan", "Wall time", "Scan rate", "Speedup",
               "Identical results"});
 
+    const std::string sliced_label = std::string("sliced (") +
+        fs1::kernelName(fs1::resolveKernel(kernel)) + ")";
     std::vector<fs1::Fs1Result> baseline;
     double base_seconds = 0.0;
-    struct Variant { const char *name; bool is_sliced; std::size_t width; };
-    for (const Variant v : {Variant{"row-major", false, 1},
-                            Variant{"sliced", true, 1},
-                            Variant{"sliced", true, 4},
-                            Variant{"sliced", true, 8},
-                            Variant{"sliced", true, 16}}) {
-        run(v.is_sliced, v.width);    // warm-up
+    for (const bool is_sliced : {false, true}) {
+        run(is_sliced);    // warm-up
         auto start = std::chrono::steady_clock::now();
         std::vector<fs1::Fs1Result> results;
         for (int rep = 0; rep < kReps; ++rep)
-            results = run(v.is_sliced, v.width);
+            results = run(is_sliced);
         auto stop = std::chrono::steady_clock::now();
         double seconds =
             std::chrono::duration<double>(stop - start).count() / kReps;
 
         bool identical = true;
-        if (!v.is_sliced) {
+        if (!is_sliced) {
             baseline = results;
             base_seconds = seconds;
         } else {
@@ -150,14 +135,13 @@ slicedScanSweep(json::Value &json_rows)
         std::snprintf(wall, sizeof(wall), "%.2f ms", seconds * 1e3);
         std::snprintf(speedup, sizeof(speedup), "%.2fx",
                       base_seconds / seconds);
-        t.row({v.name, std::to_string(v.width), wall,
+        t.row({is_sliced ? sliced_label : "row-major", wall,
                bench::formatRate(batch_bytes / seconds), speedup,
                identical ? "yes" : "NO"});
 
         json::Value row = json::Value::object();
         row.set("sweep", "sliced_scan_rate");
-        row.set("sliced", v.is_sliced);
-        row.set("batch_width", static_cast<std::uint64_t>(v.width));
+        row.set("sliced", is_sliced);
         row.set("wall_seconds", seconds);
         row.set("bytes_per_second", batch_bytes / seconds);
         row.set("speedup", base_seconds / seconds);
@@ -165,233 +149,10 @@ slicedScanSweep(json::Value &json_rows)
         json_rows.push(std::move(row));
     }
     t.print(std::cout);
-    std::printf("\nshape: slicing wins even at width 1 (only the "
-                "query's set bits load plane rows,\nno per-entry "
-                "decode); widths > 1 reuse each cache-resident plane "
-                "block across\nthe batch.  Survivors, scan statistics, "
-                "and modeled busy time are bit-identical\nto the "
-                "row-major kernel in every row.\n");
-}
-
-/**
- * Experiment S2 — host-side scaling of the sharded retrieval
- * pipeline: wall-clock throughput of a query batch as the worker
- * count grows, with a bit-identical-results check against the
- * single-threaded path.  (The simulated Ticks model the 1989 hardware
- * and are identical at every worker count; this table measures the
- * *simulator host's* clock, i.e. how fast the production server core
- * actually runs retrievals.)
- */
-void
-workerScalingSweep(const bench::ScanKnobs &knobs,
-                   json::Value &json_rows)
-{
-    using Request = crs::RetrievalRequest;
-
-    term::SymbolTable sym;
-    workload::KbGenerator kbgen(sym);
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 20000;
-    spec.atomVocabulary = 4000;
-    spec.varProb = 0.05;
-    spec.structProb = 0.2;
-    spec.seed = 9;
-    term::Program program = kbgen.generate(spec);
-    const auto &pred = program.predicates()[0];
-
-    crs::PredicateStore store(sym, scw::CodewordGenerator{});
-    store.addProgram(program);
-    store.finalize();
-
-    workload::QuerySpec qspec;
-    qspec.boundArgProb = 0.9;
-    qspec.sharedVarProb = 0.0;
-    qspec.perturbProb = 0.0;
-    qspec.seed = 12;
-    workload::QueryGenerator qgen(sym, qspec);
-    std::vector<workload::GeneratedQuery> queries;
-    std::vector<Request> batch;
-    for (int i = 0; i < 24; ++i)
-        queries.push_back(qgen.generate(program, pred));
-    for (const workload::GeneratedQuery &q : queries)
-        batch.push_back(Request{&q.arena, q.goal,
-                                crs::SearchMode::TwoStage});
-
-    Table t("Sharded pipeline: wall-clock throughput vs workers "
-            "(20k clauses, 24 two-stage queries)");
-    t.header({"Workers", "Wall time", "Queries/s", "Speedup",
-              "Identical results"});
-
-    std::vector<crs::RetrievalResponse> baseline;
-    double base_seconds = 0.0;
-    for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-        crs::CrsConfig config;
-        config.workers = workers;
-        knobs.apply(config);
-        crs::ClauseRetrievalServer server(sym, store, config);
-        // Warm-up pass so allocator/page effects don't skew the 1-
-        // worker baseline.
-        server.serveBatch(batch);
-
-        auto start = std::chrono::steady_clock::now();
-        std::vector<crs::RetrievalResponse> results =
-            server.serveBatch(batch);
-        auto stop = std::chrono::steady_clock::now();
-        double seconds =
-            std::chrono::duration<double>(stop - start).count();
-
-        bool identical = true;
-        if (workers == 1) {
-            baseline = results;
-            base_seconds = seconds;
-        } else {
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                identical = identical &&
-                    results[i].candidates == baseline[i].candidates &&
-                    results[i].answers == baseline[i].answers &&
-                    results[i].elapsed == baseline[i].elapsed;
-            }
-        }
-
-        char qps[32], speedup[32];
-        std::snprintf(qps, sizeof(qps), "%.1f",
-                      static_cast<double>(batch.size()) / seconds);
-        std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                      base_seconds / seconds);
-        char wall[32];
-        std::snprintf(wall, sizeof(wall), "%.1f ms", seconds * 1e3);
-        t.row({std::to_string(workers), wall, qps, speedup,
-               identical ? "yes" : "NO"});
-
-        Tick queue_wait = 0;
-        for (const crs::RetrievalResponse &r : results)
-            queue_wait += r.breakdown.queueWait;
-        json::Value row = json::Value::object();
-        row.set("sweep", "worker_scaling");
-        row.set("workers", workers);
-        if (knobs.batchWidth > 0)
-            row.set("batch_width", knobs.batchWidth);
-        row.set("wall_seconds", seconds);
-        row.set("identical", identical);
-        row.set("total_queue_wait_ticks", queue_wait);
-        json_rows.push(std::move(row));
-    }
-    t.print(std::cout);
-    unsigned cores = std::thread::hardware_concurrency();
-    std::printf("\nhost cores: %u\n", cores);
-    std::printf("shape: the FS1 index scan shards across the worker "
-                "pool and overlaps the next\nquery's scan with the "
-                "current query's FS2 + host unification, so wall-clock\n"
-                "throughput scales with the host's cores while "
-                "candidates, answers, and\nsimulated Ticks stay "
-                "bit-identical.  On a host with fewer cores than\n"
-                "workers expect parity, not speedup: the pipeline "
-                "timeshares one core and the\nrows only demonstrate "
-                "that results do not depend on the worker count.\n");
-}
-
-/**
- * Experiment S3 — paced device replay: the FS1 engine is hardware the
- * host *waits on*, not computes, so here each scan shard sleeps its
- * modeled device time (scaled down 4x from the 4.5 MB/s rate).
- * Sharding makes concurrent shards wait concurrently and the pipeline
- * hides query k+1's device wait under query k's host work, so the
- * sweep shows genuine wall-clock speedup even on a single host core —
- * the paper's reason for overlapping FS1 with FS2.
- */
-void
-pacedDeviceSweep(json::Value &json_rows)
-{
-    using Request = crs::RetrievalRequest;
-
-    term::SymbolTable sym;
-    workload::KbGenerator kbgen(sym);
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 20000;
-    spec.atomVocabulary = 4000;
-    spec.varProb = 0.05;
-    spec.structProb = 0.2;
-    spec.seed = 9;
-    term::Program program = kbgen.generate(spec);
-    const auto &pred = program.predicates()[0];
-
-    crs::PredicateStore store(sym, scw::CodewordGenerator{});
-    store.addProgram(program);
-    store.finalize();
-
-    workload::QuerySpec qspec;
-    qspec.boundArgProb = 0.9;
-    qspec.sharedVarProb = 0.0;
-    qspec.perturbProb = 0.0;
-    qspec.seed = 12;
-    workload::QueryGenerator qgen(sym, qspec);
-    std::vector<workload::GeneratedQuery> queries;
-    std::vector<Request> batch;
-    for (int i = 0; i < 12; ++i)
-        queries.push_back(qgen.generate(program, pred));
-    for (const workload::GeneratedQuery &q : queries)
-        batch.push_back(Request{&q.arena, q.goal,
-                                crs::SearchMode::TwoStage});
-
-    Table t("Paced device replay: wall-clock vs workers (device waits "
-            "slept at 1/4 scale)");
-    t.header({"Workers", "Wall time", "Queries/s", "Speedup",
-              "Identical results"});
-
-    std::vector<crs::RetrievalResponse> baseline;
-    double base_seconds = 0.0;
-    for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-        crs::CrsConfig config;
-        config.workers = workers;
-        config.fs1.paceScale = 4.0;
-        crs::ClauseRetrievalServer server(sym, store, config);
-        server.serveBatch(batch);    // warm-up
-
-        auto start = std::chrono::steady_clock::now();
-        std::vector<crs::RetrievalResponse> results =
-            server.serveBatch(batch);
-        auto stop = std::chrono::steady_clock::now();
-        double seconds =
-            std::chrono::duration<double>(stop - start).count();
-
-        bool identical = true;
-        if (workers == 1) {
-            baseline = results;
-            base_seconds = seconds;
-        } else {
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                identical = identical &&
-                    results[i].candidates == baseline[i].candidates &&
-                    results[i].answers == baseline[i].answers &&
-                    results[i].elapsed == baseline[i].elapsed;
-            }
-        }
-
-        char wall[32], qps[32], speedup[32];
-        std::snprintf(wall, sizeof(wall), "%.1f ms", seconds * 1e3);
-        std::snprintf(qps, sizeof(qps), "%.1f",
-                      static_cast<double>(batch.size()) / seconds);
-        std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                      base_seconds / seconds);
-        t.row({std::to_string(workers), wall, qps, speedup,
-               identical ? "yes" : "NO"});
-
-        json::Value row = json::Value::object();
-        row.set("sweep", "paced_device");
-        row.set("workers", workers);
-        row.set("wall_seconds", seconds);
-        row.set("identical", identical);
-        json_rows.push(std::move(row));
-    }
-    t.print(std::cout);
-    std::printf("\nshape: device waits, unlike host compute, overlap "
-                "on any core count: sharding\nsplits one query's wait "
-                "across workers, and the pipeline keeps up to "
-                "`workers`\nscans in flight so their waits overlap "
-                "each other and the back half.  Simulated\nTicks are "
-                "untouched by pacing and stay bit-identical.\n");
+    std::printf("\nshape: slicing wins outright (only the query's set "
+                "bits load plane rows,\nno per-entry decode).  "
+                "Survivors, scan statistics, and modeled busy time\n"
+                "are bit-identical to the row-major kernel.\n");
 }
 
 } // namespace
@@ -401,7 +162,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     std::string json_path = bench::jsonPathArg(argc, argv);
-    bench::ScanKnobs scan_knobs = bench::scanConfigArg(argc, argv);
+    fs1::Fs1Kernel kernel = bench::scanConfigArg(argc, argv);
     json::Value json_rows = json::Value::array();
 
     // A 4 MB Sun3/160-class memory budget, minus system overhead:
@@ -429,9 +190,9 @@ main(int argc, char **argv)
         const auto &pred = program.predicates()[0];
 
         bench::CompiledStore cs = bench::compileStore(sym, program);
-        const crs::StoredPredicate &stored =
-            cs.store->predicate(pred);
-        std::uint64_t kb_bytes = stored.clauses.image().size();
+        const std::shared_ptr<const crs::StoredPredicate> stored =
+            cs.store->predicateVersion(pred);
+        std::uint64_t kb_bytes = stored->clauses.image().size();
         bool fits = kb_bytes <= kMemoryBudget;
 
         // Conventional system: load whole predicate from disk, then
@@ -491,7 +252,7 @@ main(int argc, char **argv)
 
         const storage::DiskModel &disk = cs.store->dataDisk();
         std::uint64_t kb_bytes =
-            cs.store->predicate(pred).clauses.image().size();
+            cs.store->predicateVersion(pred)->clauses.image().size();
         Tick load = disk.accessTime() + disk.transferTime(kb_bytes);
         Tick scan = host.perClause * 120000;
 
@@ -525,11 +286,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\n");
-    workerScalingSweep(scan_knobs, json_rows);
-    std::printf("\n");
-    pacedDeviceSweep(json_rows);
-    std::printf("\n");
-    slicedScanSweep(json_rows);
+    slicedScanSweep(kernel, json_rows);
 
     if (!bench::writeBenchJson(json_path, "scaling",
                                std::move(json_rows)))

@@ -222,46 +222,18 @@ cacheConfigArg(int argc, char **argv)
 }
 
 /**
- * Parsed `--batch-width=K` / `--kernel=NAME` knobs shared by the bench
- * harnesses.  Absent flags leave the server defaults (one query per
- * plane pass, the widest supported kernel).
+ * Parse the plane-scan knob: `--kernel=NAME` forces a specific block
+ * kernel from the registry (scalar64 / avx2 / avx512 / auto) — every
+ * kernel is bit-identical, so this is how the benches compare
+ * kernels.  An unknown kernel name exits with the supported list
+ * rather than silently falling back.
  */
-struct ScanKnobs
-{
-    /** `--batch-width=K`: group up to K FS1 goals per plane pass
-     *  (0 means "not given"). */
-    std::uint32_t batchWidth = 0;
-    /** `--kernel=NAME`: force an FS1 block kernel (Auto means "not
-     *  given"). */
-    fs1::Fs1Kernel kernel = fs1::Fs1Kernel::Auto;
-
-    /** Fold the knobs into a server config. */
-    void
-    apply(crs::CrsConfig &config) const
-    {
-        if (batchWidth > 0)
-            config.batchWidth = batchWidth;
-        config.fs1.kernel = kernel;
-    }
-};
-
-/**
- * Parse the plane-scan knobs: `--batch-width=K` groups up to K
- * same-predicate FS1 goals into one plane pass, and `--kernel=NAME`
- * forces a specific block kernel from the registry (scalar64 / avx2 /
- * avx512 / auto) — every kernel is bit-identical, so this is how the
- * benches compare kernels.  An unknown kernel name exits with the
- * supported list rather than silently falling back.
- */
-inline ScanKnobs
+inline fs1::Fs1Kernel
 scanConfigArg(int argc, char **argv)
 {
-    ScanKnobs knobs;
+    fs1::Fs1Kernel kernel = fs1::Fs1Kernel::Auto;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--batch-width=", 14) == 0) {
-            knobs.batchWidth = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 14, nullptr, 10));
-        } else if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
+        if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
             const char *name = argv[i] + 9;
             fs1::Fs1Kernel parsed = fs1::Fs1Kernel::Auto;
             if (!fs1::parseKernelName(name, parsed)) {
@@ -278,10 +250,10 @@ scanConfigArg(int argc, char **argv)
                              name);
                 std::exit(2);
             }
-            knobs.kernel = parsed;
+            kernel = parsed;
         }
     }
-    return knobs;
+    return kernel;
 }
 
 /** One retrieval as a JSON row (shared shape across harnesses). */

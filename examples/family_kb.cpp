@@ -71,7 +71,9 @@ main()
                     server.selectMode(query.arena, query.root)));
 
     // Drive the board directly, the way the device driver would.
-    const crs::StoredPredicate &stored = store.predicate(married);
+    const std::shared_ptr<const crs::StoredPredicate> pinned =
+        store.predicateVersion(married);
+    const crs::StoredPredicate &stored = *pinned;
     engine::ClareBoard board{scw::CodewordGenerator{}};
     engine::ClareDriver driver(board);
     fs2::Fs2SearchResult hw = driver.fs2Search(query.arena, query.root,

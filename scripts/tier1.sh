@@ -2,11 +2,13 @@
 # Tier-1 verification: the canonical build + full test suite, then the
 # fault-injection/corruption suites again under ASan+UBSan so the
 # error paths are proven free of undefined behavior, not just of
-# wrong answers, the cache-hierarchy suite again under TSan so the
-# shared L1/L2/L3 caches are proven free of data races, and the
-# bit-sliced equivalence suite again under ASan so the word-indexed
-# plane arithmetic (edge-masked partial ranges in particular) is
-# proven in-bounds, and finally the kernel-dispatch suites under ASan
+# wrong answers, the concurrency, cache-hierarchy and arena suites
+# again under TSan so concurrent serve() callers, the shared L1/L2/L3
+# caches and the live-update readers are proven free of data races,
+# and the bit-sliced equivalence suite again under ASan so the
+# word-indexed plane arithmetic (edge-masked partial ranges in
+# particular) is proven in-bounds, and finally the kernel-dispatch
+# suites under ASan
 # so every FS1 kernel the host supports (scalar64/avx2/avx512) and
 # both FS2 dispatch targets (interpreter and compiled routines) run
 # sanitized.
@@ -62,16 +64,17 @@ echo "== tier-1: ASan+UBSan build + arena-labeled tests =="
 # every patched-blob send) is in-bounds.
 ctest --test-dir "$ASAN_BUILD" -L arena --output-on-failure -j
 
-echo "== tier-1: TSan build + cache-labeled tests =="
+echo "== tier-1: TSan build + tsan- and arena-labeled tests =="
+# Concurrent serve() callers on one server are the server's only
+# concurrency: test_concurrency (label tsan) races them against a
+# streaming LiveStore writer and kb::clausesFor readers, test_cache
+# (tsan) shares the L1/L2/L3 caches across them, and the arena suites
+# reset connection arenas while transactions invalidate those caches
+# (the blob shared_ptr handles cross threads).  TSan proves the
+# interleavings race-free.
 cmake -B "$TSAN_BUILD" -S . -DCLARE_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j
-ctest --test-dir "$TSAN_BUILD" -L cache --output-on-failure -j
-
-echo "== tier-1: TSan build + arena-labeled tests =="
-# Connection arenas reset while transactions invalidate the shared
-# caches; the blob shared_ptr handles cross threads.  TSan proves the
-# interleavings race-free.
-ctest --test-dir "$TSAN_BUILD" -L arena --output-on-failure -j
+ctest --test-dir "$TSAN_BUILD" -L 'tsan|arena' --output-on-failure -j
 
 echo "== tier-1: loopback cluster smoke (replicated + sharded) =="
 # Boots a 3-replica clare_server cluster (one backend fault-poisoned)

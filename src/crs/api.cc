@@ -10,7 +10,6 @@ json::Value
 toJson(const StageBreakdown &breakdown)
 {
     json::Value doc = json::Value::object();
-    doc.set("queue_wait_ticks", breakdown.queueWait);
     // Only cache-served retrievals carry the cache stage, so a
     // default (cache-off) run's JSON stays byte-stable.
     if (breakdown.cacheTime > 0)
@@ -18,7 +17,7 @@ toJson(const StageBreakdown &breakdown)
     doc.set("index_ticks", breakdown.indexTime);
     doc.set("filter_ticks", breakdown.filterTime);
     doc.set("host_unify_ticks", breakdown.hostUnifyTime);
-    doc.set("total_ticks", breakdown.total());
+    doc.set("total_ticks", breakdown.serviceTime());
     return doc;
 }
 
@@ -47,13 +46,11 @@ CrsConfig::validate() const
     require(host.perCandidateUnify <= kSecond, "host.perCandidateUnify",
             "per-candidate cost above one second — Tick is picoseconds");
 
-    // FS1: the scan rate divides byte counts (busy time) and, on the
-    // paced-replay path, real sleep durations — zero or negative
-    // rates produce infinite times rather than a clamped fallback.
+    // FS1: the scan rate divides byte counts into busy time — zero or
+    // negative rates produce infinite times rather than a clamped
+    // fallback.
     require(std::isfinite(fs1.scanRate) && fs1.scanRate > 0,
             "fs1.scanRate", "scan rate must be a positive byte rate");
-    require(std::isfinite(fs1.paceScale) && fs1.paceScale >= 0,
-            "fs1.paceScale", "pace scale must be >= 0 (0 disables)");
     require(fs1::kernelSupported(fs1.kernel), "fs1.kernel",
             std::string("kernel '") + fs1::kernelName(fs1.kernel) +
                 "' is not supported on this host (use 'auto' to pick "
@@ -94,22 +91,6 @@ CrsConfig::validate() const
                 "cache.survivorHitCost",
                 "hit cost above one second — Tick is picoseconds");
     }
-
-    // Pipeline: 0 workers would mean "no thread runs retrievals";
-    // the sequential path is workers == 1, and silent clamping hid
-    // that distinction before.
-    require(workers >= 1, "workers",
-            "need at least the calling thread (sequential path is 1)");
-    require(workers <= 1024, "workers",
-            "more than 1024 workers is a configuration error");
-
-    // Batch scanning groups FS1 goals into one pass over the sliced
-    // plane.
-    require(batchWidth >= 1, "batchWidth",
-            "batch width 0 would mean no query is ever scanned");
-    require(batchWidth <= 256, "batchWidth",
-            "more than 256 queries per plane pass is a configuration "
-            "error");
 
     // Fault handling: zero attempts would mean "never read anything";
     // an unbounded retry count turns a permanently bad sector into a

@@ -56,6 +56,35 @@ class ConfigError : public Error
     std::string field_;
 };
 
+/**
+ * A request named a predicate the store does not hold — or, for a
+ * snapshot-pinned request, one that had no version at the pinned
+ * generation.  Raised by serve()/serveBatch() before any work is done
+ * (a batch fails as one unit, before its first item is served).
+ */
+class PredicateNotStoredError : public Error
+{
+  public:
+    /** @param predicate printable "name/arity" of the goal */
+    PredicateNotStoredError(std::string predicate,
+                            std::optional<std::uint64_t> snapshot)
+        : Error("predicate " + predicate + " is not stored" +
+                (snapshot ? " at snapshot " + std::to_string(*snapshot)
+                          : std::string())),
+          predicate_(std::move(predicate)), snapshot_(snapshot)
+    {
+    }
+
+    /** The goal's predicate as "name/arity". */
+    const std::string &predicate() const { return predicate_; }
+    /** The requested snapshot generation; empty for a head read. */
+    std::optional<std::uint64_t> snapshot() const { return snapshot_; }
+
+  private:
+    std::string predicate_;
+    std::optional<std::uint64_t> snapshot_;
+};
+
 /** Per-request tracing knobs. */
 struct TraceOptions
 {
@@ -107,12 +136,6 @@ struct RetrievalRequest
 struct StageBreakdown
 {
     /**
-     * Pipeline queue wait under serveBatch(): simulated time between
-     * this query's FS1 scan completing and the (serial) back half
-     * picking it up.  Always 0 on the sequential path.
-     */
-    Tick queueWait = 0;
-    /**
      * Modeled cache lookup/replay cost: the goal-cache hit cost on an
      * L3 hit, or the survivor-memo replay cost on an L2 hit.  Always 0
      * when the caches are disabled or missed, so uncached breakdowns
@@ -123,18 +146,11 @@ struct StageBreakdown
     Tick filterTime = 0;    ///< FS2 / software scan / candidate fetch
     Tick hostUnifyTime = 0; ///< modeled full-unification cost
 
-    /** Service time excluding queueing — the query's own latency. */
+    /** Sum of the four stages — the query's latency. */
     Tick
     serviceTime() const
     {
         return cacheTime + indexTime + filterTime + hostUnifyTime;
-    }
-
-    /** All stages including queue wait. */
-    Tick
-    total() const
-    {
-        return queueWait + serviceTime();
     }
 };
 
@@ -158,7 +174,7 @@ struct RetrievalResponse
 
     /** Per-stage simulated time; breakdown.serviceTime() == elapsed. */
     StageBreakdown breakdown;
-    /** Total retrieval latency (excludes batch queue wait). */
+    /** Total retrieval latency. */
     Tick elapsed = 0;
 
     /**
@@ -190,9 +206,8 @@ struct RetrievalResponse
 
     /**
      * Pre-encoded wire payload of this exact response, shared with the
-     * goal cache (response_blob.hh).  Set only on an L3 goal-cache hit
-     * whose modeled timing matches the baked encoding (in particular
-     * queueWait == 0); a wire server that sees it can frame the blob
+     * goal cache (response_blob.hh).  Set only on an L3 goal-cache
+     * hit; a wire server that sees it can frame the blob
      * verbatim — patching only the request-id field — instead of
      * re-encoding field by field.  Purely an optimization handle:
      * never compared by responsesIdentical, never sent as a field, and

@@ -22,8 +22,8 @@
  * overflowed, or fault-touched responses are never admitted — the
  * server filters those before calling put().
  *
- * All access is mutex-guarded: the cache is shared across
- * serveBatch() workers and concurrent serve() callers.
+ * All access is mutex-guarded: the cache is shared across concurrent
+ * serve() callers.
  */
 
 #ifndef CLARE_CRS_GOAL_CACHE_HH
@@ -60,9 +60,6 @@ class GoalCache
      * lock; the payload vectors are never touched.  Null on miss.
      */
     std::shared_ptr<const Entry> find(const std::string &key);
-
-    /** Lookup without promotion (batch prediction passes). */
-    bool contains(const std::string &key) const;
 
     /**
      * Admit a hit-shaped response under @p key, remembering @p pred

@@ -22,6 +22,9 @@ constexpr std::uint8_t kRspFlags = 9;
 constexpr std::uint8_t kRspCorruptPages = 10;
 constexpr std::uint8_t kRspRequeued = 11;
 
+/** cacheTime, indexTime, filterTime, hostUnifyTime: four u64 ticks. */
+constexpr std::uint32_t kBreakdownBytes = 4 * 8;
+
 constexpr std::uint8_t kFlagDegraded = 1u << 0;
 constexpr std::uint8_t kFlagResultOverflow = 1u << 1;
 
@@ -86,7 +89,6 @@ encodeResponseBlob(std::uint64_t request_id, const RetrievalResponse &r,
     closeField(at, out);
 
     at = openField(kRspBreakdown, out);
-    putU64(r.breakdown.queueWait, out);
     putU64(r.breakdown.cacheTime, out);
     putU64(r.breakdown.indexTime, out);
     putU64(r.breakdown.filterTime, out);
@@ -193,7 +195,12 @@ decodeResponseBlob(const std::uint8_t *data, std::size_t size,
             break;
           }
           case kRspBreakdown:
-            r.breakdown.queueWait = bytes.u64();
+            // Exactly the four stage ticks: a field of any other size
+            // is damage, never a prefix to read or a tail to skip.
+            if (field.size != kBreakdownBytes)
+                reader.fail("stage breakdown of " +
+                            std::to_string(field.size) + " bytes (want " +
+                            std::to_string(kBreakdownBytes) + ")");
             r.breakdown.cacheTime = bytes.u64();
             r.breakdown.indexTime = bytes.u64();
             r.breakdown.filterTime = bytes.u64();

@@ -1,10 +1,7 @@
 #include "crs/server.hh"
 
 #include <algorithm>
-#include <deque>
-#include <future>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "support/alloc_counter.hh"
@@ -50,24 +47,6 @@ ClauseRetrievalServer::ClauseRetrievalServer(const term::SymbolTable &symbols,
     if (config_.faults != nullptr &&
         !config_.faults->config().anyFaults())
         config_.faults = nullptr;
-    // The pool supplies workers-1 threads; the calling thread is the
-    // last worker (it participates in sharded scans and runs the
-    // pipeline back half), so total concurrency equals `workers`.
-    if (config_.workers > 1) {
-        pool_ = std::make_unique<support::ThreadPool>(
-            config_.workers - 1);
-        std::uint32_t cores =
-            std::max(1u, std::thread::hardware_concurrency());
-        // CPU-bound scans gain nothing from fanning out wider than the
-        // hardware; paced (device-wait) scans overlap their waits at
-        // any core count, so they shard the full worker width.
-        scanShards_ = config_.fs1.paceScale > 0
-            ? config_.workers
-            : std::min(config_.workers, cores);
-        scanAhead_ = scanShards_;
-    }
-    metrics_.gauge("crs.workers", "configured pipeline width")
-        .set(config_.workers);
     // L2/L3 exist only when asked for AND no fault oracle is armed: a
     // response whose bytes were exposed to injected faults (or whose
     // index read might degrade) must never be replayed from cache.
@@ -260,8 +239,7 @@ ClauseRetrievalServer::scanIndex(const StoredPredicate &stored,
     scw::Signature query_sig = store_.generator().encode(q_arena, goal);
     scan.fs1 = fs1_.search(stored.index, stored.sliced.get(),
                            stored.deltaSliced.get(), stored.baseEntries,
-                           query_sig, pool_.get(), scanShards_, obs,
-                           parent);
+                           query_sig, nullptr, 1, obs, parent);
     return scan;
 }
 
@@ -349,7 +327,7 @@ ClauseRetrievalServer::rawScan(const StoredPredicate &stored,
     IndexScan scan;
     scan.fs1 = fs1_.search(stored.index, stored.sliced.get(),
                            stored.deltaSliced.get(), stored.baseEntries,
-                           sig, pool_.get(), scanShards_, obs, parent);
+                           sig, nullptr, 1, obs, parent);
     return scan;
 }
 
@@ -485,25 +463,76 @@ ClauseRetrievalServer::hostUnify(const StoredPredicate &stored,
 // The unified front door.
 // ---------------------------------------------------------------------
 
-RetrievalResponse
-ClauseRetrievalServer::serve(const RetrievalRequest &request)
+std::shared_ptr<const StoredPredicate>
+ClauseRetrievalServer::pin(const RetrievalRequest &request) const
 {
     clare_assert(request.arena != nullptr, "retrieval request has no "
                  "arena");
-    RetrievalResponse response;
-
     const term::PredicateId pred =
         goalPredicate(*request.arena, request.goal);
-    // Pin the MVCC version first: everything below — mode selection,
-    // cache keys, the scan, unification — derives from this one
-    // version, so a commit landing mid-request cannot tear the view.
     std::shared_ptr<const StoredPredicate> pinned =
         store_.predicateVersion(pred, request.snapshot);
     if (pinned == nullptr)
-        clare_fatal("predicate %s/%u is not stored%s",
-                    symbols_.name(pred.functor).c_str(), pred.arity,
-                    request.snapshot ? " at the requested snapshot"
-                                     : "");
+        throw PredicateNotStoredError(symbols_.name(pred.functor) + "/" +
+                                          std::to_string(pred.arity),
+                                      request.snapshot);
+    return pinned;
+}
+
+RetrievalResponse
+ClauseRetrievalServer::serve(const RetrievalRequest &request)
+{
+    return serveOne(request, pin(request));
+}
+
+std::vector<RetrievalResponse>
+ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
+                                      batch)
+{
+    const std::size_t n = batch.size();
+    std::vector<RetrievalResponse> out;
+    if (n == 0)
+        return out;
+
+    // Pin and validate every request before serving any: a batch is
+    // one unit, so an unstored predicate anywhere in it fails the
+    // whole batch with nothing served, counted or cached.
+    std::vector<std::shared_ptr<const StoredPredicate>> pins;
+    pins.reserve(n);
+    bool any_tracing = false;
+    for (const RetrievalRequest &request : batch) {
+        pins.push_back(pin(request));
+        any_tracing = any_tracing || request.trace.enabled;
+    }
+
+    ++metrics_.counter("crs.batches", "serveBatch() calls");
+    metrics_.gauge("crs.last_batch_size", "requests in the most recent "
+                   "batch").set(static_cast<double>(n));
+
+    // One batch-level span groups the per-request roots, which nest
+    // under it as the thread's current span, so a traced batch
+    // exports as a single tree.
+    obs::ScopedSpan batch_span(any_tracing ? &tracer_ : nullptr,
+                               "crs.batch");
+    batch_span.attr("requests", static_cast<std::uint64_t>(n));
+
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back(serveOne(batch[i], std::move(pins[i])));
+    return out;
+}
+
+RetrievalResponse
+ClauseRetrievalServer::serveOne(const RetrievalRequest &request,
+                                std::shared_ptr<const StoredPredicate>
+                                    pinned)
+{
+    // Everything below — mode selection, cache keys, the scan,
+    // unification — derives from the one pinned version, so a commit
+    // landing mid-request cannot tear the view.
+    const term::PredicateId pred =
+        goalPredicate(*request.arena, request.goal);
+    RetrievalResponse response;
     const StoredPredicate &stored = *pinned;
     response.mode = request.mode
         ? *request.mode
@@ -550,358 +579,6 @@ ClauseRetrievalServer::serve(const RetrievalRequest &request)
     accountQuery(response, root);
     response.version = std::move(pinned);
     return response;
-}
-
-std::vector<RetrievalResponse>
-ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
-                                      batch)
-{
-    const std::size_t n = batch.size();
-    std::vector<RetrievalResponse> out(n);
-    if (n == 0)
-        return out;
-
-    ++metrics_.counter("crs.batches", "serveBatch() calls");
-    metrics_.gauge("crs.last_batch_size", "requests in the most recent "
-                   "batch").set(static_cast<double>(n));
-
-    // Resolve modes and predicates up front (cheap, read-only) so the
-    // pipeline stages below are pure scan/filter work.  Each request
-    // pins its MVCC predicate version here; the pins keep the versions
-    // (and their images) alive for the whole batch, so pool workers
-    // scanning ahead never race a concurrent commit.
-    std::vector<SearchMode> modes(n);
-    std::vector<std::shared_ptr<const StoredPredicate>> pins(n);
-    std::vector<const StoredPredicate *> stored(n);
-    std::vector<term::PredicateId> preds(n);
-    bool any_tracing = false;
-    for (std::size_t i = 0; i < n; ++i) {
-        clare_assert(batch[i].arena != nullptr,
-                     "serveBatch request %zu has no arena", i);
-        preds[i] = goalPredicate(*batch[i].arena, batch[i].goal);
-        pins[i] = store_.predicateVersion(preds[i], batch[i].snapshot);
-        if (pins[i] == nullptr)
-            clare_fatal("predicate %s/%u is not stored%s",
-                        symbols_.name(preds[i].functor).c_str(),
-                        preds[i].arity,
-                        batch[i].snapshot
-                            ? " at the requested snapshot" : "");
-        stored[i] = pins[i].get();
-        modes[i] = batch[i].mode
-            ? *batch[i].mode
-            : selectModeFor(*batch[i].arena, batch[i].goal,
-                            stored[i]->ruleFraction);
-        out[i].mode = modes[i];
-        any_tracing = any_tracing || batch[i].trace.enabled;
-    }
-
-    // Cache preprocessing, on the calling thread in batch order so
-    // every memo lookup/fill is deterministic at any worker count.
-    // For each cacheable request: build its L3 key, predict whether
-    // the back half will serve it from cache (already resident, or an
-    // earlier request in this batch will fill it), and — for requests
-    // that will really scan — resolve the query signature through the
-    // L2a memo now, so pool workers never touch a cache.  Predicted
-    // hits skip the pool scan entirely; a misprediction (e.g. the
-    // filler overflowed and was not admitted) falls back to an inline
-    // scan in the back half, so results never depend on the guess.
-    std::vector<std::string> goal_keys(n);
-    std::vector<std::string> survivor_keys(n);
-    std::vector<std::optional<scw::Signature>> sigs(n);
-    std::vector<char> caching(n, 0);
-    std::vector<char> predicted(n, 0);
-    if (goalCache_ != nullptr) {
-        std::set<std::string> batch_goal_keys;
-        std::set<std::string> batch_survivor_keys;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!cachingActive(batch[i]))
-                continue;
-            caching[i] = 1;
-            goal_keys[i] = goalKey(*batch[i].arena, batch[i].goal,
-                                   modes[i], stored[i]->generation);
-            if (goalCache_->contains(goal_keys[i]) ||
-                batch_goal_keys.count(goal_keys[i])) {
-                predicted[i] = 1;
-            }
-            batch_goal_keys.insert(goal_keys[i]);
-            if (predicted[i] || !usesFs1(modes[i]))
-                continue;
-            sigs[i] = lookupSignature(goal_keys[i], *batch[i].arena,
-                                      batch[i].goal,
-                                      observer(batch[i].trace));
-            survivor_keys[i] = survivorKey(preds[i], *sigs[i],
-                                           stored[i]->generation);
-            if (survivorCache_->contains(survivor_keys[i]) ||
-                batch_survivor_keys.count(survivor_keys[i])) {
-                predicted[i] = 1;
-            }
-            batch_survivor_keys.insert(survivor_keys[i]);
-        }
-    }
-
-    // One batch-level span groups every scan and per-query root so
-    // the exported trace stays a single tree even though scans run on
-    // pool workers ahead of their query's back half.
-    obs::ScopedSpan batch_span(any_tracing ? &tracer_ : nullptr,
-                               "crs.batch");
-    batch_span.attr("requests", static_cast<std::uint64_t>(n));
-
-    auto scan = [&](std::size_t i) -> IndexScan {
-        if (!usesFs1(modes[i]) || predicted[i])
-            return {};
-        if (caching[i]) {
-            // The signature was resolved in the preprocess pass; the
-            // scan itself is pure (index, signature) work, safe on a
-            // pool worker.  Survivor-memo admission happens on the
-            // calling thread, in finish_one.
-            return rawScan(*stored[i], *sigs[i],
-                           observer(batch[i].trace), batch_span.id());
-        }
-        return scanIndex(*stored[i], *batch[i].arena, batch[i].goal,
-                         observer(batch[i].trace), batch_span.id());
-    };
-
-    // Multi-query batch scanning: group FS1-mode goals of the same
-    // predicate (up to batchWidth, in batch order) so one pass over
-    // the predicate's bit-sliced plane answers the whole group.
-    // Predicted cache hits stay ungrouped — they are expected to skip
-    // the scan entirely — and fault-armed runs group nothing, since
-    // scanIndex() models per-query fault exposure.  Each grouped
-    // query's Fs1Result is bit-identical to its own scan, so caching,
-    // queue-wait modeling, and responses are unaffected.
-    constexpr std::size_t kNoGroup = ~std::size_t{0};
-    const bool grouping =
-        config_.batchWidth > 1 && config_.faults == nullptr;
-    std::vector<std::size_t> group_of(n, kNoGroup);
-    std::vector<std::vector<std::size_t>> groups;
-    if (grouping) {
-        // Keyed by the pinned version, not the predicate id: two
-        // requests of one predicate can pin different MVCC versions
-        // (snapshot pins, or a commit landing between their resolve
-        // steps), and a group must share one index.
-        std::map<const StoredPredicate *, std::size_t> open;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!usesFs1(modes[i]) || predicted[i])
-                continue;
-            // A live (base + delta) version routes through the split
-            // scan, not the batch plane pass: the base plane alone
-            // does not cover the composite file.  (Grouping it would
-            // still be bit-identical — searchBatch falls back — but
-            // would silently lose the sliced path.)
-            if (stored[i]->deltaSliced != nullptr)
-                continue;
-            auto it = open.find(stored[i]);
-            if (it == open.end() ||
-                groups[it->second].size() >= config_.batchWidth) {
-                groups.emplace_back();
-                it = open.insert_or_assign(stored[i],
-                                           groups.size() - 1).first;
-            }
-            group_of[i] = it->second;
-            groups[it->second].push_back(i);
-        }
-    }
-    auto scan_group = [&](std::size_t g) -> std::vector<IndexScan> {
-        const std::vector<std::size_t> &members = groups[g];
-        const StoredPredicate &sp = *stored[members.front()];
-        std::vector<scw::Signature> qsigs;
-        std::vector<obs::Observer> obss;
-        qsigs.reserve(members.size());
-        obss.reserve(members.size());
-        for (std::size_t m : members) {
-            qsigs.push_back(sigs[m]
-                            ? *sigs[m]
-                            : store_.generator().encode(*batch[m].arena,
-                                                        batch[m].goal));
-            obss.push_back(observer(batch[m].trace));
-        }
-        std::vector<fs1::Fs1Result> results = fs1_.searchBatch(
-            sp.index, sp.sliced.get(), qsigs, obss, batch_span.id());
-        std::vector<IndexScan> scans(members.size());
-        for (std::size_t k = 0; k < members.size(); ++k)
-            scans[k].fs1 = std::move(results[k]);
-        return scans;
-    };
-
-    // Modeled pipeline timeline: the FS1 hardware scans the batch
-    // serially while the (serial) host back half drains finished
-    // scans; a scan that finishes before the back half is free waits
-    // in queue.  This is the per-query queueWait — simulated ticks,
-    // deterministic, and independent of the host's real thread
-    // scheduling.  elapsed stays the query's own service time, so the
-    // sequential and pipelined paths agree bit-for-bit on it.
-    Tick fs1_free = 0;
-    Tick back_free = 0;
-    auto finish_one = [&](std::size_t i, IndexScan scanned) {
-        obs::ScopedSpan root(batch[i].trace.enabled ? &tracer_ : nullptr,
-                             "crs.retrieve", batch_span.id());
-        root.attr("mode", searchModeSlug(modes[i]));
-        root.attr("batch_index", static_cast<std::uint64_t>(i));
-        RetrievalRequest request = batch[i];
-        request.mode = modes[i];
-        obs::Observer ob = observer(batch[i].trace);
-
-        bool goal_hit = false;
-        if (caching[i]) {
-            if (std::shared_ptr<const GoalCache::Entry> cached =
-                    goalCache_->find(goal_keys[i])) {
-                serveGoalHit(*cached, out[i]);
-                goal_hit = true;
-            } else {
-                obs::Counter *misses =
-                    hot_.cacheMisses.load(std::memory_order_acquire);
-                if (misses == nullptr) {
-                    misses = &metrics_.counter("crs.cache.misses",
-                                               "L3 goal-cache misses");
-                    hot_.cacheMisses.store(misses, std::memory_order_release);
-                }
-                ++*misses;
-                if (usesFs1(modes[i])) {
-                    if (!sigs[i]) {
-                        // Mispredicted L3 hit: the preprocess pass
-                        // skipped signature resolution; do it now.
-                        sigs[i] = lookupSignature(goal_keys[i],
-                                                  *batch[i].arena,
-                                                  batch[i].goal, ob);
-                        survivor_keys[i] = survivorKey(
-                            preds[i], *sigs[i], stored[i]->generation);
-                    }
-                    if (std::shared_ptr<const fs1::Fs1Result> memo =
-                            survivorCache_->find(survivor_keys[i],
-                                                 ob)) {
-                        // Replay the memo even when a (predicted-miss)
-                        // pool scan already ran: timing must not
-                        // depend on the prediction, only on the cache
-                        // state the back half observes in batch order.
-                        scanned = IndexScan{};
-                        scanned.fs1 = *memo;
-                        scanned.fromCache = true;
-                    } else {
-                        if (predicted[i]) {
-                            // Mispredicted hit: no pool scan ran.
-                            scanned = rawScan(*stored[i], *sigs[i], ob,
-                                              batch_span.id());
-                        }
-                        survivorCache_->put(survivor_keys[i],
-                                            scanned.fs1);
-                    }
-                }
-            }
-        }
-        if (!goal_hit) {
-            finishRetrieval(*stored[i], request, std::move(scanned),
-                            ob, root.id(), out[i]);
-            if (caching[i])
-                maybeCacheGoal(goal_keys[i], preds[i], out[i]);
-        }
-        if (pool_) {
-            Tick scan_done = fs1_free + out[i].breakdown.indexTime;
-            fs1_free = scan_done;
-            Tick back_start = std::max(scan_done, back_free);
-            out[i].breakdown.queueWait = back_start - scan_done;
-            // A nonzero queue wait diverges from the baked blob
-            // (cached entries always carry queueWait == 0), so the
-            // fast-path handle must not survive — a wire sender would
-            // otherwise ship stale ticks.
-            if (out[i].breakdown.queueWait != 0)
-                out[i].replayBlob.reset();
-            back_free = back_start + out[i].breakdown.cacheTime +
-                out[i].breakdown.filterTime +
-                out[i].breakdown.hostUnifyTime;
-        }
-        accountQuery(out[i], root);
-        out[i].version = pins[i];
-    };
-
-    if (!pool_) {
-        // Groups are scanned lazily, when their first member is
-        // finished, and deliver members in batch order.
-        std::vector<std::vector<IndexScan>> group_scans(groups.size());
-        std::vector<std::size_t> group_next(groups.size(), 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (group_of[i] != kNoGroup) {
-                const std::size_t g = group_of[i];
-                if (group_scans[g].empty())
-                    group_scans[g] = scan_group(g);
-                finish_one(i,
-                           std::move(group_scans[g][group_next[g]++]));
-            } else {
-                finish_one(i, scan(i));
-            }
-        }
-        return out;
-    }
-
-    // Pipeline: while the calling thread filters and unifies request
-    // k, the pool scans the indexes of the next requests (the paper's
-    // FS1-ahead-of-FS2 overlap).  Up to `workers` scans are in flight
-    // so their device/disk waits overlap each other, not just the
-    // back half.  Requests complete in batch order regardless.
-    //
-    // The units of work are scan groups (a singleton for every
-    // ungrouped request, including no-op scans): a unit is queued at
-    // its first member's batch position and scatters one IndexScan per
-    // member, so grouped members later in the batch find theirs ready.
-    struct ScanUnit
-    {
-        std::size_t first;                 ///< batch index of member 0
-        std::size_t group;                 ///< kNoGroup for singletons
-    };
-    std::vector<ScanUnit> units;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (group_of[i] == kNoGroup)
-            units.push_back({i, kNoGroup});
-        else if (groups[group_of[i]].front() == i)
-            units.push_back({i, group_of[i]});
-    }
-    std::vector<std::optional<IndexScan>> ready(n);
-    std::deque<std::pair<ScanUnit, std::future<std::vector<IndexScan>>>>
-        pending;
-    std::size_t next = 0;
-    auto refill = [&] {
-        while (next < units.size() && pending.size() < scanAhead_) {
-            const ScanUnit unit = units[next++];
-            pending.emplace_back(
-                unit,
-                pool_->async([&scan, &scan_group, unit] {
-                    if (unit.group == kNoGroup) {
-                        std::vector<IndexScan> one;
-                        one.push_back(scan(unit.first));
-                        return one;
-                    }
-                    return scan_group(unit.group);
-                }));
-        }
-    };
-    refill();
-    try {
-        for (std::size_t i = 0; i < n; ++i) {
-            while (!ready[i]) {
-                auto [unit, future] = std::move(pending.front());
-                pending.pop_front();
-                std::vector<IndexScan> scans = future.get();
-                refill();
-                if (unit.group == kNoGroup) {
-                    ready[unit.first] = std::move(scans.front());
-                } else {
-                    const std::vector<std::size_t> &members =
-                        groups[unit.group];
-                    for (std::size_t k = 0; k < members.size(); ++k)
-                        ready[members[k]] = std::move(scans[k]);
-                }
-            }
-            finish_one(i, std::move(*ready[i]));
-            ready[i].reset();
-        }
-    } catch (...) {
-        // In-flight scans reference locals; drain them before the
-        // locals go out of scope.
-        for (auto &p : pending)
-            if (p.second.valid())
-                p.second.wait();
-        throw;
-    }
-    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -1242,17 +919,6 @@ ClauseRetrievalServer::accountQuery(RetrievalResponse &response,
         hot_.elapsed.store(elapsed, std::memory_order_release);
     }
     elapsed->record(static_cast<double>(response.elapsed) / kTicksPerUs);
-    if (response.breakdown.queueWait > 0) {
-        obs::Histogram *qw = hot_.queueWait.load(std::memory_order_acquire);
-        if (qw == nullptr) {
-            qw = &metrics_.histogram(
-                "crs.queue_wait_us", latencyBoundsUs(),
-                "batch pipeline queue wait, simulated us");
-            hot_.queueWait.store(qw, std::memory_order_release);
-        }
-        qw->record(static_cast<double>(response.breakdown.queueWait) /
-                   kTicksPerUs);
-    }
     // Surface the operator-new interpose through the registry so a
     // metrics dump carries the allocation story next to the latency
     // one.  Registered only when the hook is live: other builds keep
@@ -1275,10 +941,9 @@ ClauseRetrievalServer::accountQuery(RetrievalResponse &response,
                       response.candidates.size()));
         root.attr("answers", static_cast<std::uint64_t>(
                       response.answers.size()));
-        root.attr("queue_wait_ticks", response.breakdown.queueWait);
         if (response.degraded)
             root.attr("degraded", static_cast<std::uint64_t>(1));
-        root.setSimTicks(response.breakdown.total());
+        root.setSimTicks(response.breakdown.serviceTime());
     }
 }
 

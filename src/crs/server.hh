@@ -18,18 +18,18 @@
  * the real unifier so that false-drop accounting is exact.
  *
  * The front door is the unified request/response API (crs/api.hh):
- * serve() retrieves one RetrievalRequest, serveBatch() pipelines a
- * batch, and both share one accounting path that fills the response's
- * StageBreakdown.  The same pair is the *only* entry: networked
- * callers reach it through net::NetServer/NetClient, whose responses
- * are bit-identical to a local call.
+ * serve() retrieves one RetrievalRequest, serveBatch() a batch of
+ * them, and both run every request through one sequential per-request
+ * path that fills the response's StageBreakdown.  The same pair is the
+ * *only* entry: networked callers reach it through
+ * net::NetServer/NetClient, whose responses are bit-identical to a
+ * local call.
  *
- * With `CrsConfig::workers > 1` the server runs a parallel pipeline
- * mirroring the paper's FS1/FS2 overlap: the FS1 index scan is sharded
- * across a worker pool, and serveBatch() overlaps the FS1 scan of
- * query k+1 with the FS2 filtering and host unification of query k.
- * Results are merged in clause/batch order, so candidate and answer
- * sets are bit-identical to the sequential path at any worker count.
+ * The paper's FS1/FS2 overlap is a property of the hardware, and the
+ * Tick model accounts for it analytically; the server runs each
+ * request on the calling thread.  Concurrency lives one level up:
+ * any number of threads may call serve() on one server at once (the
+ * caches, the MVCC store and the metrics are thread-safe).
  *
  * Every server owns an obs::Tracer (per-request opt-in spans) and an
  * obs::MetricsRegistry (always-on counters/histograms) wired through
@@ -61,7 +61,6 @@
 #include "support/logging.hh"
 #include "support/obs.hh"
 #include "support/sim_time.hh"
-#include "support/thread_pool.hh"
 #include "unify/tue_op.hh"
 
 namespace clare::crs {
@@ -121,25 +120,6 @@ struct CrsConfig
     CacheConfig cache;
 
     /**
-     * Total threads the retrieval pipeline may use (including the
-     * calling thread).  1 selects the sequential path; N > 1 shards
-     * the FS1 index scan N ways and enables the serveBatch()
-     * FS1/FS2 overlap.  Candidate and answer sets are identical at
-     * every setting.
-     */
-    std::uint32_t workers = 1;
-
-    /**
-     * serveBatch() multi-query batch scanning: up to this many
-     * FS1-mode goals of one predicate are answered by a single pass
-     * over the predicate's bit-sliced plane.  1 (default) scans per
-     * query.  Widths > 1 compose with workers and the caches; results
-     * stay bit-identical because each grouped query is accounted
-     * exactly like its own full-file scan.
-     */
-    std::uint32_t batchWidth = 1;
-
-    /**
      * Bound on modeled re-reads of a chunk after transient disk
      * errors.  Each retry re-positions the head, so it costs a full
      * access time that shows honestly in the stage breakdown.
@@ -157,11 +137,11 @@ struct CrsConfig
     const support::FaultInjector *faults = nullptr;
 
     /**
-     * Check the host, FS1, FS2, and pipeline settings as one unit,
+     * Check the host, FS1, FS2, cache and retry settings as one unit,
      * throwing ConfigError naming the offending field on the first
-     * incoherent value (e.g. workers == 0, a non-positive FS1 scan
-     * rate under paced replay).  The server constructor calls this;
-     * call it directly to vet a config before building stores.
+     * incoherent value (e.g. a non-positive FS1 scan rate).  The
+     * server constructor calls this; call it directly to vet a config
+     * before building stores.
      */
     void validate() const;
 };
@@ -221,30 +201,29 @@ class ClauseRetrievalServer : public CacheInvalidationSink
 
     /**
      * The unified front door: retrieve one request.  The response's
-     * breakdown satisfies breakdown.serviceTime() == elapsed and
-     * breakdown.queueWait == 0 (queueing only exists in a batch).
+     * breakdown satisfies breakdown.serviceTime() == elapsed.
+     *
+     * @throws PredicateNotStoredError when the goal's predicate is
+     *         not stored (at the request's snapshot, when pinned)
      */
     RetrievalResponse serve(const RetrievalRequest &request);
 
     /**
-     * Batched front door: retrieve every request, in order.  With
-     * workers > 1 the FS1 index scan of request k+1 is pipelined with
-     * the FS2 filtering and host unification of request k; candidates,
-     * answers, and elapsed are identical to calling serve() in a loop,
-     * and each response's breakdown.queueWait reports the simulated
-     * time its finished FS1 scan waited for the serial back half.
+     * Batched front door: pin and validate every request first, then
+     * serve them in order through the same per-request path as
+     * serve().  Each response is identical to what a serve() loop over
+     * the batch on the same server would return, cache effects
+     * included.
      *
      * Batch split contract (what the sharded scatter/gather relies
-     * on): all retrieval state — caches, MVCC version pins, batch
-     * cache prediction — is keyed per predicate, so any partition of
-     * a batch into sub-batches that preserves the relative order of
-     * same-predicate requests yields per-item responses identical to
-     * serving the whole batch, provided the pipeline is sequential
-     * (workers == 1, the serving default, where the modeled queue is
-     * empty and queueWait == 0 for every item).  With workers > 1 the
-     * modeled FS1/back-half queue couples items *across* predicates,
-     * so a sharded deployment that must stay bit-identical to a local
-     * serveBatch() pins sequential backends.
+     * on): all retrieval state — caches and MVCC version pins — is
+     * keyed per predicate, so any partition of a batch into
+     * sub-batches that preserves the relative order of same-predicate
+     * requests yields per-item responses identical to serving the
+     * whole batch.
+     *
+     * @throws PredicateNotStoredError when any item's predicate is not
+     *         stored; nothing in the batch has been served then
      */
     std::vector<RetrievalResponse>
     serveBatch(const std::vector<RetrievalRequest> &batch);
@@ -261,9 +240,6 @@ class ClauseRetrievalServer : public CacheInvalidationSink
                                      term::TermRef goal);
 
     const CrsConfig &config() const { return config_; }
-
-    /** Cumulative FS1 statistics across this server's retrievals. */
-    StatGroup &fs1Stats() { return fs1_.stats(); }
 
     /** Spans recorded for requests with TraceOptions::enabled. */
     obs::Tracer &tracer() { return tracer_; }
@@ -298,23 +274,6 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     CrsConfig config_;
     /** Persistent FS1 engine, shared across retrievals and threads. */
     fs1::Fs1Engine fs1_;
-    /** Worker pool; null when workers <= 1 (sequential path). */
-    std::unique_ptr<support::ThreadPool> pool_;
-    /**
-     * FS1 scan fan-out: config workers, clamped to the host's core
-     * count for CPU-bound scans (sharding wider than the hardware
-     * only adds scheduling overhead) but left at full width for paced
-     * device-wait scans.  The shard count never changes results
-     * (contiguous shards merge back into sequential order).
-     */
-    std::uint32_t scanShards_ = 1;
-    /**
-     * serveBatch() lookahead: scans in flight at once.  Sized like
-     * scanShards_ — full worker width for paced device-wait scans
-     * (waits overlap on any core count), clamped to the core count
-     * for CPU-bound scans (oversubscription only thrashes).
-     */
-    std::uint32_t scanAhead_ = 1;
 
     obs::Tracer tracer_;
     obs::MetricsRegistry metrics_;
@@ -326,8 +285,8 @@ class ClauseRetrievalServer : public CacheInvalidationSink
      * a string temporary per counter would dominate a warm hit).
      * Each slot fills lazily on its first use, so registration order
      * — and thus a metrics dump — is identical to uncached lookups:
-     * per-mode counters and the queue-wait histogram still appear
-     * only once a request actually exercises them.  Slots are atomics
+     * per-mode counters still appear only once a request actually
+     * exercises them.  Slots are atomics
      * with release-store/acquire-load publication: concurrent serve()
      * calls may race the first fill, the registry hands every racer
      * the same instrument (so whichever store lands last wrote the
@@ -345,7 +304,6 @@ class ClauseRetrievalServer : public CacheInvalidationSink
         std::atomic<obs::Counter *> cacheMisses{nullptr};
         std::array<std::atomic<obs::Counter *>, kSearchModeCount> mode{};
         std::atomic<obs::Histogram *> elapsed{nullptr};
-        std::atomic<obs::Histogram *> queueWait{nullptr};
         std::atomic<obs::Gauge *> heapAllocs{nullptr};
     };
     HotMetrics hot_;
@@ -379,10 +337,29 @@ class ClauseRetrievalServer : public CacheInvalidationSink
                                     term::TermRef goal) const;
 
     /**
+     * Pin the MVCC version @p request reads (the head, or the newest
+     * at its snapshot).  The one place a request is validated against
+     * the store.
+     * @throws PredicateNotStoredError when there is no such version
+     */
+    std::shared_ptr<const StoredPredicate>
+    pin(const RetrievalRequest &request) const;
+
+    /**
+     * The per-request path behind serve() and serveBatch(): cache
+     * consult, FS1 scan, filter, host unification and accounting for
+     * one request against its already pinned version.  The root span
+     * nests under the calling thread's current span (a batch's
+     * "crs.batch" span, or none).
+     */
+    RetrievalResponse serveOne(const RetrievalRequest &request,
+                               std::shared_ptr<const StoredPredicate>
+                                   pinned);
+
+    /**
      * Mode selection against an already-resolved predicate version's
-     * rule fraction — serve()/serveBatch() pin the MVCC version first
-     * and select against that same version, never the (possibly
-     * newer) head.
+     * rule fraction — requests pin the MVCC version first and select
+     * against that same version, never the (possibly newer) head.
      */
     static SearchMode selectModeFor(const term::TermArena &q_arena,
                                     term::TermRef goal,
@@ -398,8 +375,7 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     /**
      * FS1 stage: verify the delivered index pages against the store's
      * checksums (when a fault oracle is configured), then scan the
-     * predicate's index (sharded when a pool is configured).
-     * Thread-safe; touches no per-query state.
+     * predicate's index.  Thread-safe; touches no per-query state.
      */
     IndexScan scanIndex(const StoredPredicate &stored,
                         const term::TermArena &q_arena,
@@ -408,8 +384,7 @@ class ClauseRetrievalServer : public CacheInvalidationSink
                         obs::SpanId parent) const;
 
     // ----- Cache plumbing.  Every cache consult and fill below runs
-    // on the calling thread, in request (or batch) order, so hit/miss
-    // counters and LRU state are deterministic at any worker count.
+    // on the calling thread, in request (or batch) order.
 
     /**
      * Do L2/L3 participate in this request?  Snapshot-pinned requests
@@ -450,8 +425,7 @@ class ClauseRetrievalServer : public CacheInvalidationSink
 
     /**
      * Resolve the FS1 stage of a cacheable request: L2a signature
-     * memo, L2b survivor memo, raw scan + fill on a miss.  Calling
-     * thread only.
+     * memo, L2b survivor memo, raw scan + fill on a miss.
      */
     IndexScan cachedScan(const StoredPredicate &stored,
                          const term::PredicateId &pred,
@@ -479,7 +453,7 @@ class ClauseRetrievalServer : public CacheInvalidationSink
      * Everything after the FS1 stage: degradation of unhealthy index
      * scans, FS2 / software filtering, fault-recovery accounting,
      * host unification, and the single authoritative stage
-     * accounting.  Runs on the calling thread.
+     * accounting.
      */
     void finishRetrieval(const StoredPredicate &stored,
                          const RetrievalRequest &request,
@@ -494,7 +468,7 @@ class ClauseRetrievalServer : public CacheInvalidationSink
                    const term::TermArena &q_arena, term::TermRef goal,
                    RetrievalResponse &response) const;
 
-    /** Per-query metrics + root-span finalization (both paths). */
+    /** Per-query metrics + root-span finalization (hits and misses). */
     void accountQuery(RetrievalResponse &response, obs::ScopedSpan &root);
 };
 

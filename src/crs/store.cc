@@ -135,25 +135,6 @@ PredicateStore::has(const term::PredicateId &pred) const
     return versions_.count(pred) != 0;
 }
 
-const StoredPredicate &
-PredicateStore::predicate(const term::PredicateId &pred) const
-{
-    {
-        // Version chains only append, so the head version (and the
-        // reference) stays alive for the store's lifetime even after
-        // newer commits supersede it.
-        std::shared_lock lock(*mvccMutex_);
-        auto it = versions_.find(pred);
-        if (it != versions_.end() && !it->second.empty())
-            return *it->second.back().second;
-    }
-    auto it = preds_.find(pred);
-    if (it == preds_.end())
-        clare_fatal("predicate %s/%u is not stored",
-                    symbols_.name(pred.functor).c_str(), pred.arity);
-    return it->second;
-}
-
 std::shared_ptr<const StoredPredicate>
 PredicateStore::predicateVersion(const term::PredicateId &pred,
                                  std::optional<std::uint64_t> generation)

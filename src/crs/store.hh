@@ -50,7 +50,7 @@ struct StoredPredicate
      * Transposed (bit-sliced) plane of the secondary file, scanned by
      * the word-parallel FS1 kernel.  Loaded from a v3 store or built
      * by PredicateStore::finalize(), so every published version has
-     * one.  Shared so cached IndexScans and concurrent workers can
+     * one.  Shared so cached IndexScans and concurrent readers can
      * hold it without copying.
      */
     std::shared_ptr<const scw::BitSlicedIndex> sliced;
@@ -152,14 +152,6 @@ class PredicateStore
     bool has(const term::PredicateId &pred) const;
 
     /**
-     * The head (newest) version of @p pred.  The reference stays valid
-     * for the store's lifetime only for generation-0 predicates; under
-     * live updates prefer predicateVersion(), which pins the version
-     * with shared ownership.
-     */
-    const StoredPredicate &predicate(const term::PredicateId &pred) const;
-
-    /**
      * Pin one MVCC version of @p pred: the newest version whose
      * generation is <= @p generation (or the head when omitted).
      * Returns null when the predicate does not exist, or existed only
@@ -239,9 +231,10 @@ class PredicateStore
 
     /**
      * MVCC version chains, newest last, each entry (generation,
-     * version).  Generation-0 versions live in preds_ (keeping every
-     * pre-existing accessor valid); chains only exist for predicates
-     * touched by a live commit.  Guarded by mvccMutex_ (unique_ptr so
+     * version).  Generation-0 versions live in preds_ (std::map nodes
+     * are address-stable, so predicateVersion() aliases them); chains
+     * only exist for predicates touched by a live commit.  Chains
+     * only ever append.  Guarded by mvccMutex_ (unique_ptr so
      * the store stays movable before serving starts).
      */
     std::unique_ptr<std::shared_mutex> mvccMutex_;

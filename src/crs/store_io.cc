@@ -132,7 +132,11 @@ saveStoreImpl(const std::string &directory, const PredicateStore &store,
     if (wal != nullptr && wal->present)
         manifest << "wal " << wal->appliedLsn << '\n';
     for (const term::PredicateId &pred : preds) {
-        const StoredPredicate &stored = store.predicate(pred);
+        // Hold the head version for the whole write, so a concurrent
+        // commit cannot retire what is being saved.
+        const std::shared_ptr<const StoredPredicate> head =
+            store.predicateVersion(pred);
+        const StoredPredicate &stored = *head;
         std::string stem = predicateFileStem(pred);
         std::string kbc = directory + "/" + stem + ".kbc";
         std::string idx = directory + "/" + stem + ".idx";

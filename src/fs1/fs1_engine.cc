@@ -1,8 +1,6 @@
 #include "fs1/fs1_engine.hh"
 
-#include <chrono>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "fs1/sliced_matcher.hh"
@@ -24,36 +22,22 @@ Fs1Engine::busyTicks(std::uint64_t bytes) const
 }
 
 void
-Fs1Engine::pace(std::uint64_t bytes) const
-{
-    if (config_.paceScale <= 0)
-        return;
-    // Paced replay: wait out this share of the device time in scaled
-    // real time.  Concurrent shards wait concurrently.
-    double device_s = static_cast<double>(bytes) / config_.scanRate /
-        config_.paceScale;
-    std::this_thread::sleep_for(std::chrono::duration<double>(device_s));
-}
-
-void
 Fs1Engine::finishShard(const ShardScan &scan, obs::ScopedSpan &span,
                        std::uint64_t prefix_bytes) const
 {
-    if (span.active()) {
-        span.attr("entries", scan.entriesScanned);
-        span.attr("hits",
-                  static_cast<std::uint64_t>(scan.ordinals.size()));
-        span.attr("bytes", scan.bytesScanned);
-        span.attr("word_ops", scan.wordOps);
-        // This shard's share of the device busy time, computed as a
-        // difference of *cumulative* conversions: shards are
-        // contiguous, so the per-shard spans telescope to exactly the
-        // merged busyTime (an independent per-shard conversion could
-        // drift from the summed total by a sub-tick per shard).
-        span.setSimTicks(busyTicks(prefix_bytes + scan.bytesScanned) -
-                         busyTicks(prefix_bytes));
-    }
-    pace(scan.bytesScanned);
+    if (!span.active())
+        return;
+    span.attr("entries", scan.entriesScanned);
+    span.attr("hits", static_cast<std::uint64_t>(scan.ordinals.size()));
+    span.attr("bytes", scan.bytesScanned);
+    span.attr("word_ops", scan.wordOps);
+    // This shard's share of the device busy time, computed as a
+    // difference of *cumulative* conversions: shards are contiguous,
+    // so the per-shard spans telescope to exactly the merged busyTime
+    // (an independent per-shard conversion could drift from the
+    // summed total by a sub-tick per shard).
+    span.setSimTicks(busyTicks(prefix_bytes + scan.bytesScanned) -
+                     busyTicks(prefix_bytes));
 }
 
 Fs1Engine::ShardScan
@@ -116,19 +100,8 @@ Fs1Engine::merge(std::vector<ShardScan> shards,
     // conversion, so the per-shard span ticks sum to exactly this.
     result.busyTime = busyTicks(result.bytesScanned);
 
-    // One stats update per search, not per shard: workers accumulate
+    // One metrics update per search, not per shard: workers accumulate
     // into their ShardScan and the merge folds the totals in.
-    stats_.scalar("searches", "index scans performed") += 1;
-    stats_.scalar("entriesScanned", "index entries examined") +=
-        result.entriesScanned;
-    stats_.scalar("hits", "entries passing the codeword match") +=
-        result.ordinals.size();
-    stats_.scalar("bytesScanned", "secondary file bytes streamed") +=
-        result.bytesScanned;
-    stats_.scalar("wordOps", "64-bit plane operations") += word_ops;
-
-    // Mirror the fold into the shared metrics registry (the StatGroup
-    // is per-engine; the registry aggregates across the pipeline).
     if (obs.metrics != nullptr) {
         ++obs.metrics->counter("fs1.searches",
                                "FS1 index scans performed");
@@ -257,69 +230,6 @@ Fs1Engine::searchRowMajor(const scw::SecondaryFile &index,
     Fs1Result result = merge(std::move(one), obs);
     finishScan(result, span);
     return result;
-}
-
-std::vector<Fs1Result>
-Fs1Engine::searchBatch(const scw::SecondaryFile &index,
-                       const scw::BitSlicedIndex *sliced,
-                       const std::vector<scw::Signature> &queries,
-                       const std::vector<obs::Observer> &observers,
-                       obs::SpanId parent) const
-{
-    clare_assert(observers.size() == queries.size(),
-                 "searchBatch needs one observer per query (%zu for "
-                 "%zu queries)", observers.size(), queries.size());
-    std::vector<Fs1Result> out;
-    out.reserve(queries.size());
-    if (queries.size() <= 1) {
-        for (std::size_t k = 0; k < queries.size(); ++k)
-            out.push_back(search(index, sliced, nullptr, 0, queries[k],
-                                 nullptr, 1, observers[k], parent));
-        return out;
-    }
-    if (sliced == nullptr || sliced->entryCount() != index.entryCount())
-        clare_fatal("FS1 plane (%zu entries) does not cover an index "
-                    "of %zu entries",
-                    sliced != nullptr ? sliced->entryCount() : 0,
-                    index.entryCount());
-
-    SlicedMatcher matcher(config_.kernel);
-    std::vector<SlicedMatcher::Hits> hits =
-        matcher.scanBatch(*sliced, queries);
-    if (observers[0].metrics != nullptr) {
-        ++observers[0].metrics->counter(
-            "fs1.sliced.batches", "multi-query batch plane scans");
-        observers[0].metrics->counter(
-            "fs1.sliced.batch_queries",
-            "queries answered by batch plane scans") += queries.size();
-    }
-    for (std::size_t k = 0; k < queries.size(); ++k) {
-        const obs::Observer &ob = observers[k];
-        obs::ScopedSpan span(ob.tracer, "fs1.scan", parent);
-        // Each query of the batch is accounted exactly like its own
-        // sequential full-file scan: the modeled hardware streams the
-        // file once per query (the host merely computed them
-        // together), so entriesScanned, bytesScanned, and busyTime
-        // are bit-identical to the unbatched path.
-        ShardScan scan;
-        scan.clauseOffsets = std::move(hits[k].clauseOffsets);
-        scan.ordinals = std::move(hits[k].ordinals);
-        scan.entriesScanned = index.entryCount();
-        scan.bytesScanned = index.image().size();
-        scan.wordOps = hits[k].wordOps;
-        std::vector<ShardScan> one;
-        one.push_back(std::move(scan));
-        Fs1Result result = merge(std::move(one), ob);
-        finishScan(result, span);
-        if (span.active())
-            span.attr("batch_width",
-                      static_cast<std::uint64_t>(queries.size()));
-        out.push_back(std::move(result));
-    }
-    // Paced replay charges the modeled device serially per query,
-    // exactly like the unbatched path would.
-    pace(index.image().size() * queries.size());
-    return out;
 }
 
 } // namespace clare::fs1

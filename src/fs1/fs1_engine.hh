@@ -16,10 +16,9 @@
  * into contiguous entry ranges that are matched concurrently on a
  * worker pool, and the per-shard hit lists are concatenated in shard
  * order so the merged result is bit-identical to the sequential scan.
- * Counters accumulate per worker and fold into the engine's StatGroup
- * once at merge time.
- * One engine may be shared by several threads: search() is logically
- * const and its statistics are thread-safe.
+ * Counters accumulate per shard and fold into the fs1.* metrics once
+ * at merge time.
+ * One engine may be shared by several threads: search() is const.
  */
 
 #ifndef CLARE_FS1_FS1_ENGINE_HH
@@ -34,7 +33,6 @@
 #include "scw/index_file.hh"
 #include "support/obs.hh"
 #include "support/sim_time.hh"
-#include "support/stats.hh"
 #include "support/thread_pool.hh"
 
 namespace clare::fs1 {
@@ -44,16 +42,6 @@ struct Fs1Config
 {
     /** Hardware scan rate in bytes per second (paper: 4.5 MB/s). */
     double scanRate = 4.5e6;
-
-    /**
-     * When > 0, each scan shard *sleeps* its modeled device busy time
-     * divided by this factor (paced replay): the engine behaves like
-     * the real FS1 hardware the host waits on rather than computes.
-     * Sharded and pipelined scans then overlap device waits, which
-     * yields genuine wall-clock speedup even on a single host core.
-     * Simulated Ticks are unaffected.  0 (default) disables pacing.
-     */
-    double paceScale = 0.0;
 
     /**
      * Block kernel for the plane scan: Auto (default) resolves to the
@@ -138,23 +126,6 @@ class Fs1Engine
                      obs::SpanId parent = 0) const;
 
     /**
-     * Multi-query batch scan: answer @p queries over one index in a
-     * single pass over its plane (blocks outer, queries inner),
-     * amortizing index memory traffic across the batch.  Element k is
-     * bit-identical to the delta-free search() of queries[k] — same
-     * survivors, same entriesScanned/bytesScanned/busyTime — and each
-     * query is accounted (stats, metrics, spans) as its own search.
-     *
-     * @param observers one observer per query (sizes must match)
-     */
-    std::vector<Fs1Result>
-    searchBatch(const scw::SecondaryFile &index,
-                const scw::BitSlicedIndex *sliced,
-                const std::vector<scw::Signature> &queries,
-                const std::vector<obs::Observer> &observers,
-                obs::SpanId parent = 0) const;
-
-    /**
      * Oracle: the row-major scan, decoding every entry of @p index
      * and applying the SCW+MB match rule to it.  Bit-identical to
      * search() in every Fs1Result field; it exists for tests and the
@@ -164,9 +135,6 @@ class Fs1Engine
                              const scw::Signature &query,
                              const obs::Observer &obs = {},
                              obs::SpanId parent = 0) const;
-
-    /** Cumulative statistics across searches. */
-    StatGroup &stats() { return stats_; }
 
   private:
     /** Hits and counters of one shard, merged in shard order. */
@@ -197,15 +165,12 @@ class Fs1Engine
                         const obs::Observer &obs,
                         obs::SpanId parent) const;
 
-    /** Span attributes, span ticks and pacing shared by every shard. */
+    /** Span attributes and span ticks shared by every shard. */
     void finishShard(const ShardScan &scan, obs::ScopedSpan &span,
                      std::uint64_t prefix_bytes) const;
 
     /** Cumulative bytes-to-ticks conversion shared by spans + merge. */
     Tick busyTicks(std::uint64_t bytes) const;
-
-    /** Paced replay: sleep the modeled device time of @p bytes. */
-    void pace(std::uint64_t bytes) const;
 
     Fs1Result merge(std::vector<ShardScan> shards,
                     const obs::Observer &obs) const;
@@ -216,7 +181,6 @@ class Fs1Engine
 
     scw::CodewordGenerator generator_;
     Fs1Config config_;
-    mutable StatGroup stats_{"fs1"};
 };
 
 } // namespace clare::fs1

@@ -33,7 +33,6 @@
 
 #include "scw/codeword.hh"
 #include "scw/index_file.hh"
-#include "support/stats.hh"
 
 namespace clare::fs1 {
 

@@ -15,13 +15,6 @@
  * bit-identical to the sequential row-major scan, including over
  * partial shard ranges (the first and last words of a range are edge
  * masked).
- *
- * scanBatch() answers K queries in one pass: the word blocks are the
- * outer loop and the queries the inner one, so each block of plane
- * words is loaded once per batch instead of once per query —
- * multi-query scanning amortizes the index memory traffic, the
- * software analogue of presenting one streamed entry to K comparand
- * register banks.
  */
 
 #ifndef CLARE_FS1_SLICED_MATCHER_HH
@@ -70,14 +63,6 @@ class SlicedMatcher
                    const scw::Signature &query,
                    const scw::EntryRange &range);
 
-    /**
-     * Scan the whole plane once for @p queries (multi-query batch).
-     * Element k is bit-identical to
-     * scanRange(plane, queries[k], {0, entryCount}).
-     */
-    std::vector<Hits> scanBatch(const scw::BitSlicedIndex &plane,
-                                const std::vector<scw::Signature> &queries);
-
   private:
     /** One query's touched rows: per active field, its plane rows. */
     struct FieldPlan
@@ -107,7 +92,7 @@ class SlicedMatcher
     Fs1Kernel kernel_;
     /** The block function of kernel_. */
     BlockKernelFn kernelFn_;
-    /** Survivor-word scratch, reused across blocks and queries. */
+    /** Survivor-word scratch, reused across blocks. */
     std::vector<std::uint64_t> surv_;
 };
 

@@ -29,13 +29,6 @@ SurvivorCache::find(const std::string &key, const obs::Observer &obs)
 }
 
 bool
-SurvivorCache::contains(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cache_.contains(key);
-}
-
-bool
 SurvivorCache::put(const std::string &key, const Fs1Result &result)
 {
     auto memo = std::make_shared<const Fs1Result>(result);

@@ -47,9 +47,6 @@ class SurvivorCache
     std::shared_ptr<const Fs1Result> find(const std::string &key,
                                           const obs::Observer &obs = {});
 
-    /** Lookup without promotion or counters (prediction passes). */
-    bool contains(const std::string &key) const;
-
     /** Memoize a merged scan result; returns true on eviction. */
     bool put(const std::string &key, const Fs1Result &result);
 

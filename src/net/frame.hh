@@ -50,8 +50,12 @@ namespace clare::net {
 /** "CLNF" as a little-endian 32-bit word. */
 constexpr std::uint32_t kFrameMagic = 0x464e4c43u;
 
-/** Protocol version carried by every frame. */
-constexpr std::uint8_t kProtocolVersion = 1;
+/**
+ * Protocol version carried by every frame.  Version 2 narrowed the
+ * Response stage-breakdown field (wire.hh tag 7) from five ticks to
+ * four; a version-1 peer is refused at the frame header.
+ */
+constexpr std::uint8_t kProtocolVersion = 2;
 
 /** Fixed size of the frame header. */
 constexpr std::size_t kFrameHeaderBytes = 16;
@@ -64,7 +68,7 @@ constexpr std::size_t kFrameHeaderBytes = 16;
  */
 constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 
-/** The frame types of protocol version 1. */
+/** The frame types of the protocol (unchanged since version 1). */
 enum class FrameType : std::uint8_t
 {
     Request = 1,       ///< tagged retrieval request
@@ -76,7 +80,7 @@ enum class FrameType : std::uint8_t
     BatchResponse = 7, ///< list of Response payloads, request order
 };
 
-/** True for a type byte defined by protocol version 1. */
+/** True for a type byte defined by the protocol. */
 bool isValidFrameType(std::uint8_t type);
 
 /** A decoded frame header, pending payload verification. */

@@ -30,12 +30,12 @@
  * sub-batch (issued concurrently across shards), and the item
  * response payloads are gathered back into the original batch order
  * verbatim.  Backends serve a sub-batch through the same serveBatch()
- * front door a local caller uses, so the per-item responses — modeled
- * queue-wait ticks included — are the ones an unsharded
- * serveBatch() of the same items would produce (see crs/server.hh:
- * with sequential backends the modeled queue is empty and per-item
- * responses are composition-independent, which is what makes the
- * split/merge exact).
+ * front door a local caller uses, so the per-item responses are the
+ * ones an unsharded serveBatch() of the same items would produce:
+ * serveBatch() serves its items one after another through the
+ * per-request path, and all retrieval state is keyed per predicate,
+ * so any split that keeps same-predicate items in order is exact (the
+ * batch split contract in crs/server.hh).
  *
  * Failover: a replica attempt fails over to the next replica on a
  * transport fault (IoError), a damaged frame (CorruptionError), or an

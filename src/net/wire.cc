@@ -275,7 +275,6 @@ responsesIdentical(const crs::RetrievalResponse &a,
         a.fs1Hits == b.fs1Hits &&
         a.clausesExamined == b.clausesExamined &&
         a.filterOps == b.filterOps &&
-        a.breakdown.queueWait == b.breakdown.queueWait &&
         a.breakdown.cacheTime == b.breakdown.cacheTime &&
         a.breakdown.indexTime == b.breakdown.indexTime &&
         a.breakdown.filterTime == b.breakdown.filterTime &&

@@ -29,8 +29,10 @@
  *     5  scan stats (indexEntriesScanned u64, fs1Hits u64,
  *        clausesExamined u64)
  *     6  filter op counts (u32 count, u64 per op)
- *     7  stage breakdown (queueWait, cacheTime, indexTime, filterTime,
- *        hostUnifyTime — five u64 ticks)
+ *     7  stage breakdown (cacheTime, indexTime, filterTime,
+ *        hostUnifyTime — exactly four u64 ticks; any other field
+ *        size is a CorruptionError.  Protocol version 1 carried five,
+ *        so the frame version was bumped to 2 with this layout)
  *     8  elapsed (u64 ticks)
  *     9  flags (u8: bit0 degraded, bit1 resultOverflow)
  *    10  corruptIndexPages (u32)

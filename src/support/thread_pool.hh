@@ -1,19 +1,12 @@
 /**
  * @file
- * A reusable worker pool for the parallel retrieval pipeline.
+ * A reusable worker pool for sharded FS1 scans.
  *
- * Two primitives cover every use in the simulator:
- *
- *  - async(fn): run a callable on a worker thread, returning a future
- *    for its result.  The retrieval server uses this to overlap the
- *    FS1 index scan of query k+1 with the FS2 filtering and host
- *    unification of query k.
- *
- *  - parallelFor(count, fn): apply fn(i) for i in [0, count) across
- *    the workers.  The *calling* thread participates in the loop, so
- *    the construct is deadlock-free even when issued from inside a
- *    worker task or when every worker is busy: the caller can always
- *    drain the remaining indices itself.
+ * One primitive: parallelFor(count, fn) applies fn(i) for i in
+ * [0, count) across the workers.  The *calling* thread participates in
+ * the loop, so the construct is deadlock-free even when issued from
+ * inside a worker task or when every worker is busy: the caller can
+ * always drain the remaining indices itself.
  *
  * Iteration order across threads is unspecified; callers that need
  * deterministic output must write into per-index slots and merge in
@@ -28,11 +21,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace clare::support {
@@ -52,23 +42,6 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     unsigned threadCount() const { return workers_; }
-
-    /** Run @p fn on a worker (inline when the pool has no workers). */
-    template <typename F>
-    auto
-    async(F fn) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::move(fn));
-        std::future<R> result = task->get_future();
-        if (workers_ == 0) {
-            (*task)();
-            return result;
-        }
-        enqueue([task] { (*task)(); });
-        return result;
-    }
 
     /**
      * Apply @p fn to every index in [0, count).  Blocks until all

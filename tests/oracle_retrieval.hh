@@ -142,7 +142,6 @@ expectSame(const crs::RetrievalResponse &want,
     EXPECT_EQ(want.filterOps, got.filterOps) << label;
     EXPECT_EQ(want.resultOverflow, got.resultOverflow) << label;
     EXPECT_EQ(want.satisfiersRequeued, got.satisfiersRequeued) << label;
-    EXPECT_EQ(want.breakdown.queueWait, got.breakdown.queueWait) << label;
     EXPECT_EQ(want.breakdown.cacheTime, got.breakdown.cacheTime) << label;
     EXPECT_EQ(want.breakdown.indexTime, got.breakdown.indexTime) << label;
     EXPECT_EQ(want.breakdown.filterTime, got.breakdown.filterTime)

@@ -22,8 +22,8 @@
  * End-to-end oracles: warm (cache hit) responses equal cold responses
  * on every answer/candidate, and the wire path — which sends the
  * cached blob verbatim — stays bit-identical (answers AND every
- * modeled tick) to the local front door, cold and warm, at workers
- * {1,4} and batch widths {1,4}.  With -DCLARE_COUNT_ALLOCS=ON a
+ * modeled tick) to the local front door, cold and warm, for single
+ * requests and wire batches of 1 and 4.  With -DCLARE_COUNT_ALLOCS=ON a
  * steady-state warm hit is also checked to allocate (nearly) nothing.
  */
 
@@ -278,7 +278,6 @@ syntheticResponse()
     r.clausesExamined = 5;
     for (std::size_t i = 0; i < r.filterOps.size(); ++i)
         r.filterOps[i] = 100 + 7 * i;
-    r.breakdown.queueWait = 0;
     r.breakdown.cacheTime = 2000;
     r.breakdown.indexTime = 0;
     r.breakdown.filterTime = 0;
@@ -361,7 +360,6 @@ expectIdentical(const crs::RetrievalResponse &a,
                 const std::string &what)
 {
     EXPECT_TRUE(net::responsesIdentical(a, b)) << what;
-    EXPECT_EQ(a.breakdown.queueWait, b.breakdown.queueWait) << what;
     EXPECT_EQ(a.breakdown.cacheTime, b.breakdown.cacheTime) << what;
     EXPECT_EQ(a.breakdown.indexTime, b.breakdown.indexTime) << what;
     EXPECT_EQ(a.breakdown.filterTime, b.breakdown.filterTime) << what;
@@ -418,11 +416,10 @@ class ZeroCopyServingTest : public ::testing::Test
     }
 
     static crs::CrsConfig
-    cachedConfig(std::uint32_t workers)
+    cachedConfig()
     {
         crs::CrsConfig config;
         config.cache.enabled = true;
-        config.workers = workers;
         return config;
     }
 
@@ -438,128 +435,87 @@ class ZeroCopyServingTest : public ::testing::Test
 
 TEST_F(ZeroCopyServingTest, WarmHitsKeepTheColdAnswerSet)
 {
-    for (std::uint32_t workers : {1u, 4u}) {
-        crs::ClauseRetrievalServer server(sym_, *store_,
-                                          cachedConfig(workers));
-        for (const workload::GeneratedQuery &q : queries_) {
-            crs::RetrievalResponse cold = server.serve(request(q));
-            EXPECT_EQ(cold.replayBlob, nullptr)
-                << "a miss never carries a replay blob";
-            crs::RetrievalResponse warm = server.serve(request(q));
-            EXPECT_EQ(warm.candidates, cold.candidates);
-            EXPECT_EQ(warm.answers, cold.answers);
-            EXPECT_EQ(warm.mode, cold.mode);
-            EXPECT_EQ(warm.breakdown.cacheTime,
-                      server.config().cache.goalHitCost);
-            ASSERT_NE(warm.replayBlob, nullptr)
-                << "a warm serve() hit hands back the baked blob";
+    crs::ClauseRetrievalServer server(sym_, *store_, cachedConfig());
+    for (const workload::GeneratedQuery &q : queries_) {
+        crs::RetrievalResponse cold = server.serve(request(q));
+        EXPECT_EQ(cold.replayBlob, nullptr)
+            << "a miss never carries a replay blob";
+        crs::RetrievalResponse warm = server.serve(request(q));
+        EXPECT_EQ(warm.candidates, cold.candidates);
+        EXPECT_EQ(warm.answers, cold.answers);
+        EXPECT_EQ(warm.mode, cold.mode);
+        EXPECT_EQ(warm.breakdown.cacheTime,
+                  server.config().cache.goalHitCost);
+        ASSERT_NE(warm.replayBlob, nullptr)
+            << "a warm serve() hit hands back the baked blob";
 
-            // The blob the cache would send IS the warm response.
-            crs::DecodedResponseBlob decoded = crs::decodeResponseBlob(
-                warm.replayBlob->data(), warm.replayBlob->size(),
-                "test");
-            expectIdentical(decoded.response, warm,
-                            "blob vs vector, workers " +
-                                std::to_string(workers));
-        }
+        // The blob the cache would send IS the warm response.
+        crs::DecodedResponseBlob decoded = crs::decodeResponseBlob(
+            warm.replayBlob->data(), warm.replayBlob->size(), "test");
+        expectIdentical(decoded.response, warm, "blob vs vector");
     }
 }
 
 TEST_F(ZeroCopyServingTest, WirePathStaysBitIdenticalColdAndWarm)
 {
-    for (std::uint32_t workers : {1u, 4u}) {
-        // Two servers over the same persisted store: the local
-        // reference and the networked twin, caches aligned by serving
-        // the identical sequence.
-        crs::ClauseRetrievalServer local(sym_, *store_,
-                                         cachedConfig(workers));
+    // Two servers over the same persisted store: the local reference
+    // and the networked twin, caches aligned by serving the identical
+    // sequence.
+    crs::ClauseRetrievalServer local(sym_, *store_, cachedConfig());
+    term::SymbolTable net_sym;
+    crs::PredicateStore net_store = crs::loadStore(dir_, net_sym);
+    crs::ClauseRetrievalServer backend(net_sym, net_store,
+                                       cachedConfig());
+    net::NetServer server(net_sym, net_store, backend);
+    server.start();
+    net::NetClient client(server.port(), "arena-test");
+
+    for (int round = 0; round < 3; ++round) {
+        // Round 0 is cold (vector encode path), rounds 1+ are warm
+        // (blob fast path on the wire side).
+        for (const workload::GeneratedQuery &q : queries_) {
+            crs::RetrievalResponse wire = client.serve(request(q));
+            crs::RetrievalResponse ref = local.serve(request(q));
+            expectIdentical(wire, ref,
+                            "single, round " + std::to_string(round));
+        }
+    }
+    server.stop();
+}
+
+TEST_F(ZeroCopyServingTest, BatchWirePathStaysBitIdenticalColdAndWarm)
+{
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+        crs::ClauseRetrievalServer local(sym_, *store_, cachedConfig());
         term::SymbolTable net_sym;
-        crs::PredicateStore net_store =
-            crs::loadStore(dir_, net_sym);
+        crs::PredicateStore net_store = crs::loadStore(dir_, net_sym);
         crs::ClauseRetrievalServer backend(net_sym, net_store,
-                                           cachedConfig(workers));
+                                           cachedConfig());
         net::NetServer server(net_sym, net_store, backend);
         server.start();
         net::NetClient client(server.port(), "arena-test");
 
         for (int round = 0; round < 3; ++round) {
-            // Round 0 is cold (vector encode path), rounds 1+ are
-            // warm (blob fast path on the wire side).
-            for (const workload::GeneratedQuery &q : queries_) {
-                crs::RetrievalResponse wire = client.serve(request(q));
-                crs::RetrievalResponse ref = local.serve(request(q));
-                expectIdentical(wire, ref,
-                                "single, round " +
-                                    std::to_string(round) +
-                                    ", workers " +
-                                    std::to_string(workers));
+            for (std::size_t at = 0; at + width <= queries_.size();
+                 at += width) {
+                std::vector<crs::RetrievalRequest> batch;
+                for (std::size_t i = 0; i < width; ++i)
+                    batch.push_back(request(queries_[at + i]));
+                std::vector<crs::RetrievalResponse> wire =
+                    client.serveBatch(batch);
+                std::vector<crs::RetrievalResponse> ref =
+                    local.serveBatch(batch);
+                ASSERT_EQ(wire.size(), ref.size());
+                for (std::size_t i = 0; i < wire.size(); ++i)
+                    expectIdentical(wire[i], ref[i],
+                                    "batch item " + std::to_string(i) +
+                                        ", width " +
+                                        std::to_string(width) +
+                                        ", round " +
+                                        std::to_string(round));
             }
         }
         server.stop();
-    }
-}
-
-TEST_F(ZeroCopyServingTest, BatchWirePathStaysBitIdenticalColdAndWarm)
-{
-    for (std::uint32_t workers : {1u, 4u}) {
-        for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-            crs::ClauseRetrievalServer local(sym_, *store_,
-                                             cachedConfig(workers));
-            term::SymbolTable net_sym;
-            crs::PredicateStore net_store =
-                crs::loadStore(dir_, net_sym);
-            crs::ClauseRetrievalServer backend(net_sym, net_store,
-                                               cachedConfig(workers));
-            net::NetServer server(net_sym, net_store, backend);
-            server.start();
-            net::NetClient client(server.port(), "arena-test");
-
-            for (int round = 0; round < 3; ++round) {
-                for (std::size_t at = 0; at + width <= queries_.size();
-                     at += width) {
-                    std::vector<crs::RetrievalRequest> batch;
-                    for (std::size_t i = 0; i < width; ++i)
-                        batch.push_back(request(queries_[at + i]));
-                    std::vector<crs::RetrievalResponse> wire =
-                        client.serveBatch(batch);
-                    std::vector<crs::RetrievalResponse> ref =
-                        local.serveBatch(batch);
-                    ASSERT_EQ(wire.size(), ref.size());
-                    for (std::size_t i = 0; i < wire.size(); ++i)
-                        expectIdentical(
-                            wire[i], ref[i],
-                            "batch item " + std::to_string(i) +
-                                ", width " + std::to_string(width) +
-                                ", round " + std::to_string(round) +
-                                ", workers " +
-                                std::to_string(workers));
-                }
-            }
-            server.stop();
-        }
-    }
-}
-
-TEST_F(ZeroCopyServingTest, PooledBatchWarmHitsNeverLeakStaleQueueWait)
-{
-    // Under a worker pool serveBatch() patches queueWait after the
-    // fact; a cached blob (always baked with queueWait == 0) must be
-    // dropped from any response the patch touched, or the wire would
-    // replay the wrong tick.
-    crs::ClauseRetrievalServer server(sym_, *store_, cachedConfig(4));
-    std::vector<crs::RetrievalRequest> batch;
-    for (const workload::GeneratedQuery &q : queries_)
-        batch.push_back(request(q));
-    server.serveBatch(batch); // fill the cache
-    std::vector<crs::RetrievalResponse> warm = server.serveBatch(batch);
-    for (const crs::RetrievalResponse &r : warm) {
-        if (r.replayBlob == nullptr)
-            continue;
-        EXPECT_EQ(r.breakdown.queueWait, 0u)
-            << "a replayable response must match its baked blob";
-        crs::DecodedResponseBlob decoded = crs::decodeResponseBlob(
-            r.replayBlob->data(), r.replayBlob->size(), "test");
-        expectIdentical(decoded.response, r, "pooled warm blob");
     }
 }
 
@@ -568,7 +524,7 @@ TEST_F(ZeroCopyServingTest, SteadyStateWarmHitsAllocateAlmostNothing)
     if (!support::allocCountingEnabled())
         GTEST_SKIP() << "build with -DCLARE_COUNT_ALLOCS=ON";
 
-    crs::ClauseRetrievalServer server(sym_, *store_, cachedConfig(1));
+    crs::ClauseRetrievalServer server(sym_, *store_, cachedConfig());
     const workload::GeneratedQuery &q = queries_.front();
 
     std::uint64_t before = support::allocationCount();

@@ -32,6 +32,7 @@
 #include "crs/store.hh"
 #include "crs/transaction.hh"
 #include "fs1/fs1_engine.hh"
+#include "net/wire.hh"
 #include "storage/disk_model.hh"
 #include "support/lru.hh"
 #include "support/thread_pool.hh"
@@ -316,8 +317,9 @@ TEST(Fs1SpanAccountingTest, ShardSpanTicksSumToMergedBusyTime)
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
     store.finalize();
-    const crs::StoredPredicate &stored =
-        store.predicate(program.predicates()[0]);
+    const std::shared_ptr<const crs::StoredPredicate> pinned =
+        store.predicateVersion(program.predicates()[0]);
+    const crs::StoredPredicate &stored = *pinned;
 
     term::TermReader reader(sym);
     term::ParsedTerm goal = reader.parseTerm("p0(a1, B)");
@@ -437,7 +439,6 @@ class ServerCacheTest : public ::testing::Test
                     const crs::RetrievalResponse &b)
     {
         expectSamePayload(a, b);
-        EXPECT_EQ(a.breakdown.queueWait, b.breakdown.queueWait);
         EXPECT_EQ(a.breakdown.cacheTime, b.breakdown.cacheTime);
         EXPECT_EQ(a.breakdown.indexTime, b.breakdown.indexTime);
         EXPECT_EQ(a.breakdown.filterTime, b.breakdown.filterTime);
@@ -587,36 +588,71 @@ TEST_F(ServerCacheTest, EvictionUnderCapacityPressure)
     EXPECT_EQ(counter(*server, "crs.cache.misses"), misses + 1);
 }
 
-TEST_F(ServerCacheTest, BatchResponsesIdenticalAtAnyWorkerCount)
+TEST_F(ServerCacheTest, BatchEqualsServeLoopWithCachesOn)
 {
+    // One batch exercising every cache interaction inside a batch: a
+    // repeated goal (L3 fill, then an L3 hit later in the same batch),
+    // a variable-renamed variant of it (same canonical key), one
+    // signature in two modes (the second replays the L2b survivor
+    // memo), and a bypassCache item.  serveBatch() must answer each
+    // item exactly as a serve() loop on an identically fresh server.
+    term::ParsedTerm renamed = reader->parseTerm("p0(a1, Renamed)");
     std::vector<crs::RetrievalRequest> batch;
-    for (int round = 0; round < 3; ++round)
-        for (const term::ParsedTerm &goal : goals)
-            batch.push_back(request(goal));
+    batch.push_back(request(goals[0]));
+    batch.push_back(request(goals[2]));
+    batch.push_back(request(goals[0]));
+    batch.push_back(request(renamed));
+    batch.push_back(request(goals[2], crs::SearchMode::Fs1Only));
+    crs::RetrievalRequest bypass = request(goals[0]);
+    bypass.bypassCache = true;
+    batch.push_back(bypass);
+    batch.push_back(request(goals[4], crs::SearchMode::Fs1Only));
+    batch.push_back(request(goals[4], crs::SearchMode::TwoStage));
 
-    crs::CrsConfig sequential = cachedConfig();
-    auto baseline = makeServer(sequential);
-    std::vector<crs::RetrievalResponse> expected =
-        baseline->serveBatch(batch);
-
-    for (std::uint32_t workers : {2u, 8u}) {
-        crs::CrsConfig config = cachedConfig();
-        config.workers = workers;
-        auto server = makeServer(config);
-        std::vector<crs::RetrievalResponse> got =
-            server->serveBatch(batch);
-        ASSERT_EQ(got.size(), expected.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            expectSamePayload(expected[i], got[i]);
-            // Service timing is pipeline-independent; only queueWait
-            // reflects the overlap model.
-            EXPECT_EQ(expected[i].breakdown.serviceTime(),
-                      got[i].breakdown.serviceTime());
-            EXPECT_EQ(expected[i].elapsed, got[i].elapsed);
-        }
-        // Repeated goals were served from cache in both runs.
-        EXPECT_GT(counter(*server, "crs.cache.hits"), 0u);
+    auto batched = makeServer(cachedConfig());
+    auto looped = makeServer(cachedConfig());
+    std::vector<crs::RetrievalResponse> got = batched->serveBatch(batch);
+    ASSERT_EQ(got.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        crs::RetrievalResponse want = looped->serve(batch[i]);
+        EXPECT_EQ(net::encodeResponse(i, got[i]),
+                  net::encodeResponse(i, want))
+            << "item " << i;
     }
+
+    // The batch really exercised the in-batch cache paths.
+    EXPECT_EQ(counter(*batched, "crs.cache.hits"), 2u);
+    EXPECT_EQ(counter(*batched, "fs1.cache.survivor_hits"), 2u);
+    for (const char *name :
+         {"crs.cache.hits", "crs.cache.misses",
+          "fs1.cache.survivor_hits", "fs1.cache.survivor_misses",
+          "scw.cache.sig_hits", "scw.cache.sig_misses"}) {
+        EXPECT_EQ(counter(*batched, name), counter(*looped, name))
+            << name;
+    }
+}
+
+TEST_F(ServerCacheTest, UnstoredPredicateFailsTheWholeBatch)
+{
+    // Validation runs over every item before any is served: a batch
+    // whose last item names an unstored predicate throws a typed
+    // error and leaves no trace — nothing counted, nothing cached.
+    auto server = makeServer(cachedConfig());
+    term::ParsedTerm missing = reader->parseTerm("nosuch(a1, X)");
+    std::vector<crs::RetrievalRequest> batch;
+    batch.push_back(request(goals[0]));
+    batch.push_back(request(goals[2]));
+    batch.push_back(request(missing));
+    EXPECT_THROW(server->serveBatch(batch),
+                 crs::PredicateNotStoredError);
+    EXPECT_EQ(counter(*server, "crs.queries"), 0u);
+    EXPECT_EQ(server->goalCacheSize(), 0u);
+
+    // The server is unharmed: the valid prefix serves normally.
+    batch.pop_back();
+    std::vector<crs::RetrievalResponse> ok = server->serveBatch(batch);
+    EXPECT_EQ(ok.size(), 2u);
+    EXPECT_EQ(counter(*server, "crs.queries"), 2u);
 }
 
 TEST_F(ServerCacheTest, ConcurrentServesStayCorrectUnderSharedCaches)

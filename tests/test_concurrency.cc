@@ -1,16 +1,16 @@
 /**
  * @file
- * Concurrency coverage for the sharded retrieval pipeline: thread-pool
- * primitives, FS1 shard determinism (bit-identical candidates and
- * answers at any worker count), serveBatch() equivalence with the
- * sequential loop, shard-accumulated busy-time accounting, and
- * thread-safe statistics, transaction/lock-manager edge cases
- * (re-acquisition, upgrade, partial acquireAll failure), and live-update
- * interleaving: a writer thread streaming assertz commits through a
- * LiveStore while concurrent serveBatch() readers prove that
- * snapshot-pinned reads stay bit-identical to the quiesced pre-commit
- * reference.  These tests carry the `tsan` ctest label so a
- * -DCLARE_SANITIZE=thread build exercises them under ThreadSanitizer.
+ * Concurrency coverage: thread-pool primitives, FS1 shard determinism
+ * (bit-identical candidates and answers at any shard width), server
+ * retrieval against the reference oracle, serveBatch() equivalence
+ * with a serve() loop, fs1.* metric aggregation on a shared server,
+ * transaction/lock-manager edge cases (re-acquisition, upgrade,
+ * partial acquireAll failure), and live-update interleaving: a writer
+ * thread streaming assertz commits through a LiveStore while
+ * concurrent serveBatch() readers prove that snapshot-pinned reads
+ * stay bit-identical to the quiesced pre-commit reference.  These
+ * tests carry the `tsan` ctest label so a -DCLARE_SANITIZE=thread
+ * build exercises them under ThreadSanitizer.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +27,8 @@
 #include "crs/store.hh"
 #include "crs/transaction.hh"
 #include "kb/knowledge_base.hh"
-#include "support/stats.hh"
+#include "net/wire.hh"
+#include "oracle_retrieval.hh"
 #include "support/thread_pool.hh"
 #include "term/term_reader.hh"
 #include "term/term_writer.hh"
@@ -71,63 +72,33 @@ TEST(ThreadPoolTest, ZeroWorkersRunsInline)
     int calls = 0;
     pool.parallelFor(5, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 5);
-    EXPECT_EQ(pool.async([] { return 42; }).get(), 42);
-}
-
-TEST(ThreadPoolTest, AsyncReturnsValues)
-{
-    support::ThreadPool pool(2);
-    auto a = pool.async([] { return 7; });
-    auto b = pool.async([] { return std::string("ok"); });
-    EXPECT_EQ(a.get(), 7);
-    EXPECT_EQ(b.get(), "ok");
 }
 
 TEST(ThreadPoolTest, NestedParallelForFromWorkerDoesNotDeadlock)
 {
-    // The serveBatch pipeline runs sharded scans from inside a pool
-    // task; the construct must complete even when the nested loop's
-    // helper jobs can never be picked up by another worker.
+    // A sharded scan may be issued from inside a pool task; the
+    // construct must complete even when the nested loop's helper jobs
+    // can never be picked up by another worker.
+    // Each outer body waits until both have started, so the calling
+    // thread cannot take both indices and one nested loop must be
+    // issued from the pool's only worker.
     support::ThreadPool pool(1);
-    auto fut = pool.async([&pool] {
-        std::atomic<int> n{0};
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> started{0};
+    std::atomic<int> n{0};
+    std::atomic<int> nestedOffCaller{0};
+    pool.parallelFor(2, [&](std::size_t) {
+        started.fetch_add(1, std::memory_order_acq_rel);
+        while (started.load(std::memory_order_acquire) < 2)
+            std::this_thread::yield();
         pool.parallelFor(8, [&](std::size_t) {
             n.fetch_add(1, std::memory_order_relaxed);
+            if (std::this_thread::get_id() != caller)
+                nestedOffCaller.fetch_add(1, std::memory_order_relaxed);
         });
-        return n.load();
     });
-    EXPECT_EQ(fut.get(), 8);
-}
-
-// ---------------------------------------------------------------------
-// Thread-safe statistics.
-// ---------------------------------------------------------------------
-
-TEST(StatsConcurrencyTest, ConcurrentScalarUpdatesDoNotLose)
-{
-    StatGroup group("g");
-    Scalar &counter = group.scalar("n");
-    support::ThreadPool pool(4);
-    constexpr std::size_t kIters = 10000;
-    pool.parallelFor(kIters, [&](std::size_t) { counter += 2; });
-    EXPECT_EQ(counter.value(), 2 * kIters);
-}
-
-TEST(StatsConcurrencyTest, ConcurrentRegistrationAndSampling)
-{
-    StatGroup group("g");
-    support::ThreadPool pool(4);
-    pool.parallelFor(64, [&](std::size_t i) {
-        // Half the indices hit one shared distribution, half register
-        // interleaved names — registration must be race-free too.
-        group.distribution("d" + std::to_string(i % 4))
-            .sample(static_cast<double>(i));
-        ++group.scalar("s" + std::to_string(i % 8));
-    });
-    std::uint64_t samples = 0;
-    for (int d = 0; d < 4; ++d)
-        samples += group.distribution("d" + std::to_string(d)).count();
-    EXPECT_EQ(samples, 64u);
+    EXPECT_EQ(n.load(), 16);
+    EXPECT_GE(nestedOffCaller.load(), 1);
 }
 
 // ---------------------------------------------------------------------
@@ -153,10 +124,9 @@ TEST(ShardRangeTest, PartitionIsContiguousAndComplete)
 }
 
 // ---------------------------------------------------------------------
-// Engine-level sharded scan.  The server clamps its fan-out to the
-// host's core count, so this test drives Fs1Engine directly with an
-// explicit pool and shard width to cover the scan/merge path with real
-// threads on any hardware.
+// Engine-level sharded scan.  The server scans unsharded, so this test
+// drives Fs1Engine directly with an explicit pool and shard width to
+// cover the scan/merge path with real threads on any hardware.
 // ---------------------------------------------------------------------
 
 TEST(Fs1ShardedScanTest, MatchesSequentialScanForAnyShardWidth)
@@ -172,8 +142,9 @@ TEST(Fs1ShardedScanTest, MatchesSequentialScanForAnyShardWidth)
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
     store.finalize();
-    const crs::StoredPredicate &stored =
-        store.predicate(program.predicates()[0]);
+    const std::shared_ptr<const crs::StoredPredicate> pinned =
+        store.predicateVersion(program.predicates()[0]);
+    const crs::StoredPredicate &stored = *pinned;
 
     term::TermReader reader(sym);
     term::ParsedTerm goal = reader.parseTerm("p0(a1, B)");
@@ -241,39 +212,28 @@ class PipelineTest : public ::testing::Test
     }
 
     std::unique_ptr<crs::ClauseRetrievalServer>
-    makeServer(std::uint32_t workers)
+    makeServer()
     {
-        crs::CrsConfig config;
-        config.workers = workers;
-        return std::make_unique<crs::ClauseRetrievalServer>(
-            sym, *store, config);
+        return std::make_unique<crs::ClauseRetrievalServer>(sym, *store);
     }
 };
 
-TEST_F(PipelineTest, ShardedRetrievalIsBitIdenticalAcrossWorkerCounts)
+TEST_F(PipelineTest, RetrievalMatchesOracleInFs1Modes)
 {
-    auto baseline = makeServer(1);
-    for (std::uint32_t workers : {2u, 8u}) {
-        auto server = makeServer(workers);
-        for (const workload::GeneratedQuery &q : queries) {
-            for (crs::SearchMode mode : {crs::SearchMode::Fs1Only,
-                                         crs::SearchMode::TwoStage}) {
-                crs::RetrievalResponse seq =
-                    serveOne(*baseline, q.arena, q.goal, mode);
-                crs::RetrievalResponse par =
-                    serveOne(*server, q.arena, q.goal, mode);
-                EXPECT_EQ(par.candidates, seq.candidates)
-                    << workers << " workers";
-                EXPECT_EQ(par.answers, seq.answers)
-                    << workers << " workers";
-                EXPECT_EQ(par.indexEntriesScanned,
-                          seq.indexEntriesScanned);
-                // Shard byte counts are summed before the tick
-                // conversion, so the timing matches to the tick.
-                EXPECT_EQ(par.breakdown.indexTime,
-                          seq.breakdown.indexTime);
-                EXPECT_EQ(par.elapsed, seq.elapsed);
-            }
+    auto server = makeServer();
+    for (const workload::GeneratedQuery &q : queries) {
+        const term::PredicateId pred{q.arena.functor(q.goal),
+                                     q.arena.arity(q.goal)};
+        const std::shared_ptr<const crs::StoredPredicate> pinned =
+            store->predicateVersion(pred);
+        for (crs::SearchMode mode : {crs::SearchMode::Fs1Only,
+                                     crs::SearchMode::TwoStage}) {
+            crs::RetrievalResponse got =
+                serveOne(*server, q.arena, q.goal, mode);
+            crs::RetrievalResponse want = oracle::retrieve(
+                sym, *store, *pinned, server->config(), q.arena, q.goal,
+                mode);
+            oracle::expectSame(want, got, crs::searchModeName(mode));
         }
     }
 }
@@ -294,42 +254,35 @@ TEST_F(PipelineTest, ServeBatchMatchesSequentialLoop)
         batch.push_back(r);
     }
 
-    auto seq_server = makeServer(1);
+    auto seq_server = makeServer();
     std::vector<crs::RetrievalResponse> expected;
-    for (const Request &r : batch) {
+    for (const Request &r : batch)
         expected.push_back(seq_server->serve(r));
-    }
 
-    for (std::uint32_t workers : {1u, 2u, 8u}) {
-        auto server = makeServer(workers);
-        std::vector<crs::RetrievalResponse> got =
-            server->serveBatch(batch);
-        ASSERT_EQ(got.size(), expected.size()) << workers << " workers";
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].mode, expected[i].mode) << "query " << i;
-            EXPECT_EQ(got[i].candidates, expected[i].candidates)
-                << "query " << i << ", " << workers << " workers";
-            EXPECT_EQ(got[i].answers, expected[i].answers)
-                << "query " << i << ", " << workers << " workers";
-            EXPECT_EQ(got[i].elapsed, expected[i].elapsed)
-                << "query " << i << ", " << workers << " workers";
-        }
+    auto server = makeServer();
+    std::vector<crs::RetrievalResponse> got = server->serveBatch(batch);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(net::responsesIdentical(got[i], expected[i]))
+            << "query " << i;
+        EXPECT_EQ(got[i].candidates, expected[i].candidates)
+            << "query " << i;
+        EXPECT_EQ(got[i].answers, expected[i].answers) << "query " << i;
     }
 }
 
-TEST_F(PipelineTest, SharedServerStatsAggregateAcrossWorkers)
+TEST_F(PipelineTest, SharedServerMetricsAggregateFs1Scans)
 {
-    auto server = makeServer(4);
+    auto server = makeServer();
     std::uint64_t scanned = 0;
     for (const workload::GeneratedQuery &q : queries) {
         crs::RetrievalResponse r = serveOne(
             *server, q.arena, q.goal, crs::SearchMode::Fs1Only);
         scanned += r.indexEntriesScanned;
     }
-    EXPECT_EQ(server->fs1Stats().scalar("entriesScanned").value(),
-              scanned);
-    EXPECT_EQ(server->fs1Stats().scalar("searches").value(),
-              queries.size());
+    obs::MetricsRegistry &m = server->metrics();
+    EXPECT_EQ(m.counter("fs1.entries_scanned").value(), scanned);
+    EXPECT_EQ(m.counter("fs1.searches").value(), queries.size());
 }
 
 // ---------------------------------------------------------------------
@@ -468,9 +421,9 @@ TEST(TransactionEdgeTest, DestructorAbortNeverInvalidates)
 // assertz commits through a LiveStore while reader threads hammer
 // serveBatch() on the same server.  Reads pinned at snapshot 0 must be
 // bit-identical (answers AND modeled ticks) to the reference captured
-// before the writer started, at any worker count; unpinned head reads
-// may only grow (the stream is assertz-only) and must equal a quiesced
-// from-scratch rebuild once the writer joins.
+// before the writer started; unpinned head reads may only grow (the
+// stream is assertz-only) and must equal a quiesced from-scratch
+// rebuild once the writer joins.
 // ---------------------------------------------------------------------
 
 TEST(LiveInterleavingTest, SnapshotReadsAreIsolatedFromAStreamingWriter)
@@ -482,148 +435,142 @@ TEST(LiveInterleavingTest, SnapshotReadsAreIsolatedFromAStreamingWriter)
         "edge(a, X)", "edge(X, Y)", "edge(X, d)", "link(a, X, Y)"};
     constexpr int kStream = 24;
 
-    for (std::uint32_t workers : {1u, 4u}) {
-        SCOPED_TRACE(std::to_string(workers) + " workers");
-        term::SymbolTable sym;
-        term::TermReader reader(sym);
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
 
-        auto build = [&](const std::string &text) {
-            term::Program program;
-            for (auto &c : reader.parseProgram(text))
-                program.add(std::move(c));
-            auto store = std::make_unique<crs::PredicateStore>(
-                sym, scw::CodewordGenerator{});
-            store->addProgram(program);
-            store->finalize();
-            return store;
-        };
-        auto store = build(kLiveBase);
+    auto build = [&](const std::string &text) {
+        term::Program program;
+        for (auto &c : reader.parseProgram(text))
+            program.add(std::move(c));
+        auto store = std::make_unique<crs::PredicateStore>(
+            sym, scw::CodewordGenerator{});
+        store->addProgram(program);
+        store->finalize();
+        return store;
+    };
+    auto store = build(kLiveBase);
 
-        const std::string wal_path =
-            ::testing::TempDir() + "live_interleave_" +
-            std::to_string(workers) + ".wal";
-        std::remove(wal_path.c_str());
-        crs::LiveStore live(*store, sym, wal_path);
+    const std::string wal_path =
+        ::testing::TempDir() + "live_interleave.wal";
+    std::remove(wal_path.c_str());
+    crs::LiveStore live(*store, sym, wal_path);
 
-        crs::CrsConfig config;
-        config.workers = workers;
-        crs::ClauseRetrievalServer server(sym, *store, config);
-        live.attachSink(&server);
+    crs::ClauseRetrievalServer server(sym, *store);
+    live.attachSink(&server);
 
-        // Pre-parse every clause the writer will stream so all symbol
-        // interning happens before a second thread exists — the
-        // SymbolTable is unsynchronized, and once the names are in the
-        // table the commit path only performs lookups.
-        std::vector<term::Clause> stream;
-        std::string streamed_text;
-        for (int i = 0; i < kStream; ++i) {
-            std::string text = "edge(w" + std::to_string(i) + ", w" +
-                               std::to_string(i + 1) + ").";
-            stream.push_back(reader.parseClause(text));
-            streamed_text += text + "\n";
-        }
-
-        std::vector<term::ParsedTerm> goals;
-        for (const std::string &text : goal_texts)
-            goals.push_back(reader.parseTerm(text));
-        std::vector<crs::RetrievalRequest> pinned;
-        std::vector<crs::RetrievalRequest> head;
-        for (std::size_t i = 0; i < goals.size(); ++i) {
-            crs::RetrievalRequest r;
-            r.arena = &goals[i].arena;
-            r.goal = goals[i].root;
-            r.mode = (i % 2 == 0) ? crs::SearchMode::TwoStage
-                                  : crs::SearchMode::Fs1Only;
-            head.push_back(r);
-            r.snapshot = 0;
-            pinned.push_back(r);
-        }
-
-        // Reference captured while quiesced, before the first commit.
-        const std::vector<crs::RetrievalResponse> expected =
-            server.serveBatch(pinned);
-        ASSERT_EQ(expected.size(), pinned.size());
-
-        std::atomic<bool> done{false};
-        std::thread writer([&] {
-            for (const term::Clause &clause : stream)
-                live.assertz(clause);
-            done.store(true, std::memory_order_release);
-        });
-
-        // Pinned reader: every batch must be bit-identical to the
-        // pre-write reference no matter what the writer publishes.
-        std::thread snap_reader([&] {
-            do {
-                std::vector<crs::RetrievalResponse> got =
-                    server.serveBatch(pinned);
-                ASSERT_EQ(got.size(), expected.size());
-                for (std::size_t i = 0; i < got.size(); ++i) {
-                    EXPECT_EQ(got[i].mode, expected[i].mode) << i;
-                    EXPECT_EQ(got[i].candidates, expected[i].candidates)
-                        << "goal " << i;
-                    EXPECT_EQ(got[i].answers, expected[i].answers)
-                        << "goal " << i;
-                    EXPECT_EQ(got[i].indexEntriesScanned,
-                              expected[i].indexEntriesScanned)
-                        << "goal " << i;
-                    EXPECT_EQ(got[i].elapsed, expected[i].elapsed)
-                        << "goal " << i;
-                }
-            } while (!done.load(std::memory_order_acquire));
-        });
-
-        // Head reader: unpinned batches race the writer; with an
-        // assertz-only stream the all-variables scan can only grow.
-        std::thread head_reader([&] {
-            do {
-                std::vector<crs::RetrievalResponse> got =
-                    server.serveBatch(head);
-                ASSERT_EQ(got.size(), expected.size());
-                for (std::size_t i = 0; i < got.size(); ++i) {
-                    EXPECT_GE(got[i].answers, expected[i].answers)
-                        << "goal " << i;
-                }
-            } while (!done.load(std::memory_order_acquire));
-        });
-
-        writer.join();
-        snap_reader.join();
-        head_reader.join();
-        EXPECT_EQ(store->headGeneration(),
-                  static_cast<std::uint64_t>(kStream));
-
-        // Quiesced: the pinned view still reads pre-write...
-        std::vector<crs::RetrievalResponse> still =
-            server.serveBatch(pinned);
-        for (std::size_t i = 0; i < still.size(); ++i) {
-            EXPECT_EQ(still[i].answers, expected[i].answers) << i;
-            EXPECT_EQ(still[i].elapsed, expected[i].elapsed) << i;
-        }
-
-        // ...and the head view is bit-identical to a from-scratch
-        // rebuild of base + stream (shared symbol table, so signatures
-        // and modeled ticks must match exactly).
-        auto rebuilt = build(kLiveBase + streamed_text);
-        crs::ClauseRetrievalServer ref_server(sym, *rebuilt, config);
-        std::vector<crs::RetrievalResponse> live_head =
-            server.serveBatch(head);
-        std::vector<crs::RetrievalResponse> ref_head =
-            ref_server.serveBatch(head);
-        ASSERT_EQ(live_head.size(), ref_head.size());
-        for (std::size_t i = 0; i < live_head.size(); ++i) {
-            EXPECT_EQ(live_head[i].candidates, ref_head[i].candidates)
-                << "goal " << i;
-            EXPECT_EQ(live_head[i].answers, ref_head[i].answers)
-                << "goal " << i;
-            EXPECT_EQ(live_head[i].indexEntriesScanned,
-                      ref_head[i].indexEntriesScanned)
-                << "goal " << i;
-            EXPECT_EQ(live_head[i].elapsed, ref_head[i].elapsed)
-                << "goal " << i;
-        }
-        std::remove(wal_path.c_str());
+    // Pre-parse every clause the writer will stream so all symbol
+    // interning happens before a second thread exists — the
+    // SymbolTable is unsynchronized, and once the names are in the
+    // table the commit path only performs lookups.
+    std::vector<term::Clause> stream;
+    std::string streamed_text;
+    for (int i = 0; i < kStream; ++i) {
+        std::string text = "edge(w" + std::to_string(i) + ", w" +
+                           std::to_string(i + 1) + ").";
+        stream.push_back(reader.parseClause(text));
+        streamed_text += text + "\n";
     }
+
+    std::vector<term::ParsedTerm> goals;
+    for (const std::string &text : goal_texts)
+        goals.push_back(reader.parseTerm(text));
+    std::vector<crs::RetrievalRequest> pinned;
+    std::vector<crs::RetrievalRequest> head;
+    for (std::size_t i = 0; i < goals.size(); ++i) {
+        crs::RetrievalRequest r;
+        r.arena = &goals[i].arena;
+        r.goal = goals[i].root;
+        r.mode = (i % 2 == 0) ? crs::SearchMode::TwoStage
+                              : crs::SearchMode::Fs1Only;
+        head.push_back(r);
+        r.snapshot = 0;
+        pinned.push_back(r);
+    }
+
+    // Reference captured while quiesced, before the first commit.
+    const std::vector<crs::RetrievalResponse> expected =
+        server.serveBatch(pinned);
+    ASSERT_EQ(expected.size(), pinned.size());
+
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        for (const term::Clause &clause : stream)
+            live.assertz(clause);
+        done.store(true, std::memory_order_release);
+    });
+
+    // Pinned reader: every batch must be bit-identical to the
+    // pre-write reference no matter what the writer publishes.
+    std::thread snap_reader([&] {
+        do {
+            std::vector<crs::RetrievalResponse> got =
+                server.serveBatch(pinned);
+            ASSERT_EQ(got.size(), expected.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].mode, expected[i].mode) << i;
+                EXPECT_EQ(got[i].candidates, expected[i].candidates)
+                    << "goal " << i;
+                EXPECT_EQ(got[i].answers, expected[i].answers)
+                    << "goal " << i;
+                EXPECT_EQ(got[i].indexEntriesScanned,
+                          expected[i].indexEntriesScanned)
+                    << "goal " << i;
+                EXPECT_EQ(got[i].elapsed, expected[i].elapsed)
+                    << "goal " << i;
+            }
+        } while (!done.load(std::memory_order_acquire));
+    });
+
+    // Head reader: unpinned batches race the writer; with an
+    // assertz-only stream the all-variables scan can only grow.
+    std::thread head_reader([&] {
+        do {
+            std::vector<crs::RetrievalResponse> got =
+                server.serveBatch(head);
+            ASSERT_EQ(got.size(), expected.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_GE(got[i].answers, expected[i].answers)
+                    << "goal " << i;
+            }
+        } while (!done.load(std::memory_order_acquire));
+    });
+
+    writer.join();
+    snap_reader.join();
+    head_reader.join();
+    EXPECT_EQ(store->headGeneration(),
+              static_cast<std::uint64_t>(kStream));
+
+    // Quiesced: the pinned view still reads pre-write...
+    std::vector<crs::RetrievalResponse> still =
+        server.serveBatch(pinned);
+    for (std::size_t i = 0; i < still.size(); ++i) {
+        EXPECT_EQ(still[i].answers, expected[i].answers) << i;
+        EXPECT_EQ(still[i].elapsed, expected[i].elapsed) << i;
+    }
+
+    // ...and the head view is bit-identical to a from-scratch
+    // rebuild of base + stream (shared symbol table, so signatures
+    // and modeled ticks must match exactly).
+    auto rebuilt = build(kLiveBase + streamed_text);
+    crs::ClauseRetrievalServer ref_server(sym, *rebuilt);
+    std::vector<crs::RetrievalResponse> live_head =
+        server.serveBatch(head);
+    std::vector<crs::RetrievalResponse> ref_head =
+        ref_server.serveBatch(head);
+    ASSERT_EQ(live_head.size(), ref_head.size());
+    for (std::size_t i = 0; i < live_head.size(); ++i) {
+        EXPECT_EQ(live_head[i].candidates, ref_head[i].candidates)
+            << "goal " << i;
+        EXPECT_EQ(live_head[i].answers, ref_head[i].answers)
+            << "goal " << i;
+        EXPECT_EQ(live_head[i].indexEntriesScanned,
+                  ref_head[i].indexEntriesScanned)
+            << "goal " << i;
+        EXPECT_EQ(live_head[i].elapsed, ref_head[i].elapsed)
+            << "goal " << i;
+    }
+    std::remove(wal_path.c_str());
 }
 
 // ---------------------------------------------------------------------

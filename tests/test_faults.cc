@@ -736,9 +736,9 @@ TEST_F(StoreFaultTest, VersionTwoStoreStillLoads)
                 // A real v2 secondary file is the bare entry image —
                 // drop the v3 bit-sliced plane section.
                 raw.resize(store_
-                               ->predicate(term::PredicateId{functor,
-                                                             arity})
-                               .index.image()
+                               ->predicateVersion(
+                                   term::PredicateId{functor, arity})
+                               ->index.image()
                                .size());
                 storage::writeBytes(dir_ + "/" + stem + ".idx", raw);
             }
@@ -874,12 +874,12 @@ class CrsFaultTest : public ::testing::Test
         return server.serve(request);
     }
 
-    const crs::StoredPredicate &
+    std::shared_ptr<const crs::StoredPredicate>
     storedP() const
     {
         for (const term::PredicateId &pred : store_->predicates()) {
             if (pred.arity == 2)
-                return store_->predicate(pred);
+                return store_->predicateVersion(pred);
         }
         throw std::logic_error("p/2 not stored");
     }
@@ -942,7 +942,8 @@ TEST_F(CrsFaultTest, UnreadableIndexDegradesWithoutCorruptPages)
     // Find a seed where the index range fails every bounded attempt
     // but the data range stays readable, so degradation — not a data
     // IoError — is the outcome under test.
-    const crs::StoredPredicate &sp = storedP();
+    const std::shared_ptr<const crs::StoredPredicate> pinned = storedP();
+    const crs::StoredPredicate &sp = *pinned;
     crs::CrsConfig cfg;
     support::FaultConfig config;
     config.transientReadRate = 0.8;

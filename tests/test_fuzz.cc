@@ -267,8 +267,10 @@ oracleAnswersPerMode(const crs::PredicateStore &store,
 {
     term::TermReader reader(sym);
     term::ParsedTerm q = reader.parseTerm(query);
-    const crs::StoredPredicate &stored = store.predicate(
-        term::PredicateId{q.arena.functor(q.root), q.arena.arity(q.root)});
+    const std::shared_ptr<const crs::StoredPredicate> pinned =
+        store.predicateVersion(term::PredicateId{q.arena.functor(q.root),
+                                                 q.arena.arity(q.root)});
+    const crs::StoredPredicate &stored = *pinned;
     std::vector<std::vector<std::uint32_t>> out;
     for (crs::SearchMode mode : {crs::SearchMode::SoftwareOnly,
                                  crs::SearchMode::Fs1Only,
@@ -865,9 +867,11 @@ TEST_P(KernelSweepFuzz, DispatchTargetsAreBitIdentical)
         // The baseline: the oracle entry points.
         std::vector<crs::RetrievalResponse> expected;
         for (const Goal &goal : goals) {
-            const crs::StoredPredicate &stored = store.predicate(
-                term::PredicateId{goal.q.arena.functor(goal.q.goal),
-                                  goal.q.arena.arity(goal.q.goal)});
+            const std::shared_ptr<const crs::StoredPredicate> pinned =
+                store.predicateVersion(
+                    term::PredicateId{goal.q.arena.functor(goal.q.goal),
+                                      goal.q.arena.arity(goal.q.goal)});
+            const crs::StoredPredicate &stored = *pinned;
             expected.push_back(oracle::retrieve(
                 sym, store, stored, crs::CrsConfig{}, goal.q.arena,
                 goal.q.goal, goal.mode));

@@ -122,6 +122,27 @@ TEST(FrameTest, InsaneLengthRejected)
                  CorruptionError);
 }
 
+TEST(FrameTest, VersionOneFrameRejected)
+{
+    // Version 1 carried a five-tick breakdown in Response tag 7; a peer
+    // of that version must fail the header check as a version mismatch,
+    // not reach the payload and read as damage.
+    std::vector<std::uint8_t> frame;
+    net::encodeFrame(net::FrameType::Response, {1, 2, 3}, frame);
+    ASSERT_EQ(frame[4], net::kProtocolVersion);
+    ASSERT_EQ(net::kProtocolVersion, 2);
+    frame[4] = 1;
+    try {
+        net::decodeFrameHeader(frame.data(), "test");
+        FAIL() << "a version-1 frame was accepted";
+    } catch (const CorruptionError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported protocol version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // ---------------------------------------------------------------------
 // TLV payload codecs.
 // ---------------------------------------------------------------------
@@ -165,12 +186,11 @@ sampleResponse()
     r.clausesExamined = 55;
     for (std::size_t i = 0; i < r.filterOps.size(); ++i)
         r.filterOps[i] = 1000 + i;
-    r.breakdown.queueWait = 11;
     r.breakdown.cacheTime = 22;
     r.breakdown.indexTime = 33;
     r.breakdown.filterTime = 44;
     r.breakdown.hostUnifyTime = 55;
-    r.elapsed = 165;
+    r.elapsed = 154;
     r.degraded = true;
     r.corruptIndexPages = 2;
     r.resultOverflow = true;
@@ -255,6 +275,37 @@ TEST(WireCodecTest, TruncatedPayloadIsTyped)
     EXPECT_THROW(net::decodeError({}, "test"), CorruptionError);
 }
 
+TEST(WireCodecTest, BreakdownFieldOfAnyOtherSizeIsTyped)
+{
+    // Tag 7 carries exactly four u64 stage ticks.  Re-size the field
+    // in an otherwise valid payload: three or five ticks (or a stray
+    // byte) must be a typed error, never a silently shifted breakdown.
+    crs::RetrievalResponse r = sampleResponse();
+    std::vector<std::uint8_t> payload = net::encodeResponse(1, r);
+    std::size_t at = 0;
+    while (payload[at] != 7) {
+        std::uint32_t len = 0;
+        for (int i = 0; i < 4; ++i)
+            len |= static_cast<std::uint32_t>(payload[at + 1 + i])
+                << (8 * i);
+        at += 5 + len;
+        ASSERT_LT(at, payload.size());
+    }
+    ASSERT_EQ(payload[at + 1], 32u);
+    for (std::uint32_t size : {24u, 31u, 33u, 40u}) {
+        std::vector<std::uint8_t> damaged(payload.begin(),
+                                          payload.begin() + at + 1);
+        for (int i = 0; i < 4; ++i)
+            damaged.push_back(static_cast<std::uint8_t>(size >> (8 * i)));
+        damaged.insert(damaged.end(), size, 0);
+        damaged.insert(damaged.end(), payload.begin() + at + 5 + 32,
+                       payload.end());
+        EXPECT_THROW(net::decodeResponse(damaged, "test"),
+                     CorruptionError)
+            << size << "-byte breakdown";
+    }
+}
+
 TEST(WireCodecTest, ResponseFuzzRoundTrip)
 {
     Rng rng(2024);
@@ -272,7 +323,6 @@ TEST(WireCodecTest, ResponseFuzzRoundTrip)
         r.clausesExamined = rng.next();
         for (auto &op : r.filterOps)
             op = rng.next();
-        r.breakdown.queueWait = rng.next();
         r.breakdown.cacheTime = rng.next();
         r.breakdown.indexTime = rng.next();
         r.breakdown.filterTime = rng.next();

@@ -3,8 +3,8 @@
  * Observability tests: span nesting and cross-thread recording, the
  * metrics registry under concurrency, histogram bucketing, the JSON
  * model round trip, config validation, and the integration guarantee
- * that a response's StageBreakdown accounts for its elapsed time at
- * any worker count.
+ * that a response's StageBreakdown accounts for its elapsed time,
+ * served alone or in a batch.
  */
 
 #include <gtest/gtest.h>
@@ -339,8 +339,8 @@ TEST(ObsConfig, ValidateAcceptsDefaults)
 {
     crs::CrsConfig config;
     EXPECT_NO_THROW(config.validate());
-    config.workers = 8;
-    config.fs1.paceScale = 4.0;
+    config.fs1.scanRate = 9.0e6;
+    config.cache.enabled = true;
     EXPECT_NO_THROW(config.validate());
 }
 
@@ -356,16 +356,8 @@ TEST(ObsConfig, ValidateNamesTheOffendingField)
     };
 
     crs::CrsConfig config;
-    config.workers = 0;
-    EXPECT_EQ(field_of(config), "workers");
-
-    config = {};
     config.fs1.scanRate = 0.0;
     EXPECT_EQ(field_of(config), "fs1.scanRate");
-
-    config = {};
-    config.fs1.paceScale = -1.0;
-    EXPECT_EQ(field_of(config), "fs1.paceScale");
 
     config = {};
     config.fs2.level = 0;
@@ -392,7 +384,7 @@ TEST(ObsConfig, ServerConstructorValidates)
     store.finalize();
 
     crs::CrsConfig config;
-    config.workers = 0;
+    config.fs1.scanRate = 0.0;
     EXPECT_THROW(crs::ClauseRetrievalServer(sym, store, config),
                  crs::ConfigError);
 }
@@ -453,44 +445,45 @@ class ObsPipelineTest : public ::testing::Test
     }
 
     std::unique_ptr<crs::ClauseRetrievalServer>
-    makeServer(std::uint32_t workers)
+    makeServer()
     {
-        crs::CrsConfig config;
-        config.workers = workers;
-        return std::make_unique<crs::ClauseRetrievalServer>(
-            sym, *store, config);
+        return std::make_unique<crs::ClauseRetrievalServer>(sym, *store);
     }
 };
 
 TEST_F(ObsPipelineTest, BreakdownSumsToElapsedSequential)
 {
-    auto server = makeServer(1);
+    auto server = makeServer();
     for (const crs::RetrievalRequest &req : makeBatch()) {
         crs::RetrievalResponse r = server->serve(req);
-        // workers == 1: no queueing, the sum is exact.
-        EXPECT_EQ(r.breakdown.queueWait, 0u);
+        // The four stages are the whole latency: the sum is exact.
         EXPECT_EQ(r.breakdown.serviceTime(), r.elapsed);
-        EXPECT_EQ(r.breakdown.total(), r.elapsed);
         EXPECT_EQ(r.breakdown.indexTime + r.breakdown.filterTime +
                       r.breakdown.hostUnifyTime,
                   r.elapsed);
     }
 }
 
-TEST_F(ObsPipelineTest, BreakdownSumsToElapsedPipelined)
+TEST_F(ObsPipelineTest, BreakdownSumsToElapsedBatched)
 {
-    auto seq = makeServer(1);
-    auto par = makeServer(4);
+    auto looped = makeServer();
+    auto batched = makeServer();
     std::vector<crs::RetrievalRequest> batch = makeBatch();
-    std::vector<crs::RetrievalResponse> base = seq->serveBatch(batch);
-    std::vector<crs::RetrievalResponse> out = par->serveBatch(batch);
+    std::vector<crs::RetrievalResponse> base;
+    for (const crs::RetrievalRequest &req : batch)
+        base.push_back(looped->serve(req));
+    std::vector<crs::RetrievalResponse> out = batched->serveBatch(batch);
     ASSERT_EQ(out.size(), base.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
-        // Queue wait is extra accounting on top of the (identical)
-        // service time: total() minus the wait is exactly elapsed.
-        EXPECT_EQ(out[i].breakdown.total() - out[i].breakdown.queueWait,
-                  out[i].elapsed);
         EXPECT_EQ(out[i].breakdown.serviceTime(), out[i].elapsed);
+        EXPECT_EQ(out[i].breakdown.indexTime, base[i].breakdown.indexTime)
+            << i;
+        EXPECT_EQ(out[i].breakdown.filterTime,
+                  base[i].breakdown.filterTime)
+            << i;
+        EXPECT_EQ(out[i].breakdown.hostUnifyTime,
+                  base[i].breakdown.hostUnifyTime)
+            << i;
         EXPECT_EQ(out[i].elapsed, base[i].elapsed) << i;
         EXPECT_EQ(out[i].candidates, base[i].candidates) << i;
         EXPECT_EQ(out[i].answers, base[i].answers) << i;
@@ -502,8 +495,8 @@ TEST_F(ObsPipelineTest, ServeIsDeterministicAcrossInstances)
     // Two freshly constructed servers over the same store answer the
     // unified front door bit-identically -- the property the networked
     // tier's replicas rely on.
-    auto a = makeServer(1);
-    auto b = makeServer(1);
+    auto a = makeServer();
+    auto b = makeServer();
     for (const workload::GeneratedQuery &q : queries) {
         crs::RetrievalRequest req;
         req.arena = &q.arena;
@@ -537,7 +530,7 @@ TEST_F(ObsPipelineTest, ServeIsDeterministicAcrossInstances)
 
 TEST_F(ObsPipelineTest, TracingIsPerRequestOptIn)
 {
-    auto server = makeServer(1);
+    auto server = makeServer();
 
     crs::RetrievalRequest plain;
     plain.arena = &queries[0].arena;
@@ -579,7 +572,7 @@ TEST_F(ObsPipelineTest, TracingIsPerRequestOptIn)
 
 TEST_F(ObsPipelineTest, MetricsAccumulateAcrossRetrievals)
 {
-    auto server = makeServer(2);
+    auto server = makeServer();
     std::vector<crs::RetrievalRequest> batch = makeBatch();
     server->serveBatch(batch);
     obs::MetricsRegistry &m = server->metrics();
@@ -600,7 +593,7 @@ TEST_F(ObsPipelineTest, MetricsAccumulateAcrossRetrievals)
 
 TEST_F(ObsPipelineTest, BatchTraceParentsShardScans)
 {
-    auto server = makeServer(4);
+    auto server = makeServer();
     std::vector<crs::RetrievalRequest> batch = makeBatch(true);
     std::vector<crs::RetrievalResponse> out = server->serveBatch(batch);
     std::vector<obs::SpanRecord> spans = server->tracer().snapshot();
@@ -609,7 +602,7 @@ TEST_F(ObsPipelineTest, BatchTraceParentsShardScans)
     for (const obs::SpanRecord &s : spans)
         by_id[s.id] = &s;
     // Exactly one batch root; every other span reaches it through
-    // recorded parents (i.e. pool-side scan spans are not orphaned).
+    // recorded parents (no scan or stage span is orphaned).
     std::size_t roots = 0;
     for (const obs::SpanRecord &s : spans) {
         if (s.parent == 0) {

@@ -402,7 +402,6 @@ TEST_F(ShardClusterTest, MixedBatchScatterGatherIsBitIdentical)
         EXPECT_TRUE(net::responsesIdentical(wire[i], ref[i]))
             << "batch item " << i;
         EXPECT_EQ(wire[i].elapsed, ref[i].elapsed);
-        EXPECT_EQ(wire[i].breakdown.queueWait, ref[i].breakdown.queueWait);
     }
 
     // The batch really scattered: one sub-batch per shard touched.

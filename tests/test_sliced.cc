@@ -5,8 +5,8 @@
  * The contract under test is exactness: the word-parallel kernel is a
  * host-side optimization, so every observable — survivor sets (order
  * included), entriesScanned, bytesScanned, busyTime, the full server
- * response — must be bit-identical to the row-major scan at any worker
- * count and any batch width.  The suite property-tests the
+ * response — must be bit-identical to the row-major scan at any shard
+ * width, served alone or in a batch.  The suite property-tests the
  * SlicedMatcher against the structural PlaMatcher across generator
  * configurations, mask densities, and entry counts straddling 64-entry
  * word boundaries; round-trips the persisted v3 plane section; and
@@ -197,33 +197,8 @@ TEST(SlicedMatcherTest, PartialRangesAreEdgeMaskedExactly)
     }
 }
 
-TEST(SlicedMatcherTest, ScanBatchMatchesPerQueryScans)
-{
-    term::SymbolTable sym;
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 127;
-    spec.varProb = 0.2;
-    spec.seed = 33;
-    BuiltIndex built = buildIndex(sym, {}, spec, 9, 0.8);
-
-    fs1::SlicedMatcher matcher;
-    std::vector<fs1::SlicedMatcher::Hits> batch =
-        matcher.scanBatch(built.plane, built.queries);
-    ASSERT_EQ(batch.size(), built.queries.size());
-    scw::EntryRange all{0, built.index.entryCount()};
-    for (std::size_t q = 0; q < built.queries.size(); ++q) {
-        fs1::SlicedMatcher single;
-        fs1::SlicedMatcher::Hits expected =
-            single.scanRange(built.plane, built.queries[q], all);
-        EXPECT_EQ(batch[q].clauseOffsets, expected.clauseOffsets)
-            << "query " << q;
-        EXPECT_EQ(batch[q].ordinals, expected.ordinals) << "query " << q;
-    }
-}
-
 // ---------------------------------------------------------------------
-// Fs1Engine: sliced scans are bit-identical, shards and batches alike.
+// Fs1Engine: sliced scans are bit-identical at any shard width.
 // ---------------------------------------------------------------------
 
 void
@@ -264,30 +239,6 @@ TEST(Fs1SlicedEngineTest, SearchBitIdenticalAtAnyWorkerCount)
     }
 }
 
-TEST(Fs1SlicedEngineTest, SearchBatchIdenticalToPerQuerySearches)
-{
-    term::SymbolTable sym;
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 256;
-    spec.varProb = 0.2;
-    spec.seed = 55;
-    BuiltIndex built = buildIndex(sym, {}, spec, 8, 0.8);
-
-    fs1::Fs1Engine engine(built.generator);
-    std::vector<obs::Observer> no_obs(built.queries.size());
-    std::vector<fs1::Fs1Result> batch = engine.searchBatch(
-        built.index, &built.plane, built.queries, no_obs);
-    ASSERT_EQ(batch.size(), built.queries.size());
-
-    for (std::size_t q = 0; q < built.queries.size(); ++q) {
-        fs1::Fs1Result expected =
-            engine.searchRowMajor(built.index, built.queries[q]);
-        expectSameResult(expected, batch[q],
-                         "query " + std::to_string(q));
-    }
-}
-
 TEST(Fs1SlicedEngineTest, MissingOrMismatchedPlaneIsRejected)
 {
     // There is no row-major fallback on the production path: a plane
@@ -303,7 +254,6 @@ TEST(Fs1SlicedEngineTest, MissingOrMismatchedPlaneIsRejected)
     BuiltIndex shorter = buildIndex(sym, {}, spec, 1, 0.7);
 
     fs1::Fs1Engine engine(built.generator);
-    std::vector<obs::Observer> two_obs(2);
     for (const scw::Signature &query : built.queries) {
         EXPECT_THROW(engine.search(built.index, nullptr, nullptr, 0,
                                    query, nullptr, 1),
@@ -316,9 +266,6 @@ TEST(Fs1SlicedEngineTest, MissingOrMismatchedPlaneIsRejected)
                                    &shorter.plane, 80, query, nullptr, 1),
                      FatalError);
     }
-    EXPECT_THROW(engine.searchBatch(built.index, &shorter.plane,
-                                    built.queries, two_obs),
-                 FatalError);
 }
 
 // ---------------------------------------------------------------------
@@ -371,7 +318,9 @@ class SlicedStoreTest : public ::testing::Test
 TEST_F(SlicedStoreTest, FinalizeBuildsPlanesAndDecodedTables)
 {
     for (const term::PredicateId &pred : store_->predicates()) {
-        const crs::StoredPredicate &stored = store_->predicate(pred);
+        const std::shared_ptr<const crs::StoredPredicate> pinned =
+            store_->predicateVersion(pred);
+        const crs::StoredPredicate &stored = *pinned;
         ASSERT_NE(stored.sliced, nullptr);
         EXPECT_TRUE(*stored.sliced ==
                     scw::BitSlicedIndex::build(store_->generator(),
@@ -388,13 +337,15 @@ TEST_F(SlicedStoreTest, V3RoundTripCarriesIdenticalPlanes)
     crs::PredicateStore loaded = crs::loadStore(dir_, fresh);
     ASSERT_EQ(loaded.predicates().size(), store_->predicates().size());
     for (const term::PredicateId &pred : loaded.predicates()) {
-        const crs::StoredPredicate &got = loaded.predicate(pred);
+        const std::shared_ptr<const crs::StoredPredicate> pinned =
+            loaded.predicateVersion(pred);
+        const crs::StoredPredicate &got = *pinned;
         ASSERT_NE(got.sliced, nullptr);
         EXPECT_TRUE(*got.sliced ==
                     scw::BitSlicedIndex::build(loaded.generator(),
                                                got.index));
         EXPECT_TRUE(*got.sliced ==
-                    *store_->predicate(pred).sliced);
+                    *store_->predicateVersion(pred)->sliced);
     }
 }
 
@@ -416,7 +367,7 @@ TEST_F(SlicedStoreTest, SaveWithoutPrebuiltPlanesStillWritesV3)
     term::SymbolTable fresh;
     crs::PredicateStore loaded = crs::loadStore(dir, fresh);
     for (const term::PredicateId &pred : loaded.predicates())
-        EXPECT_NE(loaded.predicate(pred).sliced, nullptr);
+        EXPECT_NE(loaded.predicateVersion(pred)->sliced, nullptr);
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
 }
@@ -430,7 +381,8 @@ TEST_F(SlicedStoreTest, CorruptPlaneSectionIsTypedLoadError)
     std::size_t entry_bytes = 0;
     for (const term::PredicateId &pred : store_->predicates())
         if (pred.arity == 2)
-            entry_bytes = store_->predicate(pred).index.image().size();
+            entry_bytes =
+                store_->predicateVersion(pred)->index.image().size();
     ASSERT_GT(payload.size(), entry_bytes + 40);
     payload[entry_bytes + 40] ^= 0x04;
     storage::writeFramedBytes(idx, payload);
@@ -458,7 +410,7 @@ TEST_F(SlicedStoreTest, TrailingBytesAfterPlaneSectionRejected)
 }
 
 // ---------------------------------------------------------------------
-// Server: serve() and batchWidth are bit-identical to the oracle.
+// Server: serve() and serveBatch() are bit-identical to the oracle.
 // ---------------------------------------------------------------------
 
 class SlicedServerTest : public ::testing::Test
@@ -542,7 +494,6 @@ class SlicedServerTest : public ::testing::Test
         EXPECT_EQ(a.fs1Hits, b.fs1Hits) << label;
         EXPECT_EQ(a.clausesExamined, b.clausesExamined) << label;
         EXPECT_EQ(a.filterOps, b.filterOps) << label;
-        EXPECT_EQ(a.breakdown.queueWait, b.breakdown.queueWait) << label;
         EXPECT_EQ(a.breakdown.indexTime, b.breakdown.indexTime) << label;
         EXPECT_EQ(a.breakdown.filterTime, b.breakdown.filterTime)
             << label;
@@ -553,44 +504,24 @@ class SlicedServerTest : public ::testing::Test
     }
 };
 
-TEST_F(SlicedServerTest, ServeBatchIdenticalAcrossWidthsAndWorkers)
+TEST_F(SlicedServerTest, ServeBatchMatchesOracleAndServeLoop)
 {
     std::vector<crs::RetrievalRequest> batch = mixedBatch();
-    for (std::uint32_t workers : {1u, 2u, 4u}) {
-        crs::CrsConfig plain_config;
-        plain_config.workers = workers;
-        auto plain = makeServer(plain_config);
-        std::vector<crs::RetrievalResponse> expected =
-            plain->serveBatch(batch);
-        // The sequential pipeline (no modeled queue) is the oracle's.
-        for (std::size_t i = 0; workers == 1 && i < batch.size(); ++i) {
-            const crs::RetrievalRequest &r = batch[i];
-            const crs::StoredPredicate &stored = store->predicate(
-                term::PredicateId{r.arena->functor(r.goal),
-                                  r.arena->arity(r.goal)});
-            oracle::expectSame(
-                oracle::retrieve(sym, *store, stored, crs::CrsConfig{},
-                                 *r.arena, r.goal, *r.mode),
-                expected[i],
-                "oracle, workers " + std::to_string(workers) +
-                    " request " + std::to_string(i));
-        }
-
-        for (std::uint32_t width : {2u, 4u, 8u}) {
-            crs::CrsConfig config;
-            config.workers = workers;
-            config.batchWidth = width;
-            auto server = makeServer(config);
-            std::vector<crs::RetrievalResponse> got =
-                server->serveBatch(batch);
-            ASSERT_EQ(got.size(), expected.size());
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                expectIdentical(expected[i], got[i],
-                                "workers " + std::to_string(workers) +
-                                    " width " + std::to_string(width) +
-                                    " request " + std::to_string(i));
-            }
-        }
+    auto batched = makeServer();
+    auto looped = makeServer();
+    std::vector<crs::RetrievalResponse> got = batched->serveBatch(batch);
+    ASSERT_EQ(got.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const crs::RetrievalRequest &r = batch[i];
+        const std::shared_ptr<const crs::StoredPredicate> stored =
+            store->predicateVersion(term::PredicateId{
+                r.arena->functor(r.goal), r.arena->arity(r.goal)});
+        const std::string label = "request " + std::to_string(i);
+        oracle::expectSame(
+            oracle::retrieve(sym, *store, *stored, crs::CrsConfig{},
+                             *r.arena, r.goal, *r.mode),
+            got[i], "oracle, " + label);
+        expectIdentical(looped->serve(r), got[i], "serve loop, " + label);
     }
 }
 
@@ -598,9 +529,11 @@ TEST_F(SlicedServerTest, SlicedSingleRequestsMatchOracle)
 {
     auto server = makeServer();
     for (const term::ParsedTerm &goal : goals) {
-        const crs::StoredPredicate &stored = store->predicate(
-            term::PredicateId{goal.arena.functor(goal.root),
-                              goal.arena.arity(goal.root)});
+        const std::shared_ptr<const crs::StoredPredicate> pinned =
+            store->predicateVersion(
+                term::PredicateId{goal.arena.functor(goal.root),
+                                  goal.arena.arity(goal.root)});
+        const crs::StoredPredicate &stored = *pinned;
         for (crs::SearchMode mode : {crs::SearchMode::Fs1Only,
                                      crs::SearchMode::TwoStage}) {
             crs::RetrievalResponse want =
@@ -611,17 +544,6 @@ TEST_F(SlicedServerTest, SlicedSingleRequestsMatchOracle)
             oracle::expectSame(want, got, crs::searchModeSlug(mode));
         }
     }
-}
-
-TEST_F(SlicedServerTest, BatchWidthConfigValidation)
-{
-    crs::CrsConfig config;
-    config.batchWidth = 4;
-    EXPECT_NO_THROW(makeServer(config));
-    config.batchWidth = 0;
-    EXPECT_THROW(makeServer(config), crs::ConfigError);
-    config.batchWidth = 257;
-    EXPECT_THROW(makeServer(config), crs::ConfigError);
 }
 
 // ---------------------------------------------------------------------
@@ -821,7 +743,7 @@ TEST(SlicedKernelTest, BoundaryPlaneSizesAgreeAcrossKernels)
     }
 }
 
-TEST(SlicedKernelTest, EngineBitIdenticalAcrossKernelsShardsAndBatches)
+TEST(SlicedKernelTest, EngineBitIdenticalAcrossKernelsAndShards)
 {
     term::SymbolTable sym;
     workload::KbSpec spec;
@@ -833,7 +755,6 @@ TEST(SlicedKernelTest, EngineBitIdenticalAcrossKernelsShardsAndBatches)
 
     fs1::Fs1Engine scalar(built.generator);
     support::ThreadPool pool(4);
-    std::vector<obs::Observer> no_obs(built.queries.size());
     for (fs1::Fs1Kernel kernel : supportedKernels()) {
         fs1::Fs1Config config;
         config.kernel = kernel;
@@ -852,14 +773,6 @@ TEST(SlicedKernelTest, EngineBitIdenticalAcrossKernelsShardsAndBatches)
                     name + " " + std::to_string(shards) + " shards");
             }
         }
-        std::vector<fs1::Fs1Result> batch = engine.searchBatch(
-            built.index, &built.plane, built.queries, no_obs);
-        ASSERT_EQ(batch.size(), built.queries.size());
-        for (std::size_t q = 0; q < built.queries.size(); ++q)
-            expectSameResult(scalar.searchRowMajor(built.index,
-                                                   built.queries[q]),
-                             batch[q],
-                             name + " batch query " + std::to_string(q));
     }
 }
 

@@ -112,7 +112,6 @@ expectSameResponse(const RetrievalResponse &a, const RetrievalResponse &b,
     EXPECT_EQ(a.fs1Hits, b.fs1Hits) << what;
     EXPECT_EQ(a.clausesExamined, b.clausesExamined) << what;
     EXPECT_EQ(a.filterOps, b.filterOps) << what;
-    EXPECT_EQ(a.breakdown.queueWait, b.breakdown.queueWait) << what;
     EXPECT_EQ(a.breakdown.cacheTime, b.breakdown.cacheTime) << what;
     EXPECT_EQ(a.breakdown.indexTime, b.breakdown.indexTime) << what;
     EXPECT_EQ(a.breakdown.filterTime, b.breakdown.filterTime) << what;
@@ -437,6 +436,22 @@ TEST(LiveUpdate, BrandNewPredicateFollowsStoreIndexing)
     RetrievalResponse r = serveOn(server, reader, "fresh(X)",
                                   SearchMode::TwoStage);
     EXPECT_EQ(r.answers, (std::vector<std::uint32_t>{0}));
+
+    // Pinned before its birth, the predicate has no version: a typed
+    // error naming the predicate and the snapshot, not an abort.
+    try {
+        serveOn(server, reader, "fresh(X)", SearchMode::TwoStage, 0);
+        FAIL() << "snapshot 0 of fresh/1 served";
+    } catch (const PredicateNotStoredError &e) {
+        EXPECT_EQ(e.predicate(), "fresh/1");
+        EXPECT_EQ(e.snapshot(), std::optional<std::uint64_t>(0));
+        EXPECT_NE(std::string(e.what()).find("snapshot 0"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(serveOn(server, reader, "fresh(X)",
+                         SearchMode::TwoStage, 0),
+                 PredicateNotStoredError);
 }
 
 // ---------------------------------------------------------------------
@@ -471,11 +486,12 @@ TEST(LiveUpdate, AssertzDeltaIsBitIdenticalToRebuild)
         auto v = live_store->predicateVersion(edge);
         ASSERT_NE(v, nullptr);
         // Composite images are byte-identical to the from-scratch build.
-        EXPECT_EQ(v->index.image(), ref_store->predicate(edge).index.image());
+        const auto ref = ref_store->predicateVersion(edge);
+        EXPECT_EQ(v->index.image(), ref->index.image());
         ASSERT_EQ(v->clauses.clauseCount(), 8u);
         for (std::size_t i = 0; i < v->clauses.clauseCount(); ++i)
             EXPECT_EQ(v->clauses.sourceText(i),
-                      ref_store->predicate(edge).clauses.sourceText(i));
+                      ref->clauses.sourceText(i));
         // The base plane is shared; only the tail got a delta.
         ASSERT_NE(v->deltaSliced, nullptr);
         EXPECT_EQ(v->baseEntries, 5u);
@@ -560,7 +576,7 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
         auto v = live_store->predicateVersion(item);
         ASSERT_NE(v, nullptr);
         EXPECT_EQ(v->index.image(),
-                  ref_store->predicate(item).index.image());
+                  ref_store->predicateVersion(item)->index.image());
         // Compaction folds the delta back into one full plane and one
         // full decoded table.
         EXPECT_EQ(v->deltaSliced, nullptr);
@@ -958,7 +974,9 @@ TEST(LiveUpdate, CheckpointRoundTrip)
     EXPECT_EQ(live.recoveredCommits(), 0u);
 
     const term::PredicateId edge{sym.lookup("edge"), 2};
-    const StoredPredicate &stored = store.predicate(edge);
+    const std::shared_ptr<const StoredPredicate> pinned =
+        store.predicateVersion(edge);
+    const StoredPredicate &stored = *pinned;
     EXPECT_EQ(stored.clauses.clauseCount(), 7u);
     // The checkpoint folded the delta into one full plane.
     ASSERT_NE(stored.sliced, nullptr);

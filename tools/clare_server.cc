@@ -7,7 +7,7 @@
  * port when --port is omitted), then serves until SIGINT/SIGTERM.
  *
  * Usage:
- *   clare_server --store DIR [--port N] [--workers N] [--cache]
+ *   clare_server --store DIR [--port N] [--cache]
  *       [--wal FILE [--ingest FILE] [--ingest-delay-us N]]    (live)
  *       [--fault-seed N --fault-flip R --fault-transient R]   (disk)
  *       [--wire-seed N --wire-drop R --wire-truncate R
@@ -94,8 +94,6 @@ main(int argc, char **argv)
         else if (const char *v = value(arg, "--port"))
             netConfig.port =
                 static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
-        else if (const char *v = value(arg, "--workers"))
-            crsConfig.workers = std::strtoul(v, nullptr, 10);
         else if (std::strcmp(arg, "--wal") == 0 && i + 1 < argc)
             walPath = argv[++i];
         else if (const char *v = value(arg, "--wal"))
@@ -134,7 +132,7 @@ main(int argc, char **argv)
     if (storeDir.empty()) {
         std::fprintf(stderr,
                      "usage: clare_server --store DIR [--port N] "
-                     "[--workers N] [--cache] [--wal FILE "
+                     "[--cache] [--wal FILE "
                      "[--ingest FILE] [--ingest-delay-us N]] "
                      "[fault knobs]\n");
         return 2;
