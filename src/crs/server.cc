@@ -669,10 +669,11 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
         obs::ScopedSpan span(obs.tracer, "crs.software_scan", root);
         unify::PifMatcher matcher(unify::PifMatchConfig{
             config_.fs2.level, config_.fs2.crossBinding});
+        pif::EncodedArgs db_args;   // one scratch decode for the scan
         Tick scan_cost = 0;
         for (std::size_t i = 0; i < file.clauseCount(); ++i) {
-            unify::PifMatchResult m = matcher.match(file.decodeArgs(i),
-                                                    q_args);
+            file.decodeArgsInto(file.record(i), db_args);
+            unify::PifMatchResult m = matcher.match(db_args, q_args);
             scan_cost += config_.host.perClause +
                 config_.host.perOp * m.datapathOps();
             ++response.clausesExamined;

@@ -19,7 +19,18 @@ decodeClauses(const storage::ClauseFile &file, std::size_t begin,
               std::size_t end, term::SymbolTable &symbols,
               term::ClauseTable &out)
 {
+    // Two parses: the first only sizes the table, so it is built in
+    // exactly sized storage instead of regrowing (a predicate's worth
+    // of abandoned copies would stay behind as free heap).
     term::TermReader reader(symbols);
+    term::TermArena::Mark terms;
+    for (std::size_t i = begin; i < end; ++i) {
+        const term::TermArena::Mark m =
+            reader.parseClause(file.sourceText(i)).arena().mark();
+        terms.nodes += m.nodes;
+        terms.args += m.args;
+    }
+    out.reserve(end - begin, terms);
     for (std::size_t i = begin; i < end; ++i)
         out.add(reader.parseClause(file.sourceText(i)));
     out.shrinkToFit();
@@ -44,22 +55,28 @@ PredicateStore::addProgram(const term::Program &program)
                         symbols_.name(pred.functor).c_str(), pred.arity);
 
         storage::ClauseFileBuilder builder(writer_);
-        std::vector<scw::Signature> signatures;
         std::size_t rules = 0;
         const auto &ordinals = program.clausesOf(pred);
         for (std::size_t i : ordinals) {
             const term::Clause &clause = program.clause(i);
             builder.add(clause);
-            signatures.push_back(generator_.encode(clause.arena(),
-                                                   clause.head()));
             if (!clause.isFact())
                 ++rules;
         }
 
         StoredPredicate stored;
         stored.clauses = builder.finish();
-        stored.index = scw::SecondaryFile::build(generator_, signatures,
-                                                 stored.clauses);
+        // Each signature is encoded as its index entry is written, so
+        // setup never holds a predicate's worth of them.
+        scw::Signature signature;
+        stored.index = scw::SecondaryFile::build(
+            generator_, stored.clauses,
+            [&](std::size_t k) -> const scw::Signature & {
+                const term::Clause &clause = program.clause(ordinals[k]);
+                signature = generator_.encode(clause.arena(),
+                                              clause.head());
+                return signature;
+            });
         stored.ruleFraction = ordinals.empty()
             ? 0.0
             : static_cast<double>(rules) /
@@ -99,18 +116,16 @@ void
 PredicateStore::finalize()
 {
     clare_assert(!finalized_, "store already finalized");
-    std::vector<std::uint8_t> data_image;
-    std::vector<std::uint8_t> index_image;
+    // Predicates are laid out back to back on the two disks; the
+    // disks hold only the extents (each version keeps its own images).
+    std::uint64_t data_extent = 0;
+    std::uint64_t index_extent = 0;
     for (const term::PredicateId &pred : order_) {
         StoredPredicate &stored = preds_.at(pred);
-        stored.clauseFileOffset = data_image.size();
-        data_image.insert(data_image.end(),
-                          stored.clauses.image().begin(),
-                          stored.clauses.image().end());
-        stored.indexFileOffset = index_image.size();
-        index_image.insert(index_image.end(),
-                           stored.index.image().begin(),
-                           stored.index.image().end());
+        stored.clauseFileOffset = data_extent;
+        data_extent += stored.clauses.image().size();
+        stored.indexFileOffset = index_extent;
+        index_extent += stored.index.image().size();
         stored.indexPageCrcs = support::pageChecksums(
             stored.index.image().data(), stored.index.image().size());
         if (stored.sliced == nullptr)
@@ -121,8 +136,8 @@ PredicateStore::finalize()
                       symbols_, *decoded);
         stored.decoded = std::move(decoded);
     }
-    dataDisk_.load(std::move(data_image));
-    indexDisk_.load(std::move(index_image));
+    dataDisk_.setExtent(data_extent);
+    indexDisk_.setExtent(index_extent);
     finalized_ = true;
 }
 

@@ -142,8 +142,10 @@ class PredicateStore
                        nullptr);
 
     /**
-     * Finish layout: load the concatenated images onto the disks, and
-     * build the host-side metadata every version carries — the
+     * Finish layout: place the predicates' images back to back on
+     * the disks (which record only the extents — the images live in
+     * the versions), and build the host-side metadata every version
+     * carries — the
      * bit-sliced plane (unless one was loaded) and the decoded clause
      * table.  Neither changes the on-disk images.
      */

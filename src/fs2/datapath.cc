@@ -1,6 +1,7 @@
 #include "fs2/datapath.hh"
 
 #include <algorithm>
+#include <array>
 #include <map>
 
 #include "support/logging.hh"
@@ -216,9 +217,16 @@ operationSpec(TueOp op)
 std::uint64_t
 operationTimeNs(TueOp op)
 {
-    if (op == TueOp::Skip)
-        return 0;   // no TUE datapath activity
-    return operationSpec(op).executionTimeNs();
+    // Every TUE operation charges its time, so the figures' routes are
+    // walked once, not per operation.  Skip has no TUE datapath
+    // activity and stays 0.
+    static const std::array<std::uint64_t, unify::kTueOpCount> times = [] {
+        std::array<std::uint64_t, unify::kTueOpCount> t{};
+        for (const auto &[spec_op, spec] : specTable())
+            t[static_cast<std::size_t>(spec_op)] = spec.executionTimeNs();
+        return t;
+    }();
+    return times[static_cast<std::size_t>(op)];
 }
 
 Tick

@@ -186,6 +186,8 @@ class Fs2Engine
     Microprogram program_;
 
     pif::EncodedArgs query_;
+    /** Scratch decode of the record under examination, reused. */
+    pif::EncodedArgs dbArgs_;
     term::PredicateId predicate_;
     bool queryLoaded_ = false;
 

@@ -60,32 +60,6 @@ PifItem::toString() const
     return s;
 }
 
-bool
-isQueryVarItem(const PifItem &item)
-{
-    TagClass cls = tagClass(item.tag);
-    return cls == TagClass::FirstQueryVar || cls == TagClass::SubQueryVar;
-}
-
-bool
-isDbVarItem(const PifItem &item)
-{
-    TagClass cls = tagClass(item.tag);
-    return cls == TagClass::FirstDbVar || cls == TagClass::SubDbVar;
-}
-
-bool
-isNamedVarItem(const PifItem &item)
-{
-    return isQueryVarItem(item) || isDbVarItem(item);
-}
-
-bool
-isAnonVarItem(const PifItem &item)
-{
-    return tagClass(item.tag) == TagClass::AnonymousVar;
-}
-
 void
 serializeItem(const PifItem &item, std::vector<std::uint8_t> &out)
 {

@@ -47,16 +47,34 @@ struct PifItem
 };
 
 /** True for a First/Subsequent query-variable item. */
-bool isQueryVarItem(const PifItem &item);
+inline bool
+isQueryVarItem(const PifItem &item)
+{
+    const TagClass cls = tagClass(item.tag);
+    return cls == TagClass::FirstQueryVar || cls == TagClass::SubQueryVar;
+}
 
 /** True for a First/Subsequent database-variable item. */
-bool isDbVarItem(const PifItem &item);
+inline bool
+isDbVarItem(const PifItem &item)
+{
+    const TagClass cls = tagClass(item.tag);
+    return cls == TagClass::FirstDbVar || cls == TagClass::SubDbVar;
+}
 
 /** True for any named (non-anonymous) variable item. */
-bool isNamedVarItem(const PifItem &item);
+inline bool
+isNamedVarItem(const PifItem &item)
+{
+    return isVariableTag(item.tag) && item.tag != kAnonymousVar;
+}
 
 /** True for the anonymous-variable item. */
-bool isAnonVarItem(const PifItem &item);
+inline bool
+isAnonVarItem(const PifItem &item)
+{
+    return tagClass(item.tag) == TagClass::AnonymousVar;
+}
 
 /** Append an item's wire encoding to a byte buffer. */
 void serializeItem(const PifItem &item, std::vector<std::uint8_t> &out);

@@ -32,8 +32,11 @@
 #ifndef CLARE_PIF_TYPE_TAGS_HH
 #define CLARE_PIF_TYPE_TAGS_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
+
+#include "support/logging.hh"
 
 namespace clare::pif {
 
@@ -95,35 +98,8 @@ enum class TagClass : std::uint8_t
 /** Number of distinct TagClass values. */
 constexpr std::size_t kTagClassCount = 14;
 
-/** Classify a tag; invalid tags panic. */
-TagClass tagClass(Tag tag);
-
-/** True if the byte is a valid PIF tag. */
-bool isValidTag(Tag tag);
-
-/** Category of a (valid) tag. */
-TagCategory tagCategory(Tag tag);
-
 /** Human-readable class name (matches Table A1 row labels). */
 const char *tagClassName(TagClass cls);
-
-/** True for the five variable tags. */
-bool isVariableTag(Tag tag);
-
-/** True for any structure or list tag. */
-bool isComplexTag(Tag tag);
-
-/** True for any of the four list tags. */
-bool isListTag(Tag tag);
-
-/** True for an in-line (elements-follow) complex tag. */
-bool isInlineComplexTag(Tag tag);
-
-/** True for an unterminated (tail-variable) list tag. */
-bool isUntermListTag(Tag tag);
-
-/** Arity field of a complex tag (low 5 bits). */
-std::uint32_t tagArity(Tag tag);
 
 /** Most significant nibble of an integer in-line tag. */
 std::uint32_t tagIntNibble(Tag tag);
@@ -134,8 +110,174 @@ Tag makeIntegerTag(std::uint32_t ms_nibble);
 /** Compose a complex tag from a family base and arity (1..31). */
 Tag makeComplexTag(Tag base, std::uint32_t arity);
 
+namespace detail {
+
+/**
+ * Everything the matcher asks of a tag byte, decoded once per byte
+ * value: the streams call these predicates for every item of every
+ * clause, so each is one load from kTagTable instead of a switch.
+ */
+struct TagInfo
+{
+    TagClass cls = TagClass::AnonymousVar;
+    std::uint8_t flags = 0;
+};
+
+/** @name TagInfo::flags bits. */
+/// @{
+constexpr std::uint8_t kTagValid = 0x01;
+constexpr std::uint8_t kTagVariable = 0x02;
+constexpr std::uint8_t kTagComplex = 0x04;
+constexpr std::uint8_t kTagList = 0x08;
+constexpr std::uint8_t kTagInlineComplex = 0x10;
+constexpr std::uint8_t kTagUntermList = 0x20;
+constexpr std::uint8_t kTagExtension = 0x40;
+/// @}
+
+/** Table A1 applied to one byte; invalid bytes get no kTagValid. */
+constexpr TagInfo
+decodeTag(Tag tag)
+{
+    auto info = [](TagClass cls, std::uint8_t flags) {
+        return TagInfo{cls, static_cast<std::uint8_t>(kTagValid | flags)};
+    };
+    switch (tag) {
+      case kAnonymousVar: return info(TagClass::AnonymousVar, kTagVariable);
+      case kFirstQueryVar: return info(TagClass::FirstQueryVar, kTagVariable);
+      case kSubQueryVar: return info(TagClass::SubQueryVar, kTagVariable);
+      case kFirstDbVar: return info(TagClass::FirstDbVar, kTagVariable);
+      case kSubDbVar: return info(TagClass::SubDbVar, kTagVariable);
+      case kAtomPointer: return info(TagClass::Atom, 0);
+      case kFloatPointer: return info(TagClass::Float, 0);
+      default:
+        break;
+    }
+    if ((tag & 0xf0) == kIntegerInlineBase)
+        return info(TagClass::Integer, 0);
+    // Complex families: top 3 bits select the family, low 5 the arity.
+    const std::uint32_t arity = tag & 0x1f;
+    if (arity < 1 || arity > kMaxInlineArity)
+        return TagInfo{};
+    constexpr std::uint8_t list = kTagComplex | kTagList;
+    switch (tag & 0xe0) {
+      case kStructInlineBase:
+        return info(TagClass::StructInline,
+                    kTagComplex | kTagInlineComplex);
+      case kStructPointerBase:
+        // Only structure pointers carry a separate extension word;
+        // list pointers keep the pointer in the content field.
+        return info(TagClass::StructPointer, kTagComplex | kTagExtension);
+      case kTermListInlineBase:
+        return info(TagClass::TermListInline, list | kTagInlineComplex);
+      case kUntermListInlineBase:
+        return info(TagClass::UntermListInline,
+                    list | kTagInlineComplex | kTagUntermList);
+      case kTermListPointerBase:
+        return info(TagClass::TermListPointer, list);
+      case kUntermListPointerBase:
+        return info(TagClass::UntermListPointer, list | kTagUntermList);
+      default:
+        return TagInfo{};
+    }
+}
+
+inline constexpr auto kTagTable = [] {
+    std::array<TagInfo, 256> table{};
+    for (unsigned t = 0; t < table.size(); ++t)
+        table[t] = decodeTag(static_cast<Tag>(t));
+    return table;
+}();
+
+/** The panic behind every classifying predicate given a bad byte. */
+[[noreturn]] void invalidTag(Tag tag);
+
+/** Decoded info of a valid tag; invalid tags panic. */
+inline const TagInfo &
+validTagInfo(Tag tag)
+{
+    const TagInfo &info = kTagTable[tag];
+    if (!(info.flags & kTagValid)) [[unlikely]]
+        invalidTag(tag);
+    return info;
+}
+
+} // namespace detail
+
+/** True if the byte is a valid PIF tag. */
+inline bool
+isValidTag(Tag tag)
+{
+    return detail::kTagTable[tag].flags & detail::kTagValid;
+}
+
+/** Classify a tag; invalid tags panic. */
+inline TagClass
+tagClass(Tag tag)
+{
+    return detail::validTagInfo(tag).cls;
+}
+
+/** Category of a (valid) tag. */
+inline TagCategory
+tagCategory(Tag tag)
+{
+    const std::uint8_t flags = detail::validTagInfo(tag).flags;
+    if (flags & detail::kTagVariable)
+        return TagCategory::Variable;
+    return flags & detail::kTagComplex ? TagCategory::Complex
+                                       : TagCategory::Simple;
+}
+
+/** True for the five variable tags. */
+inline bool
+isVariableTag(Tag tag)
+{
+    return detail::validTagInfo(tag).flags & detail::kTagVariable;
+}
+
+/** True for any structure or list tag. */
+inline bool
+isComplexTag(Tag tag)
+{
+    return detail::validTagInfo(tag).flags & detail::kTagComplex;
+}
+
+/** True for any of the four list tags. */
+inline bool
+isListTag(Tag tag)
+{
+    return detail::validTagInfo(tag).flags & detail::kTagList;
+}
+
+/** True for an in-line (elements-follow) complex tag. */
+inline bool
+isInlineComplexTag(Tag tag)
+{
+    return detail::validTagInfo(tag).flags & detail::kTagInlineComplex;
+}
+
+/** True for an unterminated (tail-variable) list tag. */
+inline bool
+isUntermListTag(Tag tag)
+{
+    return detail::validTagInfo(tag).flags & detail::kTagUntermList;
+}
+
 /** True if the tag's item carries a 32-bit extension word. */
-bool tagHasExtension(Tag tag);
+inline bool
+tagHasExtension(Tag tag)
+{
+    return detail::validTagInfo(tag).flags & detail::kTagExtension;
+}
+
+/** Arity field of a complex tag (low 5 bits). */
+inline std::uint32_t
+tagArity(Tag tag)
+{
+    clare_assert(isComplexTag(tag), "arity of a non-complex tag 0x%02x",
+                 tag);
+    return tag & 0x1f;
+}
 
 /** Enumerate every valid tag byte (ascending). */
 std::vector<Tag> allValidTags();

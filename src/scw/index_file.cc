@@ -14,12 +14,24 @@ SecondaryFile::build(const CodewordGenerator &generator,
     clare_assert(signatures.size() == clauses.clauseCount(),
                  "signature count %zu != clause count %zu",
                  signatures.size(), clauses.clauseCount());
+    return build(generator, clauses,
+                 [&signatures](std::size_t i) -> const Signature & {
+                     return signatures[i];
+                 });
+}
+
+SecondaryFile
+SecondaryFile::build(const CodewordGenerator &generator,
+                     const storage::ClauseFile &clauses,
+                     const std::function<const Signature &(std::size_t)> &
+                         signature_of)
+{
     SecondaryFile file;
     file.entryBytes_ = generator.signatureBytes() + 8;
-    file.count_ = signatures.size();
+    file.count_ = clauses.clauseCount();
     file.image_.reserve(file.entryBytes_ * file.count_);
-    for (std::size_t i = 0; i < signatures.size(); ++i) {
-        generator.serialize(signatures[i], file.image_);
+    for (std::size_t i = 0; i < file.count_; ++i) {
+        generator.serialize(signature_of(i), file.image_);
         std::uint32_t off = clauses.record(i).offset;
         std::uint32_t ord = clauses.record(i).ordinal;
         for (int b = 0; b < 4; ++b)

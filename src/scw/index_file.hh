@@ -13,6 +13,7 @@
 #define CLARE_SCW_INDEX_FILE_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "scw/codeword.hh"
@@ -57,6 +58,18 @@ class SecondaryFile
     static SecondaryFile build(const CodewordGenerator &generator,
                                const std::vector<Signature> &signatures,
                                const storage::ClauseFile &clauses);
+
+    /**
+     * The same file, with the signature of clause i produced by
+     * @p signature_of(i) as its entry is written (the reference need
+     * only last until the next call): a caller encoding on demand
+     * holds one signature at a time instead of one per clause.
+     */
+    static SecondaryFile
+    build(const CodewordGenerator &generator,
+          const storage::ClauseFile &clauses,
+          const std::function<const Signature &(std::size_t)> &
+              signature_of);
 
     /** Reconstruct from a persisted image (store loading path). */
     static SecondaryFile fromImage(std::vector<std::uint8_t> image,

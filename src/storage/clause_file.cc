@@ -72,16 +72,18 @@ ClauseFile::parseHeader(const std::vector<std::uint8_t> &image,
     return rec;
 }
 
-pif::EncodedArgs
-ClauseFile::decodeArgsAt(const std::vector<std::uint8_t> &image,
-                         const ClauseRecord &rec)
+void
+ClauseFile::decodeArgsInto(const ClauseRecord &rec,
+                           pif::EncodedArgs &out) const
 {
     // This is the boundary between stored bytes and the engine: a
     // clause-file v1 image has no page checksums, so a flipped byte
     // arrives here undetected.  Every structural property the engine
     // relies on is validated with a typed CorruptionError — the
     // engine's own guards are clare_assert backstops, not error
-    // reporting.
+    // reporting.  The full scans call this once per stored record
+    // into one scratch EncodedArgs, so the clean path only refills
+    // retained vectors; building messages is left to the throws.
     auto fail = [](std::size_t at, const std::string &why) {
         throw CorruptionError(
             "clause image", at / support::kChecksumPageBytes, at, why);
@@ -92,89 +94,103 @@ ClauseFile::decodeArgsAt(const std::vector<std::uint8_t> &image,
                       static_cast<unsigned>(tag));
         return std::string(buf);
     };
+    const std::vector<std::uint8_t> &image = image_;
+    const std::size_t items_at = rec.offset + kRecordHeaderBytes;
     const std::size_t rec_end = std::min<std::size_t>(
         static_cast<std::size_t>(rec.offset) + rec.length, image.size());
+    // Byte offset of a decoded item, for the error messages of the
+    // passes that run after the stream has been read.
+    auto item_offset = [&out, items_at](std::size_t item) {
+        std::size_t at = items_at;
+        for (std::size_t i = 0; i < item; ++i)
+            at += out.items[i].wireBytes();
+        return at;
+    };
 
-    pif::EncodedArgs args;
-    std::vector<std::size_t> item_at;
-    item_at.reserve(rec.itemCount);
-    std::size_t at = rec.offset + kRecordHeaderBytes;
+    out.items.clear();
+    out.argIndex.clear();
+    // One pass reads the items and rebuilds the argument index and the
+    // variable-slot count.  A bad slot or an in-line header with too
+    // few elements is only noted here: a truncated or malformed stream
+    // later in the record is reported first, then the slot, then the
+    // header.
+    constexpr std::size_t kNone = ~std::size_t{0};
+    std::size_t bad_slot = kNone;
+    std::size_t bad_width = kNone;
+    std::size_t next_arg = 0;
+    std::uint32_t max_slot = 0;
+    bool any_var = false;
+    std::size_t at = items_at;
     for (std::uint16_t i = 0; i < rec.itemCount; ++i) {
         if (at >= rec_end)
             fail(at, "PIF stream truncated after " +
                      std::to_string(i) + " of " +
                      std::to_string(rec.itemCount) + " items");
-        const pif::Tag tag = image[at];
-        if (!pif::isValidTag(tag))
-            fail(at, "invalid PIF tag " + hex_tag(tag));
-        const pif::TagClass cls = pif::tagClass(tag);
-        if (cls == pif::TagClass::FirstQueryVar ||
-            cls == pif::TagClass::SubQueryVar)
-            fail(at, "query-variable tag " + hex_tag(tag) +
+        pif::PifItem item;
+        item.tag = image[at];
+        if (!pif::isValidTag(item.tag))
+            fail(at, "invalid PIF tag " + hex_tag(item.tag));
+        if (pif::isQueryVarItem(item))
+            fail(at, "query-variable tag " + hex_tag(item.tag) +
                      " in a database stream");
-        if (at + (pif::tagHasExtension(tag) ? 9u : 5u) > rec_end)
+        const bool ext = pif::tagHasExtension(item.tag);
+        if (at + (ext ? 9u : 5u) > rec_end)
             fail(at, "PIF item overruns the record body");
-        item_at.push_back(at);
-        // All of deserializeItem's fatal paths are pre-checked above
-        // (against the record end, which is tighter than the image
-        // end), so this cannot abort.
-        args.items.push_back(pif::deserializeItem(image, at));
-    }
+        item.content = getU32(image, at + 1);
+        if (ext)
+            item.extension = getU32(image, at + 5);
+        at += ext ? 9u : 5u;
+        out.items.push_back(item);
 
-    // Rebuild the argument index and variable-slot count.
-    std::uint32_t max_slot = 0;
-    bool any_var = false;
-    for (std::size_t i = 0; i < args.items.size(); ++i) {
-        const pif::PifItem &item = args.items[i];
-        pif::TagClass cls = pif::tagClass(item.tag);
-        if (cls == pif::TagClass::FirstDbVar ||
-            cls == pif::TagClass::SubDbVar) {
+        if (pif::isDbVarItem(item)) {
             // Slots are assigned densely from zero, one per distinct
             // variable, so a slot at or past the item count can only
             // come from a corrupted content word — and would size the
             // TUE binding memory arbitrarily.
-            if (item.content >= rec.itemCount)
-                fail(item_at[i], "variable slot " +
-                                 std::to_string(item.content) +
-                                 " out of range for a record of " +
-                                 std::to_string(rec.itemCount) +
-                                 " items");
+            if (item.content >= rec.itemCount && bad_slot == kNone)
+                bad_slot = i;
             any_var = true;
             max_slot = std::max(max_slot, item.content);
         }
-    }
-    args.varSlots = any_var ? max_slot + 1 : 0;
-
-    std::size_t idx = 0;
-    std::uint32_t seen = 0;
-    while (idx < args.items.size()) {
-        args.argIndex.push_back(idx);
-        const pif::PifItem &item = args.items[idx];
-        std::size_t width = 1;
-        if (pif::isInlineComplexTag(item.tag)) {
-            width = 1 + pif::tagArity(item.tag);
-            if (idx + width > args.items.size())
-                fail(item_at[idx],
-                     "in-line complex item needs " +
-                         std::to_string(width - 1) +
-                         " elements but only " +
-                         std::to_string(args.items.size() - idx - 1) +
-                         " items follow");
+        if (i == next_arg) {
+            out.argIndex.push_back(i);
+            std::size_t width = 1;
+            if (pif::isInlineComplexTag(item.tag)) {
+                width = 1 + pif::tagArity(item.tag);
+                if (i + width > rec.itemCount && bad_width == kNone)
+                    bad_width = i;
+            }
+            next_arg += width;
         }
-        idx += width;
-        ++seen;
     }
-    if (seen != rec.arity)
-        fail(rec.offset, "decoded " + std::to_string(seen) +
+    out.varSlots = any_var ? max_slot + 1 : 0;
+
+    if (bad_slot != kNone)
+        fail(item_offset(bad_slot),
+             "variable slot " +
+                 std::to_string(out.items[bad_slot].content) +
+                 " out of range for a record of " +
+                 std::to_string(rec.itemCount) + " items");
+    if (bad_width != kNone)
+        fail(item_offset(bad_width),
+             "in-line complex item needs " +
+                 std::to_string(pif::tagArity(out.items[bad_width].tag)) +
+                 " elements but only " +
+                 std::to_string(rec.itemCount - bad_width - 1) +
+                 " items follow");
+    if (out.argIndex.size() != rec.arity)
+        fail(rec.offset, "decoded " +
+                         std::to_string(out.argIndex.size()) +
                          " arguments but record arity is " +
                          std::to_string(rec.arity));
-    return args;
 }
 
 pif::EncodedArgs
 ClauseFile::decodeArgs(std::size_t i) const
 {
-    return decodeArgsAt(image_, record(i));
+    pif::EncodedArgs args;
+    decodeArgsInto(record(i), args);
+    return args;
 }
 
 std::string
@@ -245,6 +261,10 @@ ClauseFile
 ClauseFileBuilder::finish()
 {
     ClauseFile out = std::move(file_);
+    // The image and directory grew by doubling; a finished file is
+    // kept for as long as its versions live, so drop the slack.
+    out.image_.shrink_to_fit();
+    out.records_.shrink_to_fit();
     file_ = ClauseFile();
     havePredicate_ = false;
     return out;

@@ -74,16 +74,22 @@ class ClauseFile
     /** Decode the compiled head-argument stream of clause @p i. */
     pif::EncodedArgs decodeArgs(std::size_t i) const;
 
+    /**
+     * Decode the argument stream of record @p rec into @p out,
+     * replacing its contents.  Reusing one @p out across records keeps
+     * a full scan free of heap traffic once its vectors are warm.
+     * @throws CorruptionError when the stored bytes are not a
+     *         well-formed database stream of the record's arity
+     */
+    void decodeArgsInto(const ClauseRecord &rec,
+                        pif::EncodedArgs &out) const;
+
     /** The stored source text of clause @p i. */
     std::string sourceText(std::size_t i) const;
 
     /** Parse one record starting at @p offset of an arbitrary image. */
     static ClauseRecord parseHeader(const std::vector<std::uint8_t> &image,
                                     std::size_t offset);
-
-    /** Decode a record's argument stream from an arbitrary image. */
-    static pif::EncodedArgs decodeArgsAt(
-        const std::vector<std::uint8_t> &image, const ClauseRecord &rec);
 
     /**
      * Concatenate two clause files of one predicate into a composite

@@ -43,6 +43,14 @@ void
 DiskModel::load(std::vector<std::uint8_t> image)
 {
     image_ = std::move(image);
+    extent_ = image_.size();
+}
+
+void
+DiskModel::setExtent(std::uint64_t bytes)
+{
+    image_ = {};
+    extent_ = bytes;
 }
 
 Tick
@@ -71,7 +79,7 @@ DiskModel::transferTime(std::uint64_t bytes) const
 
 DiskModel::DiskModel(DiskModel &&other) noexcept
     : geometry_(std::move(other.geometry_)),
-      image_(std::move(other.image_))
+      image_(std::move(other.image_)), extent_(other.extent_)
 {
     std::lock_guard<std::mutex> lock(other.cacheMutex_);
     cacheConfig_ = other.cacheConfig_;
@@ -85,6 +93,7 @@ DiskModel::operator=(DiskModel &&other) noexcept
         std::scoped_lock lock(cacheMutex_, other.cacheMutex_);
         geometry_ = std::move(other.geometry_);
         image_ = std::move(other.image_);
+        extent_ = other.extent_;
         cacheConfig_ = other.cacheConfig_;
         cache_ = std::move(other.cache_);
     }

@@ -110,8 +110,18 @@ class DiskModel
 
     const DiskGeometry &geometry() const { return geometry_; }
 
-    /** Replace the stored image. */
+    /** Replace the stored image; the extent becomes its size. */
     void load(std::vector<std::uint8_t> image);
+
+    /**
+     * Model a disk of @p bytes without holding them: timing and fault
+     * ranges need only offsets, so a disk that is never stream()ed
+     * (the predicate store's pair) keeps no copy of its images.
+     */
+    void setExtent(std::uint64_t bytes);
+
+    /** Bytes laid out on the disk, whether held or not. */
+    std::uint64_t extent() const { return extent_; }
 
     const std::vector<std::uint8_t> &image() const { return image_; }
 
@@ -196,6 +206,7 @@ class DiskModel
   private:
     DiskGeometry geometry_;
     std::vector<std::uint8_t> image_;
+    std::uint64_t extent_ = 0;
 
     /**
      * L1 track cache.  Mutable behind a mutex: reads are logically

@@ -32,8 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <vector>
+#include <type_traits>
 
 namespace clare::support {
 
@@ -54,6 +53,16 @@ class Arena
     Arena(const Arena &) = delete;
     Arena &operator=(const Arena &) = delete;
 
+    /**
+     * Moves hand the block chain over; every block keeps its address,
+     * so pointers into the arena stay valid.  The source is left
+     * empty.
+     */
+    Arena(Arena &&other) noexcept;
+    Arena &operator=(Arena &&other) noexcept;
+
+    ~Arena();
+
     /** Allocate @p bytes, 8-byte aligned.  Never returns nullptr. */
     void *alloc(std::size_t bytes);
 
@@ -64,6 +73,15 @@ class Arena
         static_assert(alignof(T) <= 8, "arena guarantees 8-byte alignment");
         return static_cast<T *>(alloc(count * sizeof(T)));
     }
+
+    /**
+     * Make room for @p bytes of coming allocations (each counted
+     * after 8-byte rounding) without chaining a default-size block:
+     * when no retained block has that much room, chain one of exactly
+     * @p bytes.  An arena filled once and then kept (a stored clause)
+     * thereby holds no slack.
+     */
+    void reserve(std::size_t bytes);
 
     /**
      * Grow the most recent allocation in place.  Succeeds only when
@@ -88,7 +106,7 @@ class Arena
     /** Total bytes held across all retained blocks. */
     std::size_t capacityBytes() const;
 
-    std::size_t blockCount() const { return blocks_.size(); }
+    std::size_t blockCount() const;
 
     /** Offset handle of a live allocation (asserts p is in-arena). */
     Offset offsetOf(const void *p) const;
@@ -101,17 +119,38 @@ class Arena
     }
 
   private:
+    /**
+     * One heap allocation per block: this header, then the data.  The
+     * chain is intrusive, so an arena costs three words plus its
+     * blocks — a Program keeps one arena per clause.
+     */
     struct Block
     {
-        std::unique_ptr<std::uint8_t[]> data;
-        std::size_t capacity = 0;
-        std::size_t used = 0;
+        Block *next = nullptr;
+        std::uint32_t capacity = 0;
+        std::uint32_t used = 0;
+
+        std::uint8_t *data() { return reinterpret_cast<std::uint8_t *>(this + 1); }
+        bool contains(const void *p)
+        {
+            const std::uint8_t *bytes = static_cast<const std::uint8_t *>(p);
+            return bytes >= data() && bytes < data() + capacity;
+        }
     };
+    static_assert(sizeof(Block) % 8 == 0, "block data must stay 8-aligned");
 
     static std::size_t round8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
-    std::vector<Block> blocks_;
-    std::size_t current_ = 0; // block being bumped (valid iff !blocks_.empty())
+    /**
+     * The first block from the current one on with @p need free bytes
+     * (it becomes current), or a freshly chained block of @p capacity.
+     */
+    Block *blockWithRoom(std::size_t need, std::size_t capacity);
+
+    void release();
+
+    Block *head_ = nullptr;
+    Block *current_ = nullptr; // block being bumped (null iff no blocks)
     std::size_t blockBytes_;
 };
 
@@ -122,10 +161,15 @@ class Arena
  * arena's most recent allocation).  The abandoned old storage is
  * reclaimed wholesale at the next Arena::reset().
  *
+ * The vector does not remember its arena: every call that may grow it
+ * takes the arena, which must be the same one each time.  That keeps
+ * the handle at two words, and the owner of both (a term arena, one
+ * per stored clause) free to move the arena.
+ *
  * Unlike std::vector there is no shrinking and no element
  * destruction; `clear()` just rewinds the size.  After the backing
- * Arena resets, call `detach()` (or attach to the arena again) before
- * reuse — the data pointer is dangling at that point.
+ * Arena resets, call `detach()` before reuse — the data pointer is
+ * dangling at that point.
  */
 template <typename T>
 class ArenaVector
@@ -134,18 +178,6 @@ class ArenaVector
                   "ArenaVector elements must be trivially copyable");
 
   public:
-    ArenaVector() = default;
-    explicit ArenaVector(Arena &arena) : arena_(&arena) {}
-
-    /** Bind to an arena and forget any previous storage. */
-    void attach(Arena &arena)
-    {
-        arena_ = &arena;
-        data_ = nullptr;
-        size_ = 0;
-        capacity_ = 0;
-    }
-
     /** Forget the storage (used after the backing arena resets). */
     void detach()
     {
@@ -169,57 +201,67 @@ class ArenaVector
     T &back() { return data_[size_ - 1]; }
     const T &back() const { return data_[size_ - 1]; }
 
-    void push_back(const T &value)
+    void push_back(Arena &arena, const T &value)
     {
         if (size_ == capacity_)
-            grow(size_ + 1);
+            grow(arena, std::size_t{size_} + 1);
         data_[size_++] = value;
     }
 
     /** Append a span of elements (the insert(end, ...) idiom). */
-    void append(const T *src, std::size_t count)
+    void append(Arena &arena, const T *src, std::size_t count)
     {
         if (count == 0)
             return;
         if (size_ + count > capacity_)
-            grow(size_ + count);
+            grow(arena, size_ + count);
         std::memcpy(data_ + size_, src, count * sizeof(T));
-        size_ += count;
+        size_ += static_cast<std::uint32_t>(count);
     }
 
-    void resize(std::size_t n)
+    void resize(Arena &arena, std::size_t n)
     {
         if (n > capacity_)
-            grow(n);
+            grow(arena, n);
         if (n > size_)
             std::memset(data_ + size_, 0, (n - size_) * sizeof(T));
-        size_ = n;
+        size_ = static_cast<std::uint32_t>(n);
+    }
+
+    /** Capacity for exactly @p n elements (no doubling, no minimum). */
+    void reserve(Arena &arena, std::size_t n)
+    {
+        if (n > capacity_)
+            reallocate(arena, n);
     }
 
   private:
-    void grow(std::size_t need)
+    void grow(Arena &arena, std::size_t need)
     {
         // Doubling amortizes push_back; a bulk append past that takes
-        // exactly what it needs (a copied TermArena is sized to fit).
-        std::size_t cap = std::max(capacity_ == 0 ? 8 : capacity_ * 2,
-                                   need);
+        // exactly what it needs.
+        reallocate(arena, std::max<std::size_t>(
+            capacity_ == 0 ? 8 : std::size_t{capacity_} * 2, need));
+    }
+
+    void reallocate(Arena &arena, std::size_t cap)
+    {
         if (data_ != nullptr &&
-            arena_->tryExtend(data_, capacity_ * sizeof(T),
-                              cap * sizeof(T))) {
-            capacity_ = cap;
+            arena.tryExtend(data_, capacity_ * sizeof(T), cap * sizeof(T))) {
+            capacity_ = static_cast<std::uint32_t>(cap);
             return;
         }
-        T *fresh = arena_->allocArray<T>(cap);
+        T *fresh = arena.allocArray<T>(cap);
         if (size_ != 0)
             std::memcpy(fresh, data_, size_ * sizeof(T));
         data_ = fresh;
-        capacity_ = cap;
+        capacity_ = static_cast<std::uint32_t>(cap);
     }
 
-    Arena *arena_ = nullptr;
     T *data_ = nullptr;
-    std::size_t size_ = 0;
-    std::size_t capacity_ = 0;
+    // 32-bit counts (term arenas index with 32-bit TermRefs anyway).
+    std::uint32_t size_ = 0;
+    std::uint32_t capacity_ = 0;
 };
 
 } // namespace clare::support

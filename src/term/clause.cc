@@ -8,13 +8,46 @@ namespace clare::term {
 
 const std::vector<std::size_t> Program::kEmpty;
 
-Clause::Clause(TermArena arena, TermRef head, std::vector<TermRef> body)
-    : arena_(std::move(arena)), head_(head), body_(std::move(body))
+namespace {
+
+std::unique_ptr<TermRef[]>
+copyBody(std::span<const TermRef> body)
 {
+    if (body.empty())
+        return nullptr;
+    auto out = std::make_unique<TermRef[]>(body.size());
+    std::copy(body.begin(), body.end(), out.get());
+    return out;
+}
+
+} // namespace
+
+Clause::Clause(TermArena arena, TermRef head, std::vector<TermRef> body)
+    : arena_(std::move(arena)), head_(head),
+      bodySize_(static_cast<std::uint32_t>(body.size())),
+      body_(copyBody(body))
+{
+    // A Program keeps one arena per clause for as long as it lives,
+    // so it holds the terms in exactly sized storage.
+    arena_.shrinkToFit();
     TermKind k = arena_.kind(head_);
     if (k != TermKind::Atom && k != TermKind::Struct)
         clare_fatal("clause head must be an atom or structure, got %s",
                     termKindName(k));
+}
+
+Clause::Clause(const Clause &other)
+    : arena_(other.arena_), head_(other.head_),
+      bodySize_(other.bodySize_), body_(copyBody(other.body()))
+{
+}
+
+Clause &
+Clause::operator=(const Clause &other)
+{
+    if (this != &other)
+        *this = Clause(other);
+    return *this;
 }
 
 bool
@@ -86,13 +119,16 @@ ClauseTable::add(const TermArena &arena, TermRef head,
 void
 ClauseTable::shrinkToFit()
 {
-    // Copy-assigning into a fresh arena appends each node and argument
-    // span in one exactly sized allocation.
-    TermArena compact;
-    compact = arena_;
-    arena_ = std::move(compact);
+    arena_.shrinkToFit();
     entries_.shrink_to_fit();
     goals_.shrink_to_fit();
+}
+
+void
+ClauseTable::reserve(std::size_t clauses, const TermArena::Mark &terms)
+{
+    arena_.reserve(terms);
+    entries_.reserve(entries_.size() + clauses);
 }
 
 ClauseView

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,12 +43,20 @@ class Clause
     /** Construct from an arena (moved in), head, and body goals. */
     Clause(TermArena arena, TermRef head, std::vector<TermRef> body);
 
+    Clause(const Clause &other);
+    Clause &operator=(const Clause &other);
+    Clause(Clause &&) noexcept = default;
+    Clause &operator=(Clause &&) noexcept = default;
+
     const TermArena &arena() const { return arena_; }
     TermRef head() const { return head_; }
-    const std::vector<TermRef> &body() const { return body_; }
+    std::span<const TermRef> body() const
+    {
+        return {body_.get(), bodySize_};
+    }
 
     /** True for a clause with no body goals. */
-    bool isFact() const { return body_.empty(); }
+    bool isFact() const { return bodySize_ == 0; }
 
     /**
      * True for a ground fact: no body and no variables anywhere in the
@@ -65,7 +74,10 @@ class Clause
   private:
     TermArena arena_;
     TermRef head_ = kNoTerm;
-    std::vector<TermRef> body_;
+    // Not a std::vector: a Program holds one Clause per clause, and
+    // most are facts, so the body costs one word plus a count.
+    std::uint32_t bodySize_ = 0;
+    std::unique_ptr<TermRef[]> body_;
 
     static bool groundTerm(const TermArena &arena, TermRef t);
 };
@@ -107,6 +119,12 @@ class ClauseTable
      * finished table is copied once into exactly sized storage.
      */
     void shrinkToFit();
+
+    /**
+     * Room for @p clauses more clauses whose terms total @p terms, so
+     * adding them does not regrow the table.
+     */
+    void reserve(std::size_t clauses, const TermArena::Mark &terms);
 
     std::size_t size() const { return entries_.size(); }
 
@@ -154,6 +172,9 @@ class Program
 
     std::size_t size() const { return clauses_.size(); }
     const Clause &clause(std::size_t i) const;
+
+    /** Make room for @p clauses clauses in all without regrowing. */
+    void reserve(std::size_t clauses) { clauses_.reserve(clauses); }
 
     /** Global ordinals of a predicate's clauses, in source order. */
     const std::vector<std::size_t> &

@@ -22,10 +22,8 @@ termKindName(TermKind kind)
 }
 
 TermArena::TermArena()
-    : mem_(std::make_unique<support::Arena>(kBlockBytes))
+    : mem_(kBlockBytes)
 {
-    nodes_.attach(*mem_);
-    args_.attach(*mem_);
 }
 
 TermArena::TermArena(const TermArena &other)
@@ -39,22 +37,94 @@ TermArena::operator=(const TermArena &other)
 {
     if (this == &other)
         return *this;
-    mem_->reset();
-    nodes_.attach(*mem_);
-    args_.attach(*mem_);
-    nodes_.append(other.nodes_.data(), other.nodes_.size());
-    args_.append(other.args_.data(), other.args_.size());
+    reset();
+    // One exactly sized block for both spans (unless a retained block
+    // already has the room), each vector sized to its contents.
+    mem_.reserve(other.exactBytes());
+    nodes_.reserve(mem_, other.nodes_.size());
+    args_.reserve(mem_, other.args_.size());
+    nodes_.append(mem_, other.nodes_.data(), other.nodes_.size());
+    args_.append(mem_, other.args_.data(), other.args_.size());
     varCeiling_ = other.varCeiling_;
+    return *this;
+}
+
+TermArena::TermArena(TermArena &&other) noexcept
+    : mem_(std::move(other.mem_)), nodes_(other.nodes_),
+      args_(other.args_), varCeiling_(other.varCeiling_)
+{
+    other.reset();
+}
+
+TermArena &
+TermArena::operator=(TermArena &&other) noexcept
+{
+    if (this != &other) {
+        mem_ = std::move(other.mem_);
+        nodes_ = other.nodes_;
+        args_ = other.args_;
+        varCeiling_ = other.varCeiling_;
+        other.reset();
+    }
     return *this;
 }
 
 void
 TermArena::reset()
 {
-    mem_->reset();
-    nodes_.attach(*mem_);
-    args_.attach(*mem_);
+    mem_.reset();
+    nodes_.detach();
+    args_.detach();
     varCeiling_ = 0;
+}
+
+TermArena::Node::Node(TermKind kind, std::uint32_t a_, std::uint32_t b_,
+                      std::uint32_t count)
+    : a(a_), b(b_),
+      kindCount(static_cast<std::uint32_t>(kind) << kCountBits | count)
+{
+    clare_assert(count >> kCountBits == 0,
+                 "%u arguments overflow a term node", count);
+}
+
+std::size_t
+TermArena::exactBytes() const
+{
+    static_assert(sizeof(Node) == 12, "term nodes stay 12 bytes");
+    auto round8 = [](std::size_t n) { return (n + 7) & ~std::size_t{7}; };
+    return round8(nodes_.size() * sizeof(Node)) +
+        round8(args_.size() * sizeof(TermRef));
+}
+
+void
+TermArena::shrinkToFit()
+{
+    if (memoryFootprint() > exactBytes())
+        *this = TermArena(*this);
+}
+
+TermArena::Mark
+TermArena::mark() const
+{
+    return Mark{static_cast<std::uint32_t>(nodes_.size()),
+                static_cast<std::uint32_t>(args_.size()), varCeiling_};
+}
+
+void
+TermArena::reserve(const Mark &more)
+{
+    nodes_.reserve(mem_, nodes_.size() + more.nodes);
+    args_.reserve(mem_, args_.size() + more.args);
+}
+
+void
+TermArena::rewind(const Mark &m)
+{
+    clare_assert(m.nodes <= nodes_.size() && m.args <= args_.size(),
+                 "rewind past the end of the arena");
+    nodes_.resize(mem_, m.nodes);
+    args_.resize(mem_, m.args);
+    varCeiling_ = m.varCeiling;
 }
 
 const TermArena::Node &
@@ -68,36 +138,36 @@ TermRef
 TermArena::push(Node n)
 {
     TermRef r = static_cast<TermRef>(nodes_.size());
-    nodes_.push_back(n);
+    nodes_.push_back(mem_, n);
     return r;
 }
 
 TermRef
 TermArena::makeAtom(SymbolId sym)
 {
-    return push(Node{TermKind::Atom, sym, 0, 0, 0});
+    return push(Node(TermKind::Atom, sym, 0));
 }
 
 TermRef
 TermArena::makeInt(std::int64_t value)
 {
     std::uint64_t u = static_cast<std::uint64_t>(value);
-    return push(Node{TermKind::Int,
+    return push(Node(TermKind::Int,
                      static_cast<std::uint32_t>(u & 0xffffffffu),
-                     static_cast<std::uint32_t>(u >> 32), 0, 0});
+                     static_cast<std::uint32_t>(u >> 32)));
 }
 
 TermRef
 TermArena::makeFloat(FloatId id)
 {
-    return push(Node{TermKind::Float, id, 0, 0, 0});
+    return push(Node(TermKind::Float, id, 0));
 }
 
 TermRef
 TermArena::makeVar(VarId var, SymbolId name)
 {
     varCeiling_ = std::max(varCeiling_, var + 1);
-    return push(Node{TermKind::Var, var, name, 0, 0});
+    return push(Node(TermKind::Var, var, name));
 }
 
 TermRef
@@ -105,9 +175,9 @@ TermArena::makeStruct(SymbolId functor, std::span<const TermRef> args)
 {
     clare_assert(!args.empty(), "a structure must have at least one arg");
     std::uint32_t begin = static_cast<std::uint32_t>(args_.size());
-    args_.append(args.data(), args.size());
-    return push(Node{TermKind::Struct, functor, 0, begin,
-                     static_cast<std::uint32_t>(args.size())});
+    args_.append(mem_, args.data(), args.size());
+    return push(Node(TermKind::Struct, functor, begin,
+                     static_cast<std::uint32_t>(args.size())));
 }
 
 TermRef
@@ -119,22 +189,22 @@ TermArena::makeList(std::span<const TermRef> elems, TermRef tail)
     // residual lists whose tail is an arbitrary term (improper lists
     // are tolerated at runtime, as in standard Prolog).
     std::uint32_t begin = static_cast<std::uint32_t>(args_.size());
-    args_.append(elems.data(), elems.size());
-    return push(Node{TermKind::List, 0, tail, begin,
-                     static_cast<std::uint32_t>(elems.size())});
+    args_.append(mem_, elems.data(), elems.size());
+    return push(Node(TermKind::List, tail, begin,
+                     static_cast<std::uint32_t>(elems.size())));
 }
 
 TermKind
 TermArena::kind(TermRef t) const
 {
-    return node(t).kind;
+    return node(t).kind();
 }
 
 SymbolId
 TermArena::atomSymbol(TermRef t) const
 {
     const Node &n = node(t);
-    clare_assert(n.kind == TermKind::Atom, "not an atom");
+    clare_assert(n.kind() == TermKind::Atom, "not an atom");
     return n.a;
 }
 
@@ -142,7 +212,7 @@ std::int64_t
 TermArena::intValue(TermRef t) const
 {
     const Node &n = node(t);
-    clare_assert(n.kind == TermKind::Int, "not an int");
+    clare_assert(n.kind() == TermKind::Int, "not an int");
     std::uint64_t u = (static_cast<std::uint64_t>(n.b) << 32) | n.a;
     return static_cast<std::int64_t>(u);
 }
@@ -151,7 +221,7 @@ FloatId
 TermArena::floatId(TermRef t) const
 {
     const Node &n = node(t);
-    clare_assert(n.kind == TermKind::Float, "not a float");
+    clare_assert(n.kind() == TermKind::Float, "not a float");
     return n.a;
 }
 
@@ -159,7 +229,7 @@ VarId
 TermArena::varId(TermRef t) const
 {
     const Node &n = node(t);
-    clare_assert(n.kind == TermKind::Var, "not a var");
+    clare_assert(n.kind() == TermKind::Var, "not a var");
     return n.a;
 }
 
@@ -167,7 +237,7 @@ SymbolId
 TermArena::varName(TermRef t) const
 {
     const Node &n = node(t);
-    clare_assert(n.kind == TermKind::Var, "not a var");
+    clare_assert(n.kind() == TermKind::Var, "not a var");
     return n.b;
 }
 
@@ -181,7 +251,7 @@ SymbolId
 TermArena::functor(TermRef t) const
 {
     const Node &n = node(t);
-    clare_assert(n.kind == TermKind::Struct, "not a struct");
+    clare_assert(n.kind() == TermKind::Struct, "not a struct");
     return n.a;
 }
 
@@ -189,28 +259,28 @@ std::uint32_t
 TermArena::arity(TermRef t) const
 {
     const Node &n = node(t);
-    clare_assert(n.kind == TermKind::Struct || n.kind == TermKind::List,
+    clare_assert(n.kind() == TermKind::Struct || n.kind() == TermKind::List,
                  "arity of a non-complex term");
-    return n.argsCount;
+    return n.argsCount();
 }
 
 TermRef
 TermArena::arg(TermRef t, std::uint32_t i) const
 {
     const Node &n = node(t);
-    clare_assert(n.kind == TermKind::Struct || n.kind == TermKind::List,
+    clare_assert(n.kind() == TermKind::Struct || n.kind() == TermKind::List,
                  "arg of a non-complex term");
-    clare_assert(i < n.argsCount, "arg index %u out of range (%u)",
-                 i, n.argsCount);
-    return args_[n.argsBegin + i];
+    clare_assert(i < n.argsCount(), "arg index %u out of range (%u)",
+                 i, n.argsCount());
+    return args_[n.b + i];
 }
 
 TermRef
 TermArena::listTail(TermRef t) const
 {
     const Node &n = node(t);
-    clare_assert(n.kind == TermKind::List, "not a list");
-    return n.b;
+    clare_assert(n.kind() == TermKind::List, "not a list");
+    return n.a;
 }
 
 bool
@@ -223,11 +293,11 @@ TermRef
 TermArena::import(const TermArena &src, TermRef t, VarId var_offset)
 {
     const Node &n = src.node(t);
-    switch (n.kind) {
+    switch (n.kind()) {
       case TermKind::Atom:
         return makeAtom(n.a);
       case TermKind::Int:
-        return push(Node{TermKind::Int, n.a, n.b, 0, 0});
+        return push(Node(TermKind::Int, n.a, n.b));
       case TermKind::Float:
         return makeFloat(n.a);
       case TermKind::Var:
@@ -242,17 +312,17 @@ TermArena::import(const TermArena &src, TermRef t, VarId var_offset)
         TermRef inline_refs[kInline];
         std::vector<TermRef> spilled;
         TermRef *refs = inline_refs;
-        if (n.argsCount > kInline) {
-            spilled.resize(n.argsCount);
+        if (n.argsCount() > kInline) {
+            spilled.resize(n.argsCount());
             refs = spilled.data();
         }
-        for (std::uint32_t i = 0; i < n.argsCount; ++i)
-            refs[i] = import(src, src.args_[n.argsBegin + i], var_offset);
-        std::span<const TermRef> children(refs, n.argsCount);
-        if (n.kind == TermKind::Struct)
+        for (std::uint32_t i = 0; i < n.argsCount(); ++i)
+            refs[i] = import(src, src.args_[n.b + i], var_offset);
+        std::span<const TermRef> children(refs, n.argsCount());
+        if (n.kind() == TermKind::Struct)
             return makeStruct(n.a, children);
-        TermRef tail = n.b == kNoTerm
-            ? kNoTerm : import(src, n.b, var_offset);
+        TermRef tail = n.a == kNoTerm
+            ? kNoTerm : import(src, n.a, var_offset);
         return makeList(children, tail);
       }
     }
@@ -265,9 +335,9 @@ TermArena::equal(const TermArena &a, TermRef ta,
 {
     const Node &na = a.node(ta);
     const Node &nb = b.node(tb);
-    if (na.kind != nb.kind)
+    if (na.kind() != nb.kind())
         return false;
-    switch (na.kind) {
+    switch (na.kind()) {
       case TermKind::Atom:
       case TermKind::Float:
         return na.a == nb.a;
@@ -276,23 +346,23 @@ TermArena::equal(const TermArena &a, TermRef ta,
       case TermKind::Var:
         return na.a == nb.a;
       case TermKind::Struct:
-        if (na.a != nb.a || na.argsCount != nb.argsCount)
+        if (na.a != nb.a || na.argsCount() != nb.argsCount())
             return false;
-        for (std::uint32_t i = 0; i < na.argsCount; ++i)
-            if (!equal(a, a.args_[na.argsBegin + i],
-                       b, b.args_[nb.argsBegin + i]))
+        for (std::uint32_t i = 0; i < na.argsCount(); ++i)
+            if (!equal(a, a.args_[na.b + i],
+                       b, b.args_[nb.b + i]))
                 return false;
         return true;
       case TermKind::List:
-        if (na.argsCount != nb.argsCount)
+        if (na.argsCount() != nb.argsCount())
             return false;
-        if ((na.b == kNoTerm) != (nb.b == kNoTerm))
+        if ((na.a == kNoTerm) != (nb.a == kNoTerm))
             return false;
-        for (std::uint32_t i = 0; i < na.argsCount; ++i)
-            if (!equal(a, a.args_[na.argsBegin + i],
-                       b, b.args_[nb.argsBegin + i]))
+        for (std::uint32_t i = 0; i < na.argsCount(); ++i)
+            if (!equal(a, a.args_[na.b + i],
+                       b, b.args_[nb.b + i]))
                 return false;
-        if (na.b != kNoTerm && !equal(a, na.b, b, nb.b))
+        if (na.a != kNoTerm && !equal(a, na.a, b, nb.a))
             return false;
         return true;
     }

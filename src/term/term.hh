@@ -18,7 +18,6 @@
 #define CLARE_TERM_TERM_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "support/arena.hh"
@@ -59,10 +58,12 @@ class TermArena
 {
   public:
     TermArena();
+
+    /** Copies hold their nodes in storage sized exactly to them. */
     TermArena(const TermArena &other);
     TermArena &operator=(const TermArena &other);
-    TermArena(TermArena &&) noexcept = default;
-    TermArena &operator=(TermArena &&) noexcept = default;
+    TermArena(TermArena &&other) noexcept;
+    TermArena &operator=(TermArena &&other) noexcept;
 
     /** Number of nodes in the arena. */
     std::size_t size() const { return nodes_.size(); }
@@ -76,7 +77,41 @@ class TermArena
     void reset();
 
     /** Bytes retained by the backing bump arena. */
-    std::size_t memoryFootprint() const { return mem_->capacityBytes(); }
+    std::size_t memoryFootprint() const { return mem_.capacityBytes(); }
+
+    /**
+     * Release growth slack: re-home the nodes in one exactly sized
+     * block when the arena holds more than that (doubling growth and
+     * the default first block leave room a kept arena never uses).
+     * TermRefs stay valid.
+     */
+    void shrinkToFit();
+
+    /**
+     * How much the arena holds: node and argument-slot counts, plus
+     * the variable ceiling.  Taken as a point rewind() returns to, or
+     * as the size of a term to reserve() room for.
+     */
+    struct Mark
+    {
+        std::uint32_t nodes = 0;
+        std::uint32_t args = 0;
+        VarId varCeiling = 0;
+    };
+
+    Mark mark() const;
+
+    /**
+     * Room for @p more nodes and argument slots past the current ones,
+     * sized exactly, so building them does not regrow the arena.
+     */
+    void reserve(const Mark &more);
+
+    /**
+     * Drop every node made since @p m, keeping the memory for the
+     * next ones: TermRefs below the mark stay valid, later ones die.
+     */
+    void rewind(const Mark &m);
 
     /** @name Constructors for each term shape. */
     /// @{
@@ -145,22 +180,41 @@ class TermArena
      */
     static constexpr std::size_t kBlockBytes = 256;
 
+    /** 12 bytes: a Program holds one per term of every clause. */
     struct Node
     {
-        TermKind kind;
-        std::uint32_t a;        // symbol / float id / var id / low int bits
-        std::uint32_t b;        // name / high int bits / list tail
-        std::uint32_t argsBegin;
-        std::uint32_t argsCount;
+        std::uint32_t a;        // symbol / float or var id / low int
+                                // bits / functor / list tail
+        std::uint32_t b;        // var name / high int bits / first
+                                // argument slot of a struct or list
+        std::uint32_t kindCount; // kind in the top 3 bits, then the
+                                 // argument count of a struct or list
+
+        static constexpr std::uint32_t kCountBits = 29;
+
+        Node(TermKind kind, std::uint32_t a_, std::uint32_t b_,
+             std::uint32_t count = 0);
+
+        TermKind kind() const
+        {
+            return static_cast<TermKind>(kindCount >> kCountBits);
+        }
+        std::uint32_t argsCount() const
+        {
+            return kindCount & ((1u << kCountBits) - 1);
+        }
     };
 
-    // Nodes and arg spans live in a block-chained bump arena behind a
-    // unique_ptr so moves keep every block address (and thus every
-    // raw pointer inside the ArenaVectors) stable.
-    std::unique_ptr<support::Arena> mem_;
+    // Nodes and arg spans live in a block-chained bump arena held by
+    // value: a move hands the blocks over without moving them, so the
+    // ArenaVectors keep their storage.
+    support::Arena mem_;
     support::ArenaVector<Node> nodes_;
     support::ArenaVector<TermRef> args_;
     VarId varCeiling_ = 0;
+
+    /** Bytes the nodes and arg spans need, as the arena rounds them. */
+    std::size_t exactBytes() const;
 
     const Node &node(TermRef t) const;
     TermRef push(Node n);

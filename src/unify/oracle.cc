@@ -8,11 +8,18 @@ bool
 HeadUnifier::unifies(const term::TermArena &arena, term::TermRef head)
 {
     // Scratch arena: goal first, then the clause head standardized
-    // apart by offsetting its variable ids past the goal's.
-    scratch_.reset();
-    term::TermRef goal = scratch_.import(qArena_, qGoal_, 0);
+    // apart by offsetting its variable ids past the goal's.  Unifying
+    // binds variables to terms but never edits a node, so the goal
+    // copy stays as imported; only the head and whatever the unifier
+    // built after it are dropped.
+    if (goal_ == term::kNoTerm) {
+        goal_ = scratch_.import(qArena_, qGoal_, 0);
+        goalMark_ = scratch_.mark();
+    } else {
+        scratch_.rewind(goalMark_);
+    }
     term::TermRef h = scratch_.import(arena, head, qArena_.varCeiling());
-    bool ok = unifyTerms(scratch_, goal, h, bindings_);
+    bool ok = unifyTerms(scratch_, goal_, h, bindings_);
     bindings_.undo(0);
     return ok;
 }

@@ -23,9 +23,11 @@ namespace clare::unify {
  * Full unification of one query goal against many clause heads, with
  * one scratch arena and one binding trail reused across heads.  Each
  * unifies() call is exactly wouldUnify() against a clause with that
- * head: the scratch is rewound, the goal and the head are imported
- * standardized apart (head variables offset past the goal's), and the
- * trail is undone afterwards.  Once warm, a call touches no heap.
+ * head: the goal is imported into the scratch once (on the first
+ * call), each head is imported after it standardized apart (head
+ * variables offset past the goal's), and afterwards the scratch is
+ * rewound to just past the goal and the trail undone.  Once warm, a
+ * call touches no heap.
  */
 class HeadUnifier
 {
@@ -42,6 +44,10 @@ class HeadUnifier
     const term::TermArena &qArena_;
     term::TermRef qGoal_;
     term::TermArena scratch_;
+    /** The goal's root in scratch_; kNoTerm until first imported. */
+    term::TermRef goal_ = term::kNoTerm;
+    /** scratch_ holding just the goal. */
+    term::TermArena::Mark goalMark_;
     Bindings bindings_;
 };
 

@@ -16,7 +16,8 @@
 #ifndef CLARE_UNIFY_PAIR_ENGINE_HH
 #define CLARE_UNIFY_PAIR_ENGINE_HH
 
-#include <functional>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "pif/pif_item.hh"
@@ -24,8 +25,34 @@
 
 namespace clare::unify {
 
-/** Callback receiving each hardware operation as it is performed. */
-using OpSink = std::function<void(TueOp)>;
+/**
+ * Callback receiving each hardware operation as it is performed.  A
+ * non-owning function reference (object pointer plus call thunk), so
+ * handing a capturing lambda to matchPair() never allocates, however
+ * much it captures.  Like std::function_ref it must not outlive the
+ * callable it was built from: pass it down, never store it.
+ */
+class OpSink
+{
+  public:
+    template <typename F>
+        requires(!std::is_same_v<std::remove_cvref_t<F>, OpSink> &&
+                 std::is_invocable_v<F &, TueOp>)
+    OpSink(F &&f)
+        : obj_(const_cast<void *>(
+              static_cast<const void *>(std::addressof(f)))),
+          call_([](void *obj, TueOp op) {
+              (*static_cast<std::remove_reference_t<F> *>(obj))(op);
+          })
+    {
+    }
+
+    void operator()(TueOp op) const { call_(obj_, op); }
+
+  private:
+    void *obj_;
+    void (*call_)(void *, TueOp);
+};
 
 /**
  * Header-level comparison of two non-variable items at a matching

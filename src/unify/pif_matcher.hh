@@ -28,6 +28,7 @@
 #define CLARE_UNIFY_PIF_MATCHER_HH
 
 #include "pif/encoder.hh"
+#include "unify/pair_engine.hh"
 #include "unify/tue_op.hh"
 
 namespace clare::unify {
@@ -67,12 +68,14 @@ class PifMatcher
      * argument count (same predicate arity).
      */
     PifMatchResult match(const pif::EncodedArgs &db,
-                         const pif::EncodedArgs &query) const;
+                         const pif::EncodedArgs &query);
 
     const PifMatchConfig &config() const { return config_; }
 
   private:
     PifMatchConfig config_;
+    /** Binding cells, reset (not reallocated) for every match. */
+    PairEngine engine_;
 };
 
 } // namespace clare::unify

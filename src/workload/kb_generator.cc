@@ -124,6 +124,8 @@ term::Program
 KbGenerator::generate(const KbSpec &spec)
 {
     term::Program program;
+    program.reserve(static_cast<std::size_t>(spec.predicates) *
+                    spec.clausesPerPredicate);
     Rng rng(spec.seed);
     for (std::uint32_t p = 0; p < spec.predicates; ++p)
         generatePredicate(program, spec, p, rng);

@@ -163,9 +163,9 @@ TEST(ArenaTest, OffsetHandlesSurviveBlockChaining)
 TEST(ArenaVectorTest, GrowthPreservesContents)
 {
     support::Arena arena(128);
-    support::ArenaVector<std::uint32_t> v(arena);
+    support::ArenaVector<std::uint32_t> v;
     for (std::uint32_t i = 0; i < 1000; ++i)
-        v.push_back(i * 3);
+        v.push_back(arena, i * 3);
     ASSERT_EQ(v.size(), 1000u);
     for (std::uint32_t i = 0; i < 1000; ++i)
         EXPECT_EQ(v[i], i * 3);
@@ -175,18 +175,18 @@ TEST(ArenaVectorTest, GrowthPreservesContents)
 TEST(ArenaVectorTest, AppendAndResizeZeroFill)
 {
     support::Arena arena;
-    support::ArenaVector<std::uint16_t> v(arena);
+    support::ArenaVector<std::uint16_t> v;
     std::uint16_t span[] = {7, 8, 9};
-    v.append(span, 3);
-    v.resize(8);
+    v.append(arena, span, 3);
+    v.resize(arena, 8);
     ASSERT_EQ(v.size(), 8u);
     EXPECT_EQ(v[0], 7u);
     EXPECT_EQ(v[2], 9u);
     for (std::size_t i = 3; i < 8; ++i)
         EXPECT_EQ(v[i], 0u) << "resize must zero-fill growth";
-    v.resize(2);
+    v.resize(arena, 2);
     EXPECT_EQ(v.size(), 2u);
-    v.append(span, 3);
+    v.append(arena, span, 3);
     EXPECT_EQ(v.size(), 5u);
     EXPECT_EQ(v[2], 7u);
 }
@@ -194,15 +194,15 @@ TEST(ArenaVectorTest, AppendAndResizeZeroFill)
 TEST(ArenaVectorTest, ReattachAfterResetReusesRetainedMemory)
 {
     support::Arena arena;
-    support::ArenaVector<std::uint64_t> v(arena);
+    support::ArenaVector<std::uint64_t> v;
     for (std::uint64_t i = 0; i < 500; ++i)
-        v.push_back(i);
+        v.push_back(arena, i);
     std::size_t capacity = arena.capacityBytes();
 
     arena.reset();
-    v.attach(arena);
+    v.detach();
     for (std::uint64_t i = 0; i < 500; ++i)
-        v.push_back(i ^ 1);
+        v.push_back(arena, i ^ 1);
     EXPECT_EQ(arena.capacityBytes(), capacity)
         << "the warmed arena must absorb the same workload";
     EXPECT_EQ(v[3], 2u);
@@ -607,6 +607,66 @@ TEST(ColdServeAllocationTest, AllocationsDoNotScaleWithCandidates)
         << "cold serve allocations: " << hot_allocs << " for "
         << hot_r.candidates.size() << " candidates vs " << few_allocs
         << " for " << few_r.candidates.size();
+}
+
+TEST(ColdServeAllocationTest, FullScansAllocateTheSameAtAnyClauseCount)
+{
+    if (!support::allocCountingEnabled())
+        GTEST_SKIP() << "build with -DCLARE_COUNT_ALLOCS=ON";
+
+    // The software scan and the FS2 stream examine every stored record
+    // through one scratch decode, one set of binding cells and
+    // non-owning op sinks, so a serve whose goal no clause matches
+    // allocates the same at 200 clauses as at 2000.
+    const crs::SearchMode modes[] = {crs::SearchMode::SoftwareOnly,
+                                     crs::SearchMode::Fs2Only,
+                                     crs::SearchMode::TwoStage};
+    auto allocations = [&](int clauses) {
+        term::SymbolTable sym;
+        term::TermReader reader(sym);
+        std::string text;
+        for (int i = 0; i < clauses; ++i)
+            text += "p(k" + std::to_string(i) + ", f(u" +
+                std::to_string(i % 7) + ", [a, b])).\n";
+        term::Program program;
+        for (auto &c : reader.parseProgram(text))
+            program.add(std::move(c));
+        crs::PredicateStore store(sym, scw::CodewordGenerator{});
+        store.addProgram(program);
+        store.finalize();
+        crs::ClauseRetrievalServer server(sym, store);
+        term::ParsedTerm goal = reader.parseTerm("p(nowhere, f(X, Y))");
+
+        std::vector<std::uint64_t> counts;
+        for (crs::SearchMode mode : modes) {
+            crs::RetrievalRequest request;
+            request.arena = &goal.arena;
+            request.goal = goal.root;
+            request.mode = mode;
+            // The first serve registers the mode's lazily created
+            // metrics.
+            server.serve(request);
+            const std::uint64_t before = support::allocationCount();
+            crs::RetrievalResponse r = server.serve(request);
+            counts.push_back(support::allocationCount() - before);
+            EXPECT_TRUE(r.candidates.empty())
+                << crs::searchModeSlug(mode) << " at " << clauses;
+            EXPECT_EQ(r.clausesExamined,
+                      mode == crs::SearchMode::TwoStage
+                          ? r.fs1Hits
+                          : static_cast<std::uint64_t>(clauses))
+                << crs::searchModeSlug(mode) << " at " << clauses;
+        }
+        return counts;
+    };
+
+    const std::vector<std::uint64_t> small = allocations(200);
+    const std::vector<std::uint64_t> large = allocations(2000);
+    for (std::size_t m = 0; m < small.size(); ++m)
+        EXPECT_EQ(large[m], small[m])
+            << crs::searchModeSlug(modes[m]) << ": " << small[m]
+            << " allocations at 200 clauses, " << large[m]
+            << " at 2000";
 }
 
 } // namespace

@@ -59,8 +59,8 @@ TEST_F(CrsTest, StoreLayout)
     EXPECT_TRUE(store->has(q));
     EXPECT_FALSE(store->has(term::PredicateId{sym.lookup("p"), 2}));
     EXPECT_EQ(store->predicateVersion(p)->clauses.clauseCount(), 2u);
-    EXPECT_EQ(store->dataDisk().image().size(), store->dataBytes());
-    EXPECT_EQ(store->indexDisk().image().size(), store->indexBytes());
+    EXPECT_EQ(store->dataDisk().extent(), store->dataBytes());
+    EXPECT_EQ(store->indexDisk().extent(), store->indexBytes());
     // q's clause file sits after p's in the disk image.
     EXPECT_GT(store->predicateVersion(q)->clauseFileOffset, 0u);
 }

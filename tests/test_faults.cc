@@ -510,6 +510,20 @@ TEST_F(FormatFaultTest, V1FlippedTagByteIsTypedCorruptionNotACrash)
         EXPECT_THROW(damaged.decodeArgs(0), CorruptionError)
             << "tag 0x" << std::hex << static_cast<int>(bad);
 
+        // The full scans decode every record into one scratch: the
+        // damaged record throws through it too, and the scratch then
+        // decodes an intact record exactly as a fresh decode does.
+        pif::EncodedArgs scratch;
+        damaged.decodeArgsInto(damaged.record(1), scratch);
+        EXPECT_THROW(damaged.decodeArgsInto(damaged.record(0), scratch),
+                     CorruptionError)
+            << "tag 0x" << std::hex << static_cast<int>(bad);
+        damaged.decodeArgsInto(damaged.record(1), scratch);
+        const pif::EncodedArgs fresh = damaged.decodeArgs(1);
+        EXPECT_EQ(scratch.items, fresh.items);
+        EXPECT_EQ(scratch.argIndex, fresh.argIndex);
+        EXPECT_EQ(scratch.varSlots, fresh.varSlots);
+
         // End to end: the same damage reached through an FS2 search
         // over the loaded file (the engine decodes each record as the
         // stream arrives).

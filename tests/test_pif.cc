@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "pif/encoder.hh"
 #include "pif/pif_item.hh"
 #include "pif/type_tags.hh"
@@ -100,6 +102,91 @@ TEST(TypeTags, InvalidTagsRejected)
     EXPECT_FALSE(isValidTag(0x00));
     EXPECT_FALSE(isValidTag(0x21));
     EXPECT_FALSE(isValidTag(0x0a));
+}
+
+TEST(TypeTags, LookupTableAgreesWithTagFormatForEveryByte)
+{
+    // The predicates read a 256-entry table; rebuild each answer here
+    // straight from the Table A1 bit patterns, byte by byte.
+    std::size_t valid = 0;
+    for (unsigned b = 0; b < 256; ++b) {
+        const Tag tag = static_cast<Tag>(b);
+        const unsigned family = b & 0xe0;
+        const unsigned arity = b & 0x1f;
+        const bool variable = b == 0x20 || b == 0x24 || b == 0x25 ||
+            b == 0x26 || b == 0x27;
+        const bool pointer_simple = b == 0x08 || b == 0x09;
+        const bool integer = (b & 0xf0) == 0x10;
+        const bool complex = family >= 0x40 && arity >= 1;
+        const bool list = complex && family >= 0x80;
+        const bool inline_complex = complex &&
+            (family == 0x60 || family == 0xe0 || family == 0xa0);
+        const bool unterm = complex && (family == 0xa0 || family == 0x80);
+        const bool expect_valid =
+            variable || pointer_simple || integer || complex;
+        ASSERT_EQ(isValidTag(tag), expect_valid) << "byte " << b;
+        if (!expect_valid)
+            continue;
+        ++valid;
+        EXPECT_EQ(isVariableTag(tag), variable) << "byte " << b;
+        EXPECT_EQ(isComplexTag(tag), complex) << "byte " << b;
+        EXPECT_EQ(isListTag(tag), list) << "byte " << b;
+        EXPECT_EQ(isInlineComplexTag(tag), inline_complex) << "byte " << b;
+        EXPECT_EQ(isUntermListTag(tag), unterm) << "byte " << b;
+        EXPECT_EQ(tagHasExtension(tag), complex && family == 0x40)
+            << "byte " << b;
+        EXPECT_EQ(tagCategory(tag),
+                  variable ? TagCategory::Variable
+                           : complex ? TagCategory::Complex
+                                     : TagCategory::Simple)
+            << "byte " << b;
+        if (complex)
+            EXPECT_EQ(tagArity(tag), arity) << "byte " << b;
+        if (integer)
+            EXPECT_EQ(tagClass(tag), TagClass::Integer) << "byte " << b;
+    }
+    EXPECT_EQ(valid, countSupportedTags());
+}
+
+TEST(TypeTags, FamilyBasesAndArityBoundaries)
+{
+    const std::pair<Tag, TagClass> families[] = {
+        {kStructPointerBase, TagClass::StructPointer},
+        {kStructInlineBase, TagClass::StructInline},
+        {kUntermListPointerBase, TagClass::UntermListPointer},
+        {kUntermListInlineBase, TagClass::UntermListInline},
+        {kTermListPointerBase, TagClass::TermListPointer},
+        {kTermListInlineBase, TagClass::TermListInline},
+    };
+    for (const auto &[base, cls] : families) {
+        // Arity 0 is no tag; 1 and 31 are the first and last ones.
+        EXPECT_FALSE(isValidTag(base)) << int(base);
+        for (std::uint32_t arity : {1u, kMaxInlineArity}) {
+            const Tag tag = makeComplexTag(base, arity);
+            EXPECT_EQ(tagClass(tag), cls) << int(tag);
+            EXPECT_EQ(tagArity(tag), arity) << int(tag);
+        }
+    }
+    const std::pair<Tag, TagClass> fixed[] = {
+        {kAnonymousVar, TagClass::AnonymousVar},
+        {kFirstQueryVar, TagClass::FirstQueryVar},
+        {kSubQueryVar, TagClass::SubQueryVar},
+        {kFirstDbVar, TagClass::FirstDbVar},
+        {kSubDbVar, TagClass::SubDbVar},
+        {kAtomPointer, TagClass::Atom},
+        {kFloatPointer, TagClass::Float},
+    };
+    for (const auto &[tag, cls] : fixed)
+        EXPECT_EQ(tagClass(tag), cls) << int(tag);
+    EXPECT_EQ(tagClass(kIntegerInlineBase), TagClass::Integer);
+    EXPECT_EQ(tagClass(kIntegerInlineBase | 0x0f), TagClass::Integer);
+}
+
+TEST(TypeTagsDeathTest, InvalidByteStillPanicsInTagClass)
+{
+    EXPECT_DEATH(tagClass(0x00), "invalid PIF tag 0x00");
+    EXPECT_DEATH(tagClass(kStructInlineBase), "invalid PIF tag 0x60");
+    EXPECT_DEATH(isInlineComplexTag(0x21), "invalid PIF tag 0x21");
 }
 
 TEST(PifItem, IntegerRoundTrip)

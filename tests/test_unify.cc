@@ -1,14 +1,18 @@
 /**
  * @file
  * Full-unification tests: bindings/trail, atoms through nested
- * structures and partial lists, occurs check, and solution rendering.
+ * structures and partial lists, occurs check, solution rendering, and
+ * the reusable head unifier against fresh single-use ones.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "term/term_reader.hh"
 #include "term/term_writer.hh"
 #include "unify/bindings.hh"
+#include "unify/oracle.hh"
 #include "unify/unify.hh"
 
 namespace clare::unify {
@@ -213,6 +217,50 @@ TEST(ResolveTerm, UnboundVariablesSurvive)
     term::TermArena out;
     term::TermRef r = resolveTerm(t.arena, t.root, b, out);
     EXPECT_EQ(writer.write(out, r), "f(X)");
+}
+
+TEST(HeadUnifier, ReuseAgreesWithFreshUnifierPerCandidate)
+{
+    // One HeadUnifier imports the goal once and rewinds its scratch
+    // to just past it for every candidate; each verdict must equal a
+    // fresh wouldUnify().  The candidates bind the goal's variables
+    // (to atoms, structures, each other and the head's own variables)
+    // and fail part-way, so a leftover node or binding from one
+    // candidate would change a later verdict.  Two passes in opposite
+    // orders put every candidate after every other.
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    std::vector<term::Clause> heads;
+    for (const char *text :
+         {"p(a, a).", "p(a, b).", "p(b, b).", "p(f(a), f(a)).",
+          "p(Y, Y).", "p(Y, Z).", "p(a, f(a)).", "p(b, f(a)).",
+          "p(Y, f(Y)).", "p(g(Z), f(g(Z))).", "p(f(Y), f(f(Y))).",
+          "p([1, 2|T], [1, 2, 3]).", "p(f(b), Y).", "p(Y, f(b)).",
+          "p(X, f(X)).", "p(h(Y, Y), h(a, b))."})
+        heads.push_back(reader.parseClause(text));
+
+    for (const char *goal_text : {"p(X, X)", "p(X, f(X))"}) {
+        term::ParsedTerm goal = reader.parseTerm(goal_text);
+        HeadUnifier reused(goal.arena, goal.root);
+        std::size_t unified = 0;
+        for (int pass = 0; pass < 2; ++pass) {
+            for (std::size_t k = 0; k < heads.size(); ++k) {
+                const term::Clause &clause =
+                    heads[pass == 0 ? k : heads.size() - 1 - k];
+                const bool fresh =
+                    wouldUnify(goal.arena, goal.root, clause);
+                EXPECT_EQ(reused.unifies(clause.arena(), clause.head()),
+                          fresh)
+                    << goal_text << " against clause "
+                    << (pass == 0 ? k : heads.size() - 1 - k)
+                    << " in pass " << pass;
+                unified += fresh ? 1 : 0;
+            }
+        }
+        // Both goals accept some candidates and reject others.
+        EXPECT_GT(unified, 0u) << goal_text;
+        EXPECT_LT(unified, 2 * heads.size()) << goal_text;
+    }
 }
 
 } // namespace
