@@ -58,7 +58,7 @@ using namespace clare;
 namespace {
 
 /**
- * The cache-hierarchy payoff on a multi-client workload: clients keep
+ * The goal-cache payoff on a multi-client workload: clients keep
  * re-asking a small set of hot goals (8 distinct goals, 8 times each).
  * A cold / cache-disabled server pays the full index scan every time;
  * a warm server serves the repeats from the L3 goal cache at the
@@ -84,7 +84,6 @@ repeatedGoalCacheSweep(json::Value &json_rows,
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
     store.finalize();
-    knobs.apply(store);
 
     // 8 hot goals, 8 repeats each, round-robin (so repeats are spread
     // across the run, not back-to-back).
@@ -154,8 +153,8 @@ repeatedGoalCacheSweep(json::Value &json_rows,
         bypass_totals.service == cold_totals.service &&
         bypass_totals.answers == cold_totals.answers;
 
-    Table t("Repeated-goal workload (64 jobs, 8 hot goals): cache "
-            "hierarchy payoff");
+    Table t("Repeated-goal workload (64 jobs, 8 hot goals): goal "
+            "cache payoff");
     t.header({"Run", "Total service time", "Answers", "Wall p50",
               "Allocs/req", "Speedup"});
     char w[32];

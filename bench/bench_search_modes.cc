@@ -53,22 +53,17 @@ main(int argc, char **argv)
     // build.
     std::optional<support::FaultConfig> fault_config =
         bench::faultConfigArg(argc, argv);
-    // --cache (+ --cache-l3/--cache-l2/--cache-l1-tracks sizes,
-    // --cache-bypass) runs the experiment with the retrieval cache
-    // hierarchy enabled; absent, the run is bit-identical to a
-    // cache-free build.  Note the caches are disabled automatically
+    // --cache (+ --cache-l3 size, --cache-bypass) runs the experiment
+    // with the goal cache enabled; absent, the run is bit-identical to
+    // a cache-free build.  Note the cache is disabled automatically
     // while fault injection is armed.
     bench::CacheKnobs cache_knobs = bench::cacheConfigArg(argc, argv);
     std::unique_ptr<support::FaultInjector> injector;
     crs::CrsConfig crs_config;
     if (cache_knobs.enabled && !fault_config) {
         cache_knobs.apply(crs_config);
-        std::printf("cache hierarchy armed: l3=%u l2=%u/%u "
-                    "l1_tracks=%u%s\n\n",
+        std::printf("goal cache armed: l3=%u%s\n\n",
                     crs_config.cache.goalCapacity,
-                    crs_config.cache.signatureCapacity,
-                    crs_config.cache.survivorCapacity,
-                    cache_knobs.l1Tracks,
                     cache_knobs.bypass ? " (bypassed requests)" : "");
     }
     if (fault_config) {
@@ -105,7 +100,6 @@ main(int argc, char **argv)
         last_store = std::make_unique<bench::CompiledStore>(
             bench::compileStore(sym, program, {}, crs_config));
         bench::CompiledStore &cs = *last_store;
-        cache_knobs.apply(*cs.store);
         term::TermReader reader(sym);
         const auto &pred = program.predicates()[0];
 

@@ -150,44 +150,26 @@ faultConfigArg(int argc, char **argv)
  */
 struct CacheKnobs
 {
-    /** `--cache`: enable L2/L3 at the server defaults. */
+    /** `--cache`: enable the goal cache at the server defaults. */
     bool enabled = false;
-    /** `--cache-l3=N`: L3 goal-cache capacity (entries; implies on). */
+    /** `--cache-l3=N`: goal-cache capacity (entries; implies on). */
     std::uint32_t l3Capacity = 0;
-    /** `--cache-l2=N`: L2 signature + survivor capacity (implies on). */
-    std::uint32_t l2Capacity = 0;
-    /** `--cache-l1-tracks=N`: L1 track-cache capacity per disk. */
-    std::uint32_t l1Tracks = 0;
     /** `--cache-bypass`: set bypassCache on every request served. */
     bool bypass = false;
 
-    /** Fold the L2/L3 knobs into a server config. */
+    /** Fold the knobs into a server config. */
     void
     apply(crs::CrsConfig &config) const
     {
         config.cache.enabled = enabled;
         if (l3Capacity > 0)
             config.cache.goalCapacity = l3Capacity;
-        if (l2Capacity > 0) {
-            config.cache.signatureCapacity = l2Capacity;
-            config.cache.survivorCapacity = l2Capacity;
-        }
-    }
-
-    /** Configure the store's L1 track caches when requested. */
-    void
-    apply(crs::PredicateStore &store) const
-    {
-        if (l1Tracks > 0)
-            store.configureDiskCaches({.capacityTracks = l1Tracks});
     }
 };
 
 /**
- * Parse the cache-hierarchy knobs: `--cache` enables the server-side
- * caches at their defaults, `--cache-l3=N` / `--cache-l2=N` size the
- * goal cache and the signature/survivor memos (either implies
- * `--cache`), `--cache-l1-tracks=N` sizes the per-disk track cache,
+ * Parse the goal-cache knobs: `--cache` enables the server's goal
+ * cache at its defaults, `--cache-l3=N` sizes it (implies `--cache`),
  * and `--cache-bypass` serves every request with bypassCache set.
  */
 inline CacheKnobs
@@ -207,13 +189,6 @@ cacheConfigArg(int argc, char **argv)
             knobs.l3Capacity = static_cast<std::uint32_t>(
                 std::strtoul(v, nullptr, 10));
             knobs.enabled = true;
-        } else if (const char *v = value(argv[i], "--cache-l2")) {
-            knobs.l2Capacity = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
-            knobs.enabled = true;
-        } else if (const char *v = value(argv[i], "--cache-l1-tracks")) {
-            knobs.l1Tracks = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
         } else if (std::strcmp(argv[i], "--cache-bypass") == 0) {
             knobs.bypass = true;
         }

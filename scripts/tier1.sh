@@ -2,9 +2,9 @@
 # Tier-1 verification: the canonical build + full test suite, then the
 # fault-injection/corruption suites again under ASan+UBSan so the
 # error paths are proven free of undefined behavior, not just of
-# wrong answers, the concurrency, cache-hierarchy and arena suites
-# again under TSan so concurrent serve() callers, the shared L1/L2/L3
-# caches and the live-update readers are proven free of data races,
+# wrong answers, the concurrency, goal-cache and arena suites
+# again under TSan so concurrent serve() callers, the shared goal
+# cache and the live-update readers are proven free of data races,
 # and the bit-sliced equivalence suite again under ASan so the
 # word-indexed plane arithmetic (edge-masked partial ranges in
 # particular) is proven in-bounds, and finally the kernel-dispatch
@@ -68,8 +68,8 @@ echo "== tier-1: TSan build + tsan- and arena-labeled tests =="
 # Concurrent serve() callers on one server are the server's only
 # concurrency: test_concurrency (label tsan) races them against a
 # streaming LiveStore writer and kb::clausesFor readers, test_cache
-# (tsan) shares the L1/L2/L3 caches across them, and the arena suites
-# reset connection arenas while transactions invalidate those caches
+# (tsan) shares the goal cache across them, and the arena suites
+# reset connection arenas while transactions invalidate that cache
 # (the blob shared_ptr handles cross threads).  TSan proves the
 # interleavings race-free.
 cmake -B "$TSAN_BUILD" -S . -DCLARE_SANITIZE=thread

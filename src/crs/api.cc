@@ -73,22 +73,15 @@ CrsConfig::validate() const
             "per-microinstruction overhead above a millisecond — "
             "Tick is picoseconds");
 
-    // Caches: a zero-capacity enabled level would mean "consult a
-    // cache that can never hold anything" — hit costs would still be
-    // charged on the replay paths, so reject the contradiction.  The
-    // hit costs are memory-scale lookups; anything above a simulated
-    // second is a unit mistake (Tick is picoseconds).
+    // Goal cache: a zero-capacity enabled cache would mean "consult
+    // a cache that can never hold anything", so reject the
+    // contradiction.  The hit cost is a memory-scale lookup; anything
+    // above a simulated second is a unit mistake (Tick is
+    // picoseconds).
     if (cache.enabled) {
         require(cache.goalCapacity >= 1, "cache.goalCapacity",
                 "an enabled goal cache needs at least one entry");
-        require(cache.signatureCapacity >= 1, "cache.signatureCapacity",
-                "an enabled signature memo needs at least one entry");
-        require(cache.survivorCapacity >= 1, "cache.survivorCapacity",
-                "an enabled survivor memo needs at least one entry");
         require(cache.goalHitCost <= kSecond, "cache.goalHitCost",
-                "hit cost above one second — Tick is picoseconds");
-        require(cache.survivorHitCost <= kSecond,
-                "cache.survivorHitCost",
                 "hit cost above one second — Tick is picoseconds");
     }
 

@@ -110,9 +110,9 @@ struct RetrievalRequest
 
     /**
      * Serve this request from the full pipeline even when the server's
-     * caches are enabled: neither consulted nor filled.  A bypassed
+     * goal cache is enabled: neither consulted nor filled.  A bypassed
      * request on a warm server is bit-identical to the same request on
-     * a server with caches disabled.
+     * a server with the cache disabled.
      */
     bool bypassCache = false;
 
@@ -121,7 +121,7 @@ struct RetrievalRequest
      * newest predicate version published at or before the pinned
      * generation, regardless of concurrent or later commits.  Empty
      * serves the head (newest) generation.  Snapshot-pinned requests
-     * bypass the caches (whose entries are keyed to the live store)
+     * bypass the goal cache (whose entries are keyed to the live store)
      * rather than risk serving a different generation's answers.
      */
     std::optional<std::uint64_t> snapshot;
@@ -136,10 +136,9 @@ struct RetrievalRequest
 struct StageBreakdown
 {
     /**
-     * Modeled cache lookup/replay cost: the goal-cache hit cost on an
-     * L3 hit, or the survivor-memo replay cost on an L2 hit.  Always 0
-     * when the caches are disabled or missed, so uncached breakdowns
-     * are unchanged.
+     * Modeled goal-cache lookup cost: CacheConfig::goalHitCost on a
+     * hit (the only nonzero stage then), 0 otherwise — a miss is
+     * bit-identical to the same request on a cache-off server.
      */
     Tick cacheTime = 0;
     Tick indexTime = 0;     ///< FS1 index scan

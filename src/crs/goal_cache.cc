@@ -51,11 +51,4 @@ GoalCache::size() const
     return cache_.size();
 }
 
-void
-GoalCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    cache_.clear();
-}
-
 } // namespace clare::crs

@@ -1,12 +1,14 @@
 /**
  * @file
- * L3 of the retrieval cache hierarchy: a bounded goal-result cache in
- * the Clause Retrieval Server.
+ * The Clause Retrieval Server's one cache (L3, the goal-result
+ * cache): a bounded map from goal to finished response.  A miss runs
+ * the cache-off pipeline unchanged.
  *
  * Entries are keyed by the goal's canonical (variable-renaming-
  * invariant) key plus the resolved search mode — the same goal served
  * in two modes produces different candidate sets, so the mode is part
- * of the identity.  The stored value is the *hit-shaped*
+ * of the identity — plus the MVCC generation of the answering
+ * version.  The stored value is the *hit-shaped*
  * RetrievalResponse (candidates, answers, and every filter statistic
  * verbatim; breakdown reduced to the modeled cache lookup cost the
  * server charges on a hit) plus a pre-encoded wire blob of that same
@@ -17,8 +19,8 @@
  * storage, and an entry evicted or invalidated mid-flight stays alive
  * until its last reader drops the pointer.
  *
- * Invalidation is per-predicate (through crs::Transaction commit via
- * the CacheInvalidationSink) or wholesale (store reload).  Degraded,
+ * Invalidation is per-predicate, through crs::Transaction or
+ * crs::LiveStore commits via the CacheInvalidationSink.  Degraded,
  * overflowed, or fault-touched responses are never admitted — the
  * server filters those before calling put().
  *
@@ -74,8 +76,6 @@ class GoalCache
     std::size_t invalidatePredicate(const term::PredicateId &pred);
 
     std::size_t size() const;
-
-    void clear();
 
   private:
     mutable std::mutex mutex_;

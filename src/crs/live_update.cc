@@ -258,8 +258,8 @@ LiveStore::commitOps(std::vector<LiveOp> ops, bool log)
     ++commits_;
     // Invalidate after publish: a reader racing the invalidation can
     // at worst re-cache a pre-commit result under the *old*
-    // generation's key, which post-commit lookups never consult (the
-    // goal/survivor keys embed the pinned version's generation).
+    // generation's key, which post-commit lookups never consult (goal
+    // keys embed the pinned version's generation).
     if (sink_ != nullptr)
         for (const auto &[pred, group] : groups)
             sink_->invalidatePredicate(pred);

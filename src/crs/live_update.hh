@@ -104,7 +104,7 @@ class LiveStore
     /**
      * Route commit-time invalidations to @p sink (the retrieval
      * server): after publish, every touched predicate's derived cache
-     * state is dropped — never a wholesale invalidateCaches().
+     * state is dropped; nothing else is touched.
      */
     void attachSink(CacheInvalidationSink *sink) { sink_ = sink; }
 

@@ -47,17 +47,12 @@ ClauseRetrievalServer::ClauseRetrievalServer(const term::SymbolTable &symbols,
     if (config_.faults != nullptr &&
         !config_.faults->config().anyFaults())
         config_.faults = nullptr;
-    // L2/L3 exist only when asked for AND no fault oracle is armed: a
-    // response whose bytes were exposed to injected faults (or whose
-    // index read might degrade) must never be replayed from cache.
-    if (config_.cache.enabled && config_.faults == nullptr) {
+    // The goal cache exists only when asked for AND no fault oracle
+    // is armed: a response whose bytes were exposed to injected faults
+    // (or whose index read might degrade) must never be replayed.
+    if (config_.cache.enabled && config_.faults == nullptr)
         goalCache_ = std::make_unique<GoalCache>(
             config_.cache.goalCapacity);
-        signatureCache_ = std::make_unique<scw::SignatureCache>(
-            config_.cache.signatureCapacity);
-        survivorCache_ = std::make_unique<fs1::SurvivorCache>(
-            config_.cache.survivorCapacity);
-    }
 }
 
 term::PredicateId
@@ -244,7 +239,7 @@ ClauseRetrievalServer::scanIndex(const StoredPredicate &stored,
 }
 
 // ---------------------------------------------------------------------
-// Cache plumbing (L2 signature/survivor memos, L3 goal cache).
+// Goal-cache plumbing.
 // ---------------------------------------------------------------------
 
 std::string
@@ -266,93 +261,6 @@ ClauseRetrievalServer::goalKey(const TermArena &q_arena, TermRef goal,
         key += std::to_string(generation);
     }
     return key;
-}
-
-std::uint64_t
-ClauseRetrievalServer::generationOf(const term::PredicateId &pred) const
-{
-    std::lock_guard<std::mutex> lock(generationMutex_);
-    auto it = indexGeneration_.find(pred);
-    return it == indexGeneration_.end() ? 0 : it->second;
-}
-
-std::string
-ClauseRetrievalServer::survivorKey(const term::PredicateId &pred,
-                                   const scw::Signature &sig,
-                                   std::uint64_t store_generation) const
-{
-    // Identify the scan, not just the goal: predicate (two predicates
-    // can encode identical argument signatures), index generation (a
-    // committed write makes every old memo unmatchable), the MVCC
-    // generation of the version scanned (key and survivors from the
-    // same resolved version — race-free against in-flight commits),
-    // and the signature's exact bits.
-    std::vector<std::uint8_t> bytes;
-    auto put_u64 = [&bytes](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    put_u64(static_cast<std::uint64_t>(pred.functor));
-    put_u64(pred.arity);
-    put_u64(generationOf(pred));
-    put_u64(store_generation);
-    put_u64(sig.maskBits);
-    put_u64(sig.fields.size());
-    for (const BitVec &field : sig.fields)
-        field.serialize(bytes);
-    return std::string(bytes.begin(), bytes.end());
-}
-
-scw::Signature
-ClauseRetrievalServer::lookupSignature(const std::string &goal_key,
-                                       const TermArena &q_arena,
-                                       TermRef goal,
-                                       const obs::Observer &obs)
-{
-    if (std::optional<scw::Signature> memo =
-            signatureCache_->find(goal_key, obs)) {
-        return *memo;
-    }
-    scw::Signature sig = store_.generator().encode(q_arena, goal);
-    signatureCache_->put(goal_key, sig);
-    return sig;
-}
-
-IndexScan
-ClauseRetrievalServer::rawScan(const StoredPredicate &stored,
-                               const scw::Signature &sig,
-                               const obs::Observer &obs,
-                               obs::SpanId parent) const
-{
-    IndexScan scan;
-    scan.fs1 = fs1_.search(stored.index, stored.sliced.get(),
-                           stored.deltaSliced.get(), stored.baseEntries,
-                           sig, nullptr, 1, obs, parent);
-    return scan;
-}
-
-IndexScan
-ClauseRetrievalServer::cachedScan(const StoredPredicate &stored,
-                                  const term::PredicateId &pred,
-                                  const std::string &goal_key,
-                                  const TermArena &q_arena, TermRef goal,
-                                  const obs::Observer &obs,
-                                  obs::SpanId parent)
-{
-    scw::Signature sig = lookupSignature(goal_key, q_arena, goal, obs);
-    std::string skey = survivorKey(pred, sig, stored.generation);
-    if (std::shared_ptr<const fs1::Fs1Result> memo =
-            survivorCache_->find(skey, obs)) {
-        IndexScan scan;
-        // The mutable working copy is made here, outside the cache
-        // mutex — the memo itself is shared and never copied under it.
-        scan.fs1 = *memo;
-        scan.fromCache = true;
-        return scan;
-    }
-    IndexScan scan = rawScan(stored, sig, obs, parent);
-    survivorCache_->put(skey, scan.fs1);
-    return scan;
 }
 
 void
@@ -407,30 +315,9 @@ ClauseRetrievalServer::invalidatePredicate(const term::PredicateId &pred)
     if (goalCache_ == nullptr)
         return;
     std::size_t removed = goalCache_->invalidatePredicate(pred);
-    {
-        // Bump the generation so every survivor memo of this
-        // predicate is keyed under a stale generation and can never
-        // match again (it ages out of the LRU naturally).
-        std::lock_guard<std::mutex> lock(generationMutex_);
-        ++indexGeneration_[pred];
-    }
     metrics_.counter("crs.cache.invalidations",
                      "L3 entries dropped by committed writes") +=
         removed;
-}
-
-void
-ClauseRetrievalServer::invalidateCaches()
-{
-    if (goalCache_ != nullptr) {
-        goalCache_->clear();
-        signatureCache_->clear();
-        survivorCache_->clear();
-        std::lock_guard<std::mutex> lock(generationMutex_);
-        indexGeneration_.clear();
-    }
-    // A reload moves file offsets, so resident tracks are garbage.
-    store_.dropDiskCaches();
 }
 
 std::size_t
@@ -565,13 +452,9 @@ ClauseRetrievalServer::serveOne(const RetrievalRequest &request,
     }
 
     IndexScan scan;
-    if (usesFs1(response.mode)) {
-        scan = caching
-            ? cachedScan(stored, pred, goal_key, *request.arena,
-                         request.goal, ob, root.id())
-            : scanIndex(stored, *request.arena, request.goal, ob,
-                        root.id());
-    }
+    if (usesFs1(response.mode))
+        scan = scanIndex(stored, *request.arena, request.goal, ob,
+                         root.id());
     finishRetrieval(stored, request, std::move(scan), ob, root.id(),
                     response);
     if (caching)
@@ -626,34 +509,18 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
     }
     SearchMode mode = response.mode;
 
-    if (usesFs1(mode) && scan.fromCache) {
-        // L2b survivor replay: the memoized Fs1Result carries the
-        // scan statistics verbatim, so the payload is bit-identical
-        // to a recomputation, but no disk read or FS1 pass happens —
-        // the breakdown charges only the modeled memo lookup.
-        response.indexEntriesScanned = fs1.entriesScanned;
-        response.fs1Hits = fs1.ordinals.size();
-        stages.cacheTime += config_.cache.survivorHitCost;
-        obs::ScopedSpan span(obs.tracer, "crs.survivor_replay", root);
-        span.attr("hits", response.fs1Hits);
-        span.setSimTicks(config_.cache.survivorHitCost);
-    } else if (usesFs1(mode)) {
+    if (usesFs1(mode)) {
         response.indexEntriesScanned = fs1.entriesScanned;
         response.fs1Hits = fs1.ordinals.size();
         // The index file streams from disk while FS1 scans on the
-        // fly.  modelRead() consults the L1 track cache when the
-        // store has one (a resident index skips the seek and streams
-        // at memory speed — FS1's own busy time then dominates); with
-        // the cache disabled it is exactly accessTime + transferTime.
+        // fly: one access, then the transfer overlapped with FS1's
+        // own busy time.
         const storage::DiskModel &disk = store_.indexDisk();
-        storage::ReadTiming rt = disk.modelRead(
-            stored.indexFileOffset, fs1.bytesScanned, obs);
+        storage::ReadTiming rt = disk.modelRead(fs1.bytesScanned);
         stages.indexTime = rt.access +
             std::max(rt.transfer, fs1.busyTime) + scan.faultTicks;
         obs::ScopedSpan span(obs.tracer, "disk.index_stream", root);
         span.attr("bytes", fs1.bytesScanned);
-        if (rt.cacheHit)
-            span.attr("cache_hit", static_cast<std::uint64_t>(1));
         span.setSimTicks(stages.indexTime);
     }
 
@@ -705,15 +572,7 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
             std::uint64_t selected = 0;
             for (std::uint32_t c : response.candidates)
                 selected += file.record(c).length;
-            // The sweep is cache-aware: the candidate span's tracks
-            // may be resident in the L1 track cache (and are admitted
-            // on a miss — every candidate byte lives in them).  The
-            // seek-per-candidate alternative scatters single-sector
-            // reads, which a track buffer does not accelerate.
-            storage::ReadTiming rt = data_disk.modelRead(
-                stored.clauseFileOffset + first.offset, span_bytes,
-                obs);
-            Tick sweep = rt.total();
+            Tick sweep = data_disk.modelRead(span_bytes).total();
             Tick seeks = data_disk.accessTime() *
                 response.candidates.size() +
                 data_disk.transferTime(selected);

@@ -29,7 +29,7 @@
  * Tick model accounts for it analytically; the server runs each
  * request on the calling thread.  Concurrency lives one level up:
  * any number of threads may call serve() on one server at once (the
- * caches, the MVCC store and the metrics are thread-safe).
+ * goal cache, the MVCC store and the metrics are thread-safe).
  *
  * Every server owns an obs::Tracer (per-request opt-in spans) and an
  * obs::MetricsRegistry (always-on counters/histograms) wired through
@@ -42,9 +42,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,9 +53,7 @@
 #include "crs/store.hh"
 #include "crs/transaction.hh"
 #include "fs1/fs1_engine.hh"
-#include "fs1/survivor_cache.hh"
 #include "fs2/fs2_engine.hh"
-#include "scw/signature_cache.hh"
 #include "support/logging.hh"
 #include "support/obs.hh"
 #include "support/sim_time.hh"
@@ -82,33 +78,23 @@ struct HostCostModel
 };
 
 /**
- * Configuration of the server-side cache levels (L2 signature +
- * survivor memos, L3 goal-result cache).  The L1 disk track cache is
- * configured on the PredicateStore, which owns the modeled disks —
- * see PredicateStore::configureDiskCaches().
+ * Configuration of the server's one cache, the L3 goal-result cache
+ * (crs/goal_cache.hh).  A miss runs exactly the cache-off pipeline.
  *
- * Everything defaults to *disabled*, so a default server is
- * bit-identical to the pre-cache pipeline.  When a fault injector is
- * armed the server never caches regardless of this config: a
- * fault-touched response must not be replayed.
+ * Defaults to *disabled*, so a default server is bit-identical to the
+ * pre-cache pipeline.  When a fault injector is armed the server
+ * never caches regardless of this config: a fault-touched response
+ * must not be replayed.
  */
 struct CacheConfig
 {
-    /** Master switch for L2 + L3. */
+    /** Master switch for the goal cache. */
     bool enabled = false;
 
-    /** L3 goal-result entries. */
+    /** Goal-result entries. */
     std::uint32_t goalCapacity = 256;
-    /** Modeled cost of an L3 hit (hash + lookup + payload copy). */
+    /** Modeled cost of a hit (hash + lookup + payload copy). */
     Tick goalHitCost = 2 * kMicrosecond;
-
-    /** L2a encoded-signature memo entries. */
-    std::uint32_t signatureCapacity = 512;
-
-    /** L2b FS1 survivor-set memo entries. */
-    std::uint32_t survivorCapacity = 128;
-    /** Modeled cost of replaying a memoized survivor set. */
-    Tick survivorHitCost = 10 * kMicrosecond;
 };
 
 /** CRS configuration. */
@@ -161,12 +147,6 @@ struct IndexScan
     std::uint32_t corruptPages = 0;
     /** A chunk failed every bounded read attempt. */
     bool unreadable = false;
-    /**
-     * The survivor set was replayed from the L2 memo: fs1 is a stored
-     * Fs1Result, so timing charges the memo replay cost instead of the
-     * modeled disk read + scan.
-     */
-    bool fromCache = false;
 
     bool healthy() const { return corruptPages == 0 && !unreadable; }
 };
@@ -216,8 +196,8 @@ class ClauseRetrievalServer : public CacheInvalidationSink
      * included.
      *
      * Batch split contract (what the sharded scatter/gather relies
-     * on): all retrieval state — caches and MVCC version pins — is
-     * keyed per predicate, so any partition of a batch into
+     * on): all retrieval state — goal-cache entries and MVCC version
+     * pins — is keyed per predicate, so any partition of a batch into
      * sub-batches that preserves the relative order of same-predicate
      * requests yields per-item responses identical to serving the
      * whole batch.
@@ -250,20 +230,11 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     const obs::MetricsRegistry &metrics() const { return metrics_; }
 
     /**
-     * Drop every cached result derived from @p pred: the L3 goal
-     * cache entries for the predicate and, by bumping the predicate's
-     * index generation, every L2 survivor memo keyed under the old
-     * generation.  Called by Transaction::commit() while the writer's
-     * exclusive lock is still held.  Safe under concurrent serves.
+     * Drop the goal-cache entries of @p pred.  Called by
+     * Transaction::commit() while the writer's exclusive lock is
+     * still held.  Safe under concurrent serves.
      */
     void invalidatePredicate(const term::PredicateId &pred) override;
-
-    /**
-     * Wholesale invalidation: clear all three server-side cache levels
-     * and the store's disk track caches.  Call after a store reload —
-     * clause ordinals and file offsets may all have changed.
-     */
-    void invalidateCaches();
 
     /** Entries currently resident in the L3 goal cache (tests). */
     std::size_t goalCacheSize() const;
@@ -308,23 +279,13 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     };
     HotMetrics hot_;
 
-    // ----- Cache hierarchy (all null when cache.enabled is false, or
-    // when a fault oracle is armed — fault-touched results must never
-    // be replayed).  Each level is internally mutex-guarded; the
-    // server adds no locking of its own around lookups.
-    /** L3: canonical goal + mode → full response payload. */
-    std::unique_ptr<GoalCache> goalCache_;
-    /** L2a: canonical goal → encoded query signature. */
-    std::unique_ptr<scw::SignatureCache> signatureCache_;
-    /** L2b: predicate + signature + generation → FS1 survivor set. */
-    std::unique_ptr<fs1::SurvivorCache> survivorCache_;
     /**
-     * Per-predicate index generation, bumped by invalidatePredicate();
-     * part of every L2b key, so survivor memos of an updated predicate
-     * can never match again (they age out of the LRU).
+     * L3: canonical goal + mode + generation → full response payload.
+     * Null when cache.enabled is false or a fault oracle is armed
+     * (fault-touched results must never be replayed).  Internally
+     * mutex-guarded; the server adds no locking of its own.
      */
-    mutable std::mutex generationMutex_;
-    std::map<term::PredicateId, std::uint64_t> indexGeneration_;
+    std::unique_ptr<GoalCache> goalCache_;
 
     /** The per-request observer: tracer only when the request asks. */
     obs::Observer observer(const TraceOptions &trace)
@@ -346,7 +307,7 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     pin(const RetrievalRequest &request) const;
 
     /**
-     * The per-request path behind serve() and serveBatch(): cache
+     * The per-request path behind serve() and serveBatch(): goal-cache
      * consult, FS1 scan, filter, host unification and accounting for
      * one request against its already pinned version.  The root span
      * nests under the calling thread's current span (a batch's
@@ -383,12 +344,13 @@ class ClauseRetrievalServer : public CacheInvalidationSink
                         const obs::Observer &obs,
                         obs::SpanId parent) const;
 
-    // ----- Cache plumbing.  Every cache consult and fill below runs
-    // on the calling thread, in request (or batch) order.
+    // ----- Goal-cache plumbing.  Every consult and fill runs on the
+    // calling thread, in request (or batch) order.
 
     /**
-     * Do L2/L3 participate in this request?  Snapshot-pinned requests
-     * never cache: their answers belong to one historical generation.
+     * Does the goal cache participate in this request?  Snapshot-
+     * pinned requests never cache: their answers belong to one
+     * historical generation.
      */
     bool cachingActive(const RetrievalRequest &request) const
     {
@@ -401,39 +363,6 @@ class ClauseRetrievalServer : public CacheInvalidationSink
                                term::TermRef goal, SearchMode mode,
                                std::uint64_t generation);
 
-    /** Current index generation of a predicate (0 until written). */
-    std::uint64_t generationOf(const term::PredicateId &pred) const;
-
-    /** L2b key: predicate + generations + signature bytes. */
-    std::string survivorKey(const term::PredicateId &pred,
-                            const scw::Signature &sig,
-                            std::uint64_t store_generation) const;
-
-    /** Encode the goal's signature through the L2a memo. */
-    scw::Signature lookupSignature(const std::string &goal_key,
-                                   const term::TermArena &q_arena,
-                                   term::TermRef goal,
-                                   const obs::Observer &obs);
-
-    /**
-     * FS1 scan with a precomputed signature and no fault modeling
-     * (caching and fault injection are mutually exclusive).
-     */
-    IndexScan rawScan(const StoredPredicate &stored,
-                      const scw::Signature &sig,
-                      const obs::Observer &obs, obs::SpanId parent) const;
-
-    /**
-     * Resolve the FS1 stage of a cacheable request: L2a signature
-     * memo, L2b survivor memo, raw scan + fill on a miss.
-     */
-    IndexScan cachedScan(const StoredPredicate &stored,
-                         const term::PredicateId &pred,
-                         const std::string &goal_key,
-                         const term::TermArena &q_arena,
-                         term::TermRef goal, const obs::Observer &obs,
-                         obs::SpanId parent);
-
     /**
      * Build a response from an L3 hit.  The entry is stored already
      * hit-shaped (payload verbatim, breakdown reduced to the modeled
@@ -444,7 +373,7 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     void serveGoalHit(const GoalCache::Entry &cached,
                       RetrievalResponse &response);
 
-    /** Admit an eligible (clean, non-overflowed) response into L3. */
+    /** Admit an eligible (clean, non-overflowed) response. */
     void maybeCacheGoal(const std::string &goal_key,
                         const term::PredicateId &pred,
                         const RetrievalResponse &response);

@@ -50,8 +50,7 @@ struct StoredPredicate
      * Transposed (bit-sliced) plane of the secondary file, scanned by
      * the word-parallel FS1 kernel.  Loaded from a v3 store or built
      * by PredicateStore::finalize(), so every published version has
-     * one.  Shared so cached IndexScans and concurrent readers can
-     * hold it without copying.
+     * one.  Shared so concurrent readers can hold it without copying.
      */
     std::shared_ptr<const scw::BitSlicedIndex> sliced;
 
@@ -187,25 +186,6 @@ class PredicateStore
     const storage::DiskModel &dataDisk() const { return dataDisk_; }
     const storage::DiskModel &indexDisk() const { return indexDisk_; }
     const scw::CodewordGenerator &generator() const { return generator_; }
-
-    /**
-     * Configure the L1 track caches of both modeled disks (the store
-     * owns the disks; the server only holds a const reference).  The
-     * default-constructed config disables them, which is the seed
-     * behaviour.
-     */
-    void configureDiskCaches(const storage::DiskCacheConfig &config)
-    {
-        dataDisk_.configureCache(config);
-        indexDisk_.configureCache(config);
-    }
-
-    /** Drop all resident tracks, e.g. after reloading the images. */
-    void dropDiskCaches() const
-    {
-        dataDisk_.dropCache();
-        indexDisk_.dropCache();
-    }
 
     /** Total bytes of clause data stored. */
     std::uint64_t dataBytes() const;

@@ -85,9 +85,8 @@ class LockManager
 /**
  * Receiver of cache-invalidation notices.  The retrieval server
  * implements this: a committed transaction that held a predicate
- * exclusively must flush every cached result derived from it (the L3
- * goal cache and the L2 survivor memo) before readers can observe the
- * commit.
+ * exclusively must flush every cached result derived from it (its
+ * goal-cache entries) before readers can observe the commit.
  */
 class CacheInvalidationSink
 {

@@ -125,7 +125,7 @@ class KnowledgeBase
      * records past @p applied_lsn (the manifest watermark of a
      * checkpointed store; 0 otherwise), and routes assert/retract on
      * disk-resident predicates through the MVCC commit path.  Commit
-     * invalidations flow into the server's caches automatically.
+     * invalidations flow into the server's goal cache automatically.
      */
     void enableLiveUpdates(const std::string &wal_path,
                            std::uint64_t applied_lsn = 0);

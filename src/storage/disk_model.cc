@@ -73,140 +73,12 @@ DiskModel::transferTime(std::uint64_t bytes) const
     return static_cast<Tick>(seconds * kSecond);
 }
 
-// ---------------------------------------------------------------------
-// L1 track cache.
-// ---------------------------------------------------------------------
-
-DiskModel::DiskModel(DiskModel &&other) noexcept
-    : geometry_(std::move(other.geometry_)),
-      image_(std::move(other.image_)), extent_(other.extent_)
-{
-    std::lock_guard<std::mutex> lock(other.cacheMutex_);
-    cacheConfig_ = other.cacheConfig_;
-    cache_ = std::move(other.cache_);
-}
-
-DiskModel &
-DiskModel::operator=(DiskModel &&other) noexcept
-{
-    if (this != &other) {
-        std::scoped_lock lock(cacheMutex_, other.cacheMutex_);
-        geometry_ = std::move(other.geometry_);
-        image_ = std::move(other.image_);
-        extent_ = other.extent_;
-        cacheConfig_ = other.cacheConfig_;
-        cache_ = std::move(other.cache_);
-    }
-    return *this;
-}
-
-void
-DiskModel::configureCache(DiskCacheConfig config)
-{
-    clare_assert(config.capacityTracks == 0 || config.cacheRate > 0,
-                 "cache hit rate must be a positive byte rate");
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    cacheConfig_ = config;
-    cache_ = support::LruCache<std::uint64_t, char>(
-        config.capacityTracks);
-}
-
-std::size_t
-DiskModel::cachedTracks() const
-{
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    return cache_.size();
-}
-
-void
-DiskModel::dropCache() const
-{
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    cache_.clear();
-}
-
-Tick
-DiskModel::cacheTransferTime(std::uint64_t bytes) const
-{
-    double seconds = static_cast<double>(bytes) /
-        cacheConfig_.cacheRate;
-    return static_cast<Tick>(seconds * kSecond);
-}
-
-bool
-DiskModel::cacheLookup(std::uint64_t offset, std::uint64_t length,
-                       const obs::Observer &obs) const
-{
-    const std::uint64_t track_bytes = geometry_.trackBytes();
-    std::uint64_t first = offset / track_bytes;
-    std::uint64_t last = (offset + length - 1) / track_bytes;
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    bool hit = true;
-    for (std::uint64_t t = first; t <= last && hit; ++t)
-        hit = cache_.contains(t);
-    if (hit) {
-        // Promote the whole range: the read touched every track.
-        for (std::uint64_t t = first; t <= last; ++t)
-            cache_.get(t);
-    }
-    if (obs.metrics != nullptr) {
-        if (hit)
-            ++obs.metrics->counter("disk.cache.hit",
-                                   "reads served from the track cache");
-        else
-            ++obs.metrics->counter("disk.cache.miss",
-                                   "reads that went to the platters");
-    }
-    return hit;
-}
-
-void
-DiskModel::cacheFill(std::uint64_t offset, std::uint64_t length,
-                     const obs::Observer &obs) const
-{
-    const std::uint64_t track_bytes = geometry_.trackBytes();
-    std::uint64_t first = offset / track_bytes;
-    std::uint64_t last = (offset + length - 1) / track_bytes;
-    // A range wider than the whole cache would evict itself before it
-    // could ever hit; leave the resident set alone (scan resistance).
-    if (last - first + 1 > cacheConfig_.capacityTracks)
-        return;
-    std::uint64_t evictions = 0;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        for (std::uint64_t t = first; t <= last; ++t)
-            evictions += cache_.put(t, 0) ? 1 : 0;
-    }
-    if (evictions > 0 && obs.metrics != nullptr) {
-        obs.metrics->counter("disk.cache.evict",
-                             "tracks evicted from the track cache") +=
-            evictions;
-    }
-}
-
 ReadTiming
-DiskModel::modelRead(std::uint64_t offset, std::uint64_t length,
-                     const obs::Observer &obs) const
+DiskModel::modelRead(std::uint64_t length) const
 {
-    ReadTiming timing;
     if (length == 0)
-        return timing;
-    if (cacheConfig_.capacityTracks == 0) {
-        // Disabled: exactly the pre-cache timing, no counters, so the
-        // default configuration stays bit-identical.
-        timing.access = accessTime();
-        timing.transfer = transferTime(length);
-        return timing;
-    }
-    if (cacheLookup(offset, length, obs)) {
-        timing.cacheHit = true;
-        timing.transfer = cacheTransferTime(length);
-        return timing;
-    }
-    timing.access = accessTime();
-    timing.transfer = transferTime(length);
-    cacheFill(offset, length, obs);
-    return timing;
+        return {};
+    return {accessTime(), transferTime(length)};
 }
 
 Tick
@@ -232,41 +104,6 @@ DiskModel::stream(std::uint64_t offset, std::uint64_t length,
         faults = nullptr;
 
     obs::ScopedSpan span(obs.tracer, "disk.stream", parent);
-
-    if (cacheConfig_.capacityTracks > 0 &&
-        cacheLookup(offset, length, obs)) {
-        // Cache hit: no seek, no rotational latency, memory-speed
-        // delivery — and no fault exposure, because the bytes were
-        // already delivered and verified when the tracks were filled.
-        Tick ready = start;
-        std::uint64_t done = 0;
-        std::uint64_t chunks = 0;
-        while (done < length) {
-            std::uint32_t n = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(chunk_bytes, length - done));
-            Tick delivered = ready + cacheTransferTime(done + n);
-            sink(image_.data() + offset + done, n, delivered);
-            done += n;
-            ++chunks;
-        }
-        Tick end = ready + cacheTransferTime(length);
-        if (span.active()) {
-            span.attr("bytes", length);
-            span.attr("chunks", chunks);
-            span.attr("cache_hit", static_cast<std::uint64_t>(1));
-            span.setSimTicks(end - start);
-        }
-        if (obs.metrics != nullptr) {
-            ++obs.metrics->counter("disk.streams",
-                                   "DMA stream commands");
-            obs.metrics->counter("disk.bytes_streamed",
-                                 "bytes delivered by DMA streams") +=
-                length;
-            obs.metrics->counter("disk.chunks",
-                                 "DMA chunks delivered") += chunks;
-        }
-        return end;
-    }
 
     // Fault penalties accumulate into the head position time, so a
     // retried or delayed chunk honestly pushes out every later chunk
@@ -326,13 +163,6 @@ DiskModel::stream(std::uint64_t offset, std::uint64_t length,
         ++chunks;
     }
     Tick end = ready + transferTime(length);
-    // Fill on the way out — but never admit a range whose delivered
-    // copy was corrupted: CRC verification happens at fill time only,
-    // so a poisoned track would keep serving flipped bits from then
-    // on.  (The transient-retry path is fine: the eventual read is the
-    // clean master image.)
-    if (cacheConfig_.capacityTracks > 0 && flips == 0)
-        cacheFill(offset, length, obs);
     if (span.active()) {
         span.attr("bytes", length);
         span.attr("chunks", chunks);

@@ -16,12 +16,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "support/fault_injector.hh"
-#include "support/lru.hh"
 #include "support/obs.hh"
 #include "support/sim_time.hh"
 
@@ -61,30 +59,11 @@ struct DiskGeometry
     static DiskGeometry fujitsuM2351A();
 };
 
-/**
- * L1 of the retrieval cache hierarchy: an LRU track buffer in front
- * of the disk model.  A read whose tracks are all resident skips the
- * seek + rotational latency entirely and transfers at @ref cacheRate
- * (a memory-speed copy); a miss pays the usual access + stream and
- * then fills the touched tracks.  Fault injection applies to fills
- * only — a cached hit re-reads bytes that were already delivered and
- * CRC-verified once — and a fill that delivered corrupted bytes is
- * never admitted.
- */
-struct DiskCacheConfig
-{
-    /** Capacity in tracks of the owning DiskGeometry; 0 disables. */
-    std::uint32_t capacityTracks = 0;
-    /** Hit transfer rate in bytes per second (memory-speed copy). */
-    double cacheRate = 200.0e6;
-};
-
-/** Modeled timing of one read, cache-aware (see DiskModel::modelRead). */
+/** Modeled timing of one read (see DiskModel::modelRead). */
 struct ReadTiming
 {
-    Tick access = 0;    ///< seek + rotation (0 on a cache hit)
-    Tick transfer = 0;  ///< at the disk or cache rate
-    bool cacheHit = false;
+    Tick access = 0;    ///< seek + rotation
+    Tick transfer = 0;  ///< at the sustained transfer rate
 
     Tick total() const { return access + transfer; }
 };
@@ -101,12 +80,6 @@ class DiskModel
 {
   public:
     explicit DiskModel(DiskGeometry geometry);
-
-    // Movable despite the cache mutex (stores are returned by value
-    // from loaders); the mutex itself is freshly constructed and the
-    // source is locked while its cache state is taken.
-    DiskModel(DiskModel &&other) noexcept;
-    DiskModel &operator=(DiskModel &&other) noexcept;
 
     const DiskGeometry &geometry() const { return geometry_; }
 
@@ -132,40 +105,12 @@ class DiskModel
     Tick transferTime(std::uint64_t bytes) const;
 
     /**
-     * Enable (capacityTracks > 0) or disable (== 0) the LRU track
-     * cache.  Reconfiguring drops all resident tracks.
+     * Analytic timing of one sequential read, used by the CRS for
+     * index streams and candidate fetches: exactly
+     * {accessTime(), transferTime(length)}, or zero for an empty
+     * range.  The disk is read only at its sustained rate.
      */
-    void configureCache(DiskCacheConfig config);
-
-    const DiskCacheConfig &cacheConfig() const { return cacheConfig_; }
-
-    /** Tracks currently resident in the cache. */
-    std::size_t cachedTracks() const;
-
-    /**
-     * Drop every resident track (e.g. after a store reload).  Const
-     * like the read paths: only the mutable cache state changes.
-     */
-    void dropCache() const;
-
-    /**
-     * Analytic cache-aware read model, used by the CRS in place of
-     * accessTime() + transferTime() for index streams and candidate
-     * fetches.  A hit (every touched track resident) returns zero
-     * access and a cacheRate transfer; a miss returns the usual disk
-     * timing and admits the touched tracks (unless the range exceeds
-     * the whole capacity — a scan that large would only flush the
-     * cache without ever hitting).  With the cache disabled this is
-     * exactly {accessTime(), transferTime(length), false} and touches
-     * no counters, so clean runs stay bit-identical.
-     *
-     * Thread-safe; the LRU update is deterministic in call order.
-     *
-     * @param obs optional metrics sink: disk.cache.hit / miss / evict
-     *        counters, created lazily only when the cache is enabled
-     */
-    ReadTiming modelRead(std::uint64_t offset, std::uint64_t length,
-                         const obs::Observer &obs = {}) const;
+    ReadTiming modelRead(std::uint64_t length) const;
 
     /**
      * Stream a byte range as DMA chunks.
@@ -207,27 +152,6 @@ class DiskModel
     DiskGeometry geometry_;
     std::vector<std::uint8_t> image_;
     std::uint64_t extent_ = 0;
-
-    /**
-     * L1 track cache.  Mutable behind a mutex: reads are logically
-     * const (the server holds the store by const reference) but warm
-     * the cache as a real track buffer would.  Keys are track
-     * numbers; the value is unused.
-     */
-    DiskCacheConfig cacheConfig_;
-    mutable std::mutex cacheMutex_;
-    mutable support::LruCache<std::uint64_t, char> cache_;
-
-    /** Hit test + LRU admission for a byte range; counts hit/miss. */
-    bool cacheLookup(std::uint64_t offset, std::uint64_t length,
-                     const obs::Observer &obs) const;
-
-    /** Admit a cleanly-read range's tracks (fill path). */
-    void cacheFill(std::uint64_t offset, std::uint64_t length,
-                   const obs::Observer &obs) const;
-
-    /** Hit-path transfer time at the memory-speed cache rate. */
-    Tick cacheTransferTime(std::uint64_t bytes) const;
 };
 
 } // namespace clare::storage

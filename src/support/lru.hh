@@ -1,13 +1,10 @@
 /**
  * @file
- * A small intrusive-free LRU cache template — the shared substrate of
- * the retrieval cache hierarchy (L1 disk track cache, L2 signature /
- * survivor memos, L3 goal-result cache).
+ * A small intrusive-free LRU cache template, the substrate of the
+ * server's goal-result cache (crs/goal_cache.hh).
  *
- * The template is deliberately minimal and NOT thread-safe: every
- * owner wraps it in its own mutex, because the locking granularity
- * differs per level (the disk model locks per read, the goal cache
- * locks per retrieval).  Eviction is strict least-recently-used:
+ * The template is deliberately minimal and NOT thread-safe: the owner
+ * wraps it in its own mutex.  Eviction is strict least-recently-used:
  * get() and put() both promote the touched entry to most-recent.
  */
 
@@ -16,7 +13,6 @@
 
 #include <cstdint>
 #include <list>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -38,7 +34,7 @@ class LruCache
     std::size_t size() const { return order_.size(); }
     bool enabled() const { return capacity_ > 0; }
 
-    /** Cumulative evictions since construction or clear(). */
+    /** Cumulative evictions since construction. */
     std::uint64_t evictions() const { return evictions_; }
 
     /** Look up and promote; nullptr on miss (pointer stays valid
@@ -53,7 +49,7 @@ class LruCache
         return &it->second->second;
     }
 
-    /** Lookup without promotion (for prediction passes). */
+    /** Lookup without promotion. */
     bool
     contains(const Key &key) const
     {
@@ -87,18 +83,6 @@ class LruCache
         return evicted;
     }
 
-    /** Remove one entry; false when absent. */
-    bool
-    erase(const Key &key)
-    {
-        auto it = map_.find(key);
-        if (it == map_.end())
-            return false;
-        order_.erase(it->second);
-        map_.erase(it);
-        return true;
-    }
-
     /**
      * Remove every entry whose (key, value) satisfies @p pred — the
      * per-predicate invalidation primitive.  Returns the number of
@@ -119,13 +103,6 @@ class LruCache
             }
         }
         return removed;
-    }
-
-    void
-    clear()
-    {
-        map_.clear();
-        order_.clear();
     }
 
   private:

@@ -1,6 +1,6 @@
 /**
  * @file
- * Canonical term keys and hashes for the retrieval caches.
+ * Canonical term keys and hashes for the goal cache.
  *
  * Two goals retrieve the same clauses whenever they are identical up
  * to a consistent renaming of their variables: p(X, Y) and p(A, B)

@@ -14,7 +14,7 @@
  * arena decodes an identical goal with a stable memory footprint, and
  * deep copies stay independent of the source.
  *
- * crs response blobs — the pre-encoded wire payload the L3 goal cache
+ * crs response blobs — the pre-encoded wire payload the goal cache
  * shares: encode/decode round trip, id patching is byte-identical to
  * encoding with that id, and encodeFramePatched produces exactly the
  * frame encodeFrame would build from the patched payload.
@@ -607,6 +607,58 @@ TEST(ColdServeAllocationTest, AllocationsDoNotScaleWithCandidates)
         << "cold serve allocations: " << hot_allocs << " for "
         << hot_r.candidates.size() << " candidates vs " << few_allocs
         << " for " << few_r.candidates.size();
+}
+
+TEST(ColdServeAllocationTest, CacheOnMissAddsOnlyTheGoalCacheFill)
+{
+    if (!support::allocCountingEnabled())
+        GTEST_SKIP() << "build with -DCLARE_COUNT_ALLOCS=ON";
+
+    // A goal-cache miss runs the cache-off pipeline, then builds the
+    // goal key and admits one hit-shaped entry with its baked blob.
+    // Nothing else may ride the miss path, so an FS1-only miss on a
+    // cache-on server allocates a small constant above the same serve
+    // on a cache-off server.
+    term::SymbolTable sym;
+    workload::KbGenerator kbgen(sym);
+    workload::KbSpec spec;
+    spec.predicates = 1;
+    spec.clausesPerPredicate = 2000;
+    spec.arityMin = 2;
+    spec.arityMax = 2;
+    spec.seed = 7;
+    term::Program program = kbgen.generate(spec);
+    crs::PredicateStore store(sym, scw::CodewordGenerator{});
+    store.addProgram(program);
+    store.finalize();
+    crs::CrsConfig cached_config;
+    cached_config.cache.enabled = true;
+    crs::ClauseRetrievalServer plain(sym, store);
+    crs::ClauseRetrievalServer cached(sym, store, cached_config);
+
+    term::TermReader reader(sym);
+    term::ParsedTerm warm = reader.parseTerm("p0(a1, X)");
+    term::ParsedTerm goal = reader.parseTerm("p0(a2, X)");
+    auto allocations = [](crs::ClauseRetrievalServer &server,
+                          const term::ParsedTerm &g) {
+        crs::RetrievalRequest request;
+        request.arena = &g.arena;
+        request.goal = g.root;
+        request.mode = crs::SearchMode::Fs1Only;
+        const std::uint64_t before = support::allocationCount();
+        crs::RetrievalResponse r = server.serve(request);
+        return support::allocationCount() - before;
+    };
+    // A first miss registers each server's lazily created metrics.
+    allocations(plain, warm);
+    allocations(cached, warm);
+
+    const std::uint64_t off = allocations(plain, goal);
+    const std::uint64_t miss = allocations(cached, goal);
+    ASSERT_EQ(cached.goalCacheSize(), 2u);
+    EXPECT_LE(miss, off + 20)
+        << "cache-on miss allocations: " << miss << ", cache-off: "
+        << off;
 }
 
 TEST(ColdServeAllocationTest, FullScansAllocateTheSameAtAnyClauseCount)

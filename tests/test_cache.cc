@@ -1,28 +1,23 @@
 /**
  * @file
- * The three-level retrieval cache hierarchy (ctest label: cache).
+ * The server's one cache, the L3 goal-result cache (ctest label:
+ * cache).
  *
- * L1 — storage::DiskModel track cache: hit skips the seek and streams
- * at memory speed, miss pays full disk timing and fills, corrupted
- * deliveries are never admitted, and the disabled state is
- * bit-identical to the pre-cache model.
- *
- * L2 — scw::SignatureCache + fs1::SurvivorCache: repeated (canonical)
- * goals skip encoding and the index scan; the replayed Fs1Result is
- * verbatim.
- *
- * L3 — crs::GoalCache: a hit replays the full response payload
+ * crs::GoalCache: a hit replays the full response payload
  * bit-identically while charging only the modeled cache lookup;
  * entries invalidate per predicate through crs::Transaction commit.
  *
- * Shared invariants: cold and bypassed requests are bit-identical to
- * a cache-disabled server, and batch results are identical at any
- * worker count.  These tests also carry the concurrency coverage the
- * tier-1 TSan stage runs (-DCLARE_SANITIZE=thread, ctest -L cache).
+ * Invariants: every miss, cold or bypassed request is bit-identical
+ * to the same request on a cache-disabled server, ticks included, and
+ * a batch equals a serve() loop.  storage::DiskModel::modelRead is the
+ * plain analytic disk timing.  These tests also carry the concurrency
+ * coverage the tier-1 TSan stage runs (-DCLARE_SANITIZE=thread,
+ * ctest -L cache).
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -44,7 +39,7 @@ namespace clare {
 namespace {
 
 // ---------------------------------------------------------------------
-// support::LruCache — the shared substrate.
+// support::LruCache — the goal cache's substrate.
 // ---------------------------------------------------------------------
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed)
@@ -164,140 +159,18 @@ TEST_F(CanonicalKeyTest, HashFollowsKeyEquality)
 }
 
 // ---------------------------------------------------------------------
-// L1: the DiskModel track cache.
+// The disk read model the server charges.
 // ---------------------------------------------------------------------
 
-class DiskCacheTest : public ::testing::Test
+TEST(DiskCacheTest, DisabledModelReadMatchesAnalyticTiming)
 {
-  protected:
-    storage::DiskModel disk{storage::DiskGeometry::fujitsuM2351A()};
-    obs::MetricsRegistry metrics;
-    obs::Observer obs{nullptr, &metrics};
-
-    void
-    SetUp() override
-    {
-        // 8 tracks of data.
-        std::vector<std::uint8_t> image(
-            8ull * disk.geometry().trackBytes());
-        for (std::size_t i = 0; i < image.size(); ++i)
-            image[i] = static_cast<std::uint8_t>(i * 7 + 3);
-        disk.load(std::move(image));
-    }
-
-    std::uint64_t
-    counter(const std::string &name) const
-    {
-        for (const auto &c : metrics.counters())
-            if (c.name == name)
-                return c.value;
-        return 0;
-    }
-};
-
-TEST_F(DiskCacheTest, DisabledModelReadMatchesAnalyticTiming)
-{
-    storage::ReadTiming rt = disk.modelRead(100, 5000, obs);
+    storage::DiskModel disk(storage::DiskGeometry::fujitsuM2351A());
+    storage::ReadTiming rt = disk.modelRead(5000);
     EXPECT_EQ(rt.access, disk.accessTime());
     EXPECT_EQ(rt.transfer, disk.transferTime(5000));
-    EXPECT_FALSE(rt.cacheHit);
-    // Disabled cache must not even create the counters, so default
-    // runs keep a bit-identical metrics dump.
-    EXPECT_TRUE(metrics.counters().empty());
-}
-
-TEST_F(DiskCacheTest, MissFillsThenHitSkipsSeek)
-{
-    disk.configureCache({.capacityTracks = 4, .cacheRate = 200.0e6});
-    storage::ReadTiming miss = disk.modelRead(0, 40000, obs);
-    EXPECT_FALSE(miss.cacheHit);
-    EXPECT_EQ(miss.access, disk.accessTime());
-    EXPECT_EQ(miss.transfer, disk.transferTime(40000));
-    EXPECT_EQ(disk.cachedTracks(), 2u);   // 40000 bytes, 32 KB tracks
-
-    storage::ReadTiming hit = disk.modelRead(0, 40000, obs);
-    EXPECT_TRUE(hit.cacheHit);
-    EXPECT_EQ(hit.access, 0u);
-    EXPECT_LT(hit.transfer, miss.transfer);
-    EXPECT_EQ(counter("disk.cache.hit"), 1u);
-    EXPECT_EQ(counter("disk.cache.miss"), 1u);
-}
-
-TEST_F(DiskCacheTest, CapacityPressureEvictsLeastRecentTracks)
-{
-    disk.configureCache({.capacityTracks = 2, .cacheRate = 200.0e6});
-    const std::uint64_t track = disk.geometry().trackBytes();
-    disk.modelRead(0 * track, 100, obs);
-    disk.modelRead(1 * track, 100, obs);
-    disk.modelRead(2 * track, 100, obs);  // evicts track 0
-    EXPECT_EQ(disk.cachedTracks(), 2u);
-    EXPECT_GE(counter("disk.cache.evict"), 1u);
-    EXPECT_FALSE(disk.modelRead(0, 100, obs).cacheHit);
-}
-
-TEST_F(DiskCacheTest, RangeWiderThanCapacityIsNotAdmitted)
-{
-    // Scan resistance: one full-image sweep must not flush the cache.
-    disk.configureCache({.capacityTracks = 2, .cacheRate = 200.0e6});
-    disk.modelRead(0, 100, obs);
-    disk.modelRead(disk.geometry().trackBytes(), 100, obs);
-    ASSERT_EQ(disk.cachedTracks(), 2u);
-    disk.modelRead(0, disk.image().size(), obs);   // 8-track sweep
-    EXPECT_EQ(disk.cachedTracks(), 2u);
-    EXPECT_TRUE(disk.modelRead(0, 100, obs).cacheHit);
-}
-
-TEST_F(DiskCacheTest, DropCacheEmptiesResidentSet)
-{
-    disk.configureCache({.capacityTracks = 4, .cacheRate = 200.0e6});
-    disk.modelRead(0, 1000, obs);
-    ASSERT_GT(disk.cachedTracks(), 0u);
-    disk.dropCache();
-    EXPECT_EQ(disk.cachedTracks(), 0u);
-}
-
-TEST_F(DiskCacheTest, StreamHitDeliversSameBytesWithoutAccessTime)
-{
-    disk.configureCache({.capacityTracks = 4, .cacheRate = 200.0e6});
-    auto stream_all = [&](std::uint64_t len) {
-        std::vector<std::uint8_t> bytes;
-        Tick end = disk.stream(
-            0, len, 4096, 0,
-            [&](const std::uint8_t *d, std::uint32_t n, Tick) {
-                bytes.insert(bytes.end(), d, d + n);
-            },
-            obs);
-        return std::make_pair(std::move(bytes), end);
-    };
-    auto [cold_bytes, cold_end] = stream_all(50000);
-    auto [warm_bytes, warm_end] = stream_all(50000);
-    EXPECT_EQ(warm_bytes, cold_bytes);
-    EXPECT_LT(warm_end, cold_end);
-    // The hit pays no seek/rotation at all: pure cache-rate transfer.
-    EXPECT_LT(warm_end, disk.accessTime());
-}
-
-TEST_F(DiskCacheTest, CorruptedDeliveryIsNeverAdmitted)
-{
-    disk.configureCache({.capacityTracks = 4, .cacheRate = 200.0e6});
-    support::FaultConfig config;
-    config.seed = 11;
-    config.bitFlipRate = 1.0;     // every chunk delivered corrupt
-    support::FaultInjector faults(config);
-    std::vector<std::uint8_t> delivered;
-    disk.stream(
-        0, 8192, 4096, 0,
-        [&](const std::uint8_t *d, std::uint32_t n, Tick) {
-            delivered.insert(delivered.end(), d, d + n);
-        },
-        obs, 0, &faults);
-    ASSERT_NE(delivered,
-              std::vector<std::uint8_t>(disk.image().begin(),
-                                        disk.image().begin() + 8192));
-    // The poisoned range must not be resident: a re-read goes to the
-    // platters (and, fault-free this time, delivers clean bytes).
-    EXPECT_EQ(disk.cachedTracks(), 0u);
-    EXPECT_FALSE(disk.modelRead(0, 8192, obs).cacheHit);
+    EXPECT_EQ(rt.total(), disk.accessTime() + disk.transferTime(5000));
+    // An empty read costs nothing, not even the seek.
+    EXPECT_EQ(disk.modelRead(0).total(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -344,7 +217,7 @@ TEST(Fs1SpanAccountingTest, ShardSpanTicksSumToMergedBusyTime)
 }
 
 // ---------------------------------------------------------------------
-// L2/L3: the server-side caches.
+// The server's goal cache.
 // ---------------------------------------------------------------------
 
 class ServerCacheTest : public ::testing::Test
@@ -505,28 +378,59 @@ TEST_F(ServerCacheTest, BypassOnWarmServerMatchesCacheDisabledServer)
     EXPECT_EQ(counter(*cached, "crs.cache.hits"), hits + 1);
 }
 
-TEST_F(ServerCacheTest, SurvivorMemoServesRepeatedSignatureAcrossModes)
+TEST_F(ServerCacheTest, EveryMissIsBitIdenticalToCacheDisabledServer)
 {
-    // Same goal, different mode: a different L3 key but the same
-    // query signature, so the FS1 survivor set replays from L2b.
-    auto server = makeServer(cachedConfig());
-    crs::RetrievalResponse two_stage =
-        server->serve(request(goals[0], crs::SearchMode::TwoStage));
-    crs::RetrievalResponse fs1_only =
-        server->serve(request(goals[0], crs::SearchMode::Fs1Only));
-    EXPECT_EQ(fs1_only.breakdown.cacheTime,
-              server->config().cache.survivorHitCost);
-    EXPECT_EQ(fs1_only.breakdown.indexTime, 0u);
-    EXPECT_EQ(fs1_only.indexEntriesScanned,
-              two_stage.indexEntriesScanned);
-    EXPECT_EQ(fs1_only.fs1Hits, two_stage.fs1Hits);
-    EXPECT_EQ(fs1_only.answers, two_stage.answers);
-
-    // The replayed payload is bit-identical to a real scan's.
+    // The goal cache is the only cache: a request it misses runs the
+    // cache-off pipeline unchanged, so its response — every modeled
+    // tick included — equals a cache-disabled server's.  The sequence
+    // covers repeats, a variable-renamed variant, one goal served in
+    // two modes, and evictions at capacity 2; each step names the
+    // outcome the LRU must produce.
+    crs::CrsConfig config = cachedConfig();
+    config.cache.goalCapacity = 2;
+    auto server = makeServer(config);
     auto plain = makeServer();
-    crs::RetrievalResponse recomputed =
-        plain->serve(request(goals[0], crs::SearchMode::Fs1Only));
-    expectSamePayload(recomputed, fs1_only);
+    term::ParsedTerm renamed = reader->parseTerm("p0(a1, Renamed)");
+    constexpr auto kTwo = crs::SearchMode::TwoStage;
+    constexpr auto kFs1 = crs::SearchMode::Fs1Only;
+    struct Step
+    {
+        const term::ParsedTerm *goal;
+        crs::SearchMode mode;
+        bool hit;
+    };
+    const Step steps[] = {
+        {&goals[0], kTwo, false},
+        {&goals[0], kTwo, true},
+        {&renamed, kTwo, true},
+        {&goals[0], kFs1, false},  // same goal, second mode
+        {&goals[2], kTwo, false},  // evicts goals[0] two-stage
+        {&goals[0], kTwo, false},  // evicts goals[0] fs1-only
+        {&goals[0], kFs1, false},  // evicts goals[2]
+        {&renamed, kFs1, true},
+        {&goals[2], kTwo, false},  // evicts goals[0] two-stage
+    };
+    const Tick hit_cost = server->config().cache.goalHitCost;
+    for (std::size_t i = 0; i < std::size(steps); ++i) {
+        SCOPED_TRACE("step " + std::to_string(i));
+        const Step &step = steps[i];
+        const std::uint64_t hits = counter(*server, "crs.cache.hits");
+        crs::RetrievalResponse got =
+            server->serve(request(*step.goal, step.mode));
+        crs::RetrievalResponse want =
+            plain->serve(request(*step.goal, step.mode));
+        ASSERT_EQ(counter(*server, "crs.cache.hits"),
+                  hits + (step.hit ? 1 : 0));
+        if (step.hit) {
+            expectSamePayload(want, got);
+            EXPECT_EQ(got.breakdown.cacheTime, hit_cost);
+            EXPECT_EQ(got.elapsed, hit_cost);
+        } else {
+            expectIdentical(want, got);
+        }
+    }
+    EXPECT_EQ(counter(*server, "crs.cache.misses"), 6u);
+    EXPECT_EQ(counter(*server, "crs.cache.evictions"), 4u);
 }
 
 TEST_F(ServerCacheTest, TransactionCommitInvalidatesOnlyItsPredicate)
@@ -546,8 +450,7 @@ TEST_F(ServerCacheTest, TransactionCommitInvalidatesOnlyItsPredicate)
     EXPECT_EQ(server->goalCacheSize(), 1u);
     EXPECT_EQ(counter(*server, "crs.cache.invalidations"), 1u);
 
-    // p0 recomputes (and the survivor memo is dead too — the commit
-    // bumped the index generation); p1 still hits.
+    // p0 recomputes; p1 still hits.
     std::uint64_t misses = counter(*server, "crs.cache.misses");
     crs::RetrievalResponse again = server->serve(request(goals[0]));
     EXPECT_EQ(counter(*server, "crs.cache.misses"), misses + 1);
@@ -591,11 +494,11 @@ TEST_F(ServerCacheTest, EvictionUnderCapacityPressure)
 TEST_F(ServerCacheTest, BatchEqualsServeLoopWithCachesOn)
 {
     // One batch exercising every cache interaction inside a batch: a
-    // repeated goal (L3 fill, then an L3 hit later in the same batch),
-    // a variable-renamed variant of it (same canonical key), one
-    // signature in two modes (the second replays the L2b survivor
-    // memo), and a bypassCache item.  serveBatch() must answer each
-    // item exactly as a serve() loop on an identically fresh server.
+    // repeated goal (fill, then a hit later in the same batch), a
+    // variable-renamed variant of it (same canonical key), one goal in
+    // two modes (two keys), and a bypassCache item.  serveBatch() must
+    // answer each item exactly as a serve() loop on an identically
+    // fresh server.
     term::ParsedTerm renamed = reader->parseTerm("p0(a1, Renamed)");
     std::vector<crs::RetrievalRequest> batch;
     batch.push_back(request(goals[0]));
@@ -622,11 +525,7 @@ TEST_F(ServerCacheTest, BatchEqualsServeLoopWithCachesOn)
 
     // The batch really exercised the in-batch cache paths.
     EXPECT_EQ(counter(*batched, "crs.cache.hits"), 2u);
-    EXPECT_EQ(counter(*batched, "fs1.cache.survivor_hits"), 2u);
-    for (const char *name :
-         {"crs.cache.hits", "crs.cache.misses",
-          "fs1.cache.survivor_hits", "fs1.cache.survivor_misses",
-          "scw.cache.sig_hits", "scw.cache.sig_misses"}) {
+    for (const char *name : {"crs.cache.hits", "crs.cache.misses"}) {
         EXPECT_EQ(counter(*batched, name), counter(*looped, name))
             << name;
     }
@@ -657,8 +556,8 @@ TEST_F(ServerCacheTest, UnstoredPredicateFailsTheWholeBatch)
 
 TEST_F(ServerCacheTest, ConcurrentServesStayCorrectUnderSharedCaches)
 {
-    // The L3 cache (and both L2 memos) are shared mutable state under
-    // concurrent serve() callers; TSan runs this via ctest -L cache.
+    // The goal cache is shared mutable state under concurrent serve()
+    // callers; TSan runs this via ctest -L cache.
     auto plain = makeServer();
     std::vector<crs::RetrievalResponse> expected;
     expected.reserve(goals.size());
@@ -693,9 +592,6 @@ TEST_F(ServerCacheTest, CacheConfigValidation)
 {
     crs::CrsConfig config = cachedConfig();
     config.cache.goalCapacity = 0;
-    EXPECT_THROW(makeServer(config), crs::ConfigError);
-    config = cachedConfig();
-    config.cache.survivorCapacity = 0;
     EXPECT_THROW(makeServer(config), crs::ConfigError);
     config = cachedConfig();
     config.cache.goalHitCost = 2 * kSecond;

@@ -467,7 +467,6 @@ TEST_P(CacheInterleaveFuzz, CachedAnswersAlwaysMatchTheOracle)
     crs::CrsConfig config;
     config.cache.enabled = true;
     config.cache.goalCapacity = 8;      // small: force evictions too
-    config.cache.survivorCapacity = 8;
     crs::ClauseRetrievalServer server(sym, store, config);
     crs::ClauseRetrievalServer plain(sym, store);
     crs::LockManager locks;
@@ -574,7 +573,6 @@ TEST(ArenaInterleaveFuzz, ArenaResetRacesCacheInvalidationSafely)
     crs::CrsConfig config;
     config.cache.enabled = true;
     config.cache.goalCapacity = 8;
-    config.cache.survivorCapacity = 8;
     crs::ClauseRetrievalServer server(sym, store, config);
     crs::LockManager locks;
 
