@@ -4,10 +4,10 @@
  * access by multiple clients which involves procedures for concurrency
  * control and transaction handling", section 2.2).
  *
- * Sweeps the client count under read-heavy and update-heavy workloads
- * and reports lock waits, rounds, and makespan: readers of one
- * predicate share rounds, updates serialize them, and working sets
- * over disjoint predicates scale without contention.
+ * The concurrency-control answer is the write-mix section
+ * (liveWriteMixSweep, below): one WAL-backed LiveStore writer beside
+ * concurrent readers, each read pinned to an MVCC version.  The cache
+ * section first shows what the goal cache pays on repeated goals.
  *
  * The load-generator section takes the same question to the networked
  * tier: it boots a live loopback cluster (backend NetServers behind
@@ -37,7 +37,6 @@
 #include <thread>
 
 #include "bench_util.hh"
-#include "crs/client_sim.hh"
 #include "crs/live_update.hh"
 #include "crs/server.hh"
 #include "crs/store_io.hh"
@@ -218,7 +217,7 @@ repeatedGoalCacheSweep(json::Value &json_rows,
 }
 
 /**
- * Live read/write mix (Experiment C3): one writer thread streams
+ * Live read/write mix (Experiment C2): one writer thread streams
  * single-clause assertz commits (WAL sync + MVCC publish each) into
  * the hot predicate while N reader threads run keyed lookups in closed
  * loop against the same server.  The op budget is split by
@@ -837,68 +836,6 @@ main(int argc, char **argv)
     bench::CacheKnobs cache_knobs = bench::cacheConfigArg(argc, argv);
     LoadGenKnobs lg_knobs = loadGenConfigArg(argc, argv);
     json::Value json_rows = json::Value::array();
-
-    term::SymbolTable sym;
-    workload::KbGenerator kbgen(sym);
-    workload::KbSpec spec;
-    spec.predicates = 8;
-    spec.clausesPerPredicate = 400;
-    spec.arityMin = 2;
-    spec.arityMax = 2;
-    spec.seed = 6;
-    term::Program program = kbgen.generate(spec);
-
-    crs::PredicateStore store(sym, scw::CodewordGenerator{});
-    store.addProgram(program);
-    store.finalize();
-
-    struct Workload
-    {
-        const char *name;
-        double updateFraction;
-        bool disjoint;  ///< clients use distinct predicates
-    };
-    const Workload workloads[] = {
-        {"read-only, one hot predicate", 0.0, false},
-        {"10% updates, one hot predicate", 0.1, false},
-        {"50% updates, one hot predicate", 0.5, false},
-        {"50% updates, disjoint predicates", 0.5, true},
-    };
-
-    for (const Workload &w : workloads) {
-        Table t(std::string("Workload: ") + w.name +
-                "  (8 jobs per client)");
-        t.header({"Clients", "Jobs", "Rounds", "Lock waits",
-                  "Makespan"});
-        for (std::uint32_t clients : {1u, 2u, 4u, 8u}) {
-            crs::ClientSimulation sim(sym, store);
-            Rng rng(clients * 31 + 7);
-            for (std::uint32_t c = 0; c < clients; ++c) {
-                crs::ClientId id = sim.addClient();
-                std::uint32_t pred_index = w.disjoint
-                    ? c % spec.predicates : 0;
-                std::string pred = "p" + std::to_string(pred_index);
-                for (int j = 0; j < 8; ++j) {
-                    bool update = rng.chance(w.updateFraction);
-                    sim.addJob(id, pred + "(A, B)", update);
-                }
-            }
-            crs::SimulationResult r = sim.run();
-            t.row({std::to_string(clients),
-                   std::to_string(r.totalJobs),
-                   std::to_string(r.rounds),
-                   std::to_string(r.totalWaits),
-                   bench::formatTime(r.makespan)});
-        }
-        t.print(std::cout);
-        std::printf("\n");
-    }
-
-    std::printf("shape: pure readers share rounds (waits stay 0 as "
-                "clients grow); updates on a\nshared predicate "
-                "serialize (waits grow with the client count); "
-                "spreading the\nsame update load over disjoint "
-                "predicates removes the contention.\n\n");
 
     repeatedGoalCacheSweep(json_rows, cache_knobs);
     liveWriteMixSweep(writeMixArg(argc, argv), json_rows);

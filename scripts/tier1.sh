@@ -11,7 +11,7 @@
 # suites under ASan
 # so every FS1 kernel the host supports (scalar64/avx2/avx512) and
 # both FS2 dispatch targets (interpreter and compiled routines) run
-# sanitized.
+# sanitized.  On success it prints the net src/ line count.
 #
 # Usage: scripts/tier1.sh [build-dir] [asan-build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -69,7 +69,7 @@ echo "== tier-1: TSan build + tsan- and arena-labeled tests =="
 # concurrency: test_concurrency (label tsan) races them against a
 # streaming LiveStore writer and kb::clausesFor readers, test_cache
 # (tsan) shares the goal cache across them, and the arena suites
-# reset connection arenas while transactions invalidate that cache
+# reset connection arenas while invalidations drop that cache's entries
 # (the blob shared_ptr handles cross threads).  TSan proves the
 # interleavings race-free.
 cmake -B "$TSAN_BUILD" -S . -DCLARE_SANITIZE=thread
@@ -91,4 +91,8 @@ echo "== tier-1: crash-recovery smoke (kill -9 mid-ingest) =="
 # the reopened store replays exactly the committed prefix.
 scripts/crash_smoke.sh "$BUILD"
 
+# Net src/ size (.cc + .hh lines): the per-change line-count metric.
+src_lines=$(find src \( -name '*.cc' -o -name '*.hh' \) -print0 |
+            xargs -0 cat | wc -l)
+echo "src/ lines (.cc + .hh): $src_lines"
 echo "tier-1 OK"

@@ -19,8 +19,8 @@
  * storage, and an entry evicted or invalidated mid-flight stays alive
  * until its last reader drops the pointer.
  *
- * Invalidation is per-predicate, through crs::Transaction or
- * crs::LiveStore commits via the CacheInvalidationSink.  Degraded,
+ * Invalidation is per-predicate, through crs::LiveStore commits via
+ * the CacheInvalidationSink.  Degraded,
  * overflowed, or fault-touched responses are never admitted — the
  * server filters those before calling put().
  *

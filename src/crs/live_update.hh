@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "crs/store.hh"
-#include "crs/transaction.hh"
 #include "storage/wal.hh"
 #include "term/symbol_table.hh"
 #include "term/term_writer.hh"

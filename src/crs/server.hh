@@ -51,7 +51,6 @@
 #include "crs/goal_cache.hh"
 #include "crs/search_mode.hh"
 #include "crs/store.hh"
-#include "crs/transaction.hh"
 #include "fs1/fs1_engine.hh"
 #include "fs2/fs2_engine.hh"
 #include "support/logging.hh"
@@ -164,9 +163,9 @@ struct QueryProfile
 /**
  * The retrieval server.
  *
- * Implements CacheInvalidationSink so a crs::Transaction constructed
- * with the server as its sink flushes cached results for every
- * predicate it wrote, while its exclusive locks are still held.
+ * Implements CacheInvalidationSink so a crs::LiveStore with the server
+ * attached (LiveStore::attachSink) flushes cached results for every
+ * predicate a commit wrote.
  */
 class ClauseRetrievalServer : public CacheInvalidationSink
 {
@@ -230,9 +229,9 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     const obs::MetricsRegistry &metrics() const { return metrics_; }
 
     /**
-     * Drop the goal-cache entries of @p pred.  Called by
-     * Transaction::commit() while the writer's exclusive lock is
-     * still held.  Safe under concurrent serves.
+     * Drop the goal-cache entries of @p pred.  Called by LiveStore
+     * after publish, for every predicate the commit touched.  Safe
+     * under concurrent serves.
      */
     void invalidatePredicate(const term::PredicateId &pred) override;
 

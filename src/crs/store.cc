@@ -50,10 +50,6 @@ PredicateStore::addProgram(const term::Program &program)
 {
     clare_assert(!finalized_, "store already finalized");
     for (const term::PredicateId &pred : program.predicates()) {
-        if (preds_.count(pred))
-            clare_fatal("predicate %s/%u stored twice",
-                        symbols_.name(pred.functor).c_str(), pred.arity);
-
         storage::ClauseFileBuilder builder(writer_);
         std::size_t rules = 0;
         const auto &ordinals = program.clausesOf(pred);
@@ -64,25 +60,24 @@ PredicateStore::addProgram(const term::Program &program)
                 ++rules;
         }
 
-        StoredPredicate stored;
-        stored.clauses = builder.finish();
+        auto stored = std::make_shared<StoredPredicate>();
+        stored->clauses = builder.finish();
         // Each signature is encoded as its index entry is written, so
         // setup never holds a predicate's worth of them.
         scw::Signature signature;
-        stored.index = scw::SecondaryFile::build(
-            generator_, stored.clauses,
+        stored->index = scw::SecondaryFile::build(
+            generator_, stored->clauses,
             [&](std::size_t k) -> const scw::Signature & {
                 const term::Clause &clause = program.clause(ordinals[k]);
                 signature = generator_.encode(clause.arena(),
                                               clause.head());
                 return signature;
             });
-        stored.ruleFraction = ordinals.empty()
+        stored->ruleFraction = ordinals.empty()
             ? 0.0
             : static_cast<double>(rules) /
               static_cast<double>(ordinals.size());
-        preds_.emplace(pred, std::move(stored));
-        order_.push_back(pred);
+        openChain(pred, std::move(stored));
     }
 }
 
@@ -94,21 +89,29 @@ PredicateStore::addStored(const term::PredicateId &pred,
                               sliced)
 {
     clare_assert(!finalized_, "store already finalized");
-    if (preds_.count(pred))
-        clare_fatal("predicate %s/%u stored twice",
-                    symbols_.name(pred.functor).c_str(), pred.arity);
-    StoredPredicate stored;
+    auto stored = std::make_shared<StoredPredicate>();
     std::size_t rules = 0;
     for (std::size_t i = 0; i < clauses.clauseCount(); ++i)
         rules += clauses.record(i).isFact() ? 0 : 1;
-    stored.ruleFraction = clauses.clauseCount() == 0
+    stored->ruleFraction = clauses.clauseCount() == 0
         ? 0.0
         : static_cast<double>(rules) /
           static_cast<double>(clauses.clauseCount());
-    stored.clauses = std::move(clauses);
-    stored.index = std::move(index);
-    stored.sliced = std::move(sliced);
-    preds_.emplace(pred, std::move(stored));
+    stored->clauses = std::move(clauses);
+    stored->index = std::move(index);
+    stored->sliced = std::move(sliced);
+    openChain(pred, std::move(stored));
+}
+
+void
+PredicateStore::openChain(const term::PredicateId &pred,
+                          std::shared_ptr<StoredPredicate> stored)
+{
+    auto &chain = versions_[pred];
+    if (!chain.empty())
+        clare_fatal("predicate %s/%u stored twice",
+                    symbols_.name(pred.functor).c_str(), pred.arity);
+    chain.emplace_back(0, std::move(stored));
     order_.push_back(pred);
 }
 
@@ -121,7 +124,7 @@ PredicateStore::finalize()
     std::uint64_t data_extent = 0;
     std::uint64_t index_extent = 0;
     for (const term::PredicateId &pred : order_) {
-        StoredPredicate &stored = preds_.at(pred);
+        StoredPredicate &stored = *versions_.at(pred).front().second;
         stored.clauseFileOffset = data_extent;
         data_extent += stored.clauses.image().size();
         stored.indexFileOffset = index_extent;
@@ -144,8 +147,6 @@ PredicateStore::finalize()
 bool
 PredicateStore::has(const term::PredicateId &pred) const
 {
-    if (preds_.count(pred) != 0)
-        return true;
     std::shared_lock lock(*mvccMutex_);
     return versions_.count(pred) != 0;
 }
@@ -155,28 +156,17 @@ PredicateStore::predicateVersion(const term::PredicateId &pred,
                                  std::optional<std::uint64_t> generation)
     const
 {
-    {
-        std::shared_lock lock(*mvccMutex_);
-        auto it = versions_.find(pred);
-        if (it != versions_.end()) {
-            const auto &chain = it->second;
-            // Newest version with generation <= the pin, scanning the
-            // (short, append-only) chain backward.
-            for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit)
-                if (!generation || rit->first <= *generation)
-                    return rit->second;
-            // Every chained version is newer than the pin: fall back
-            // to the generation-0 base below, if one exists.
-        }
-    }
-    auto it = preds_.find(pred);
-    if (it == preds_.end())
+    std::shared_lock lock(*mvccMutex_);
+    auto it = versions_.find(pred);
+    if (it == versions_.end())
         return nullptr;
-    // Generation 0 lives in preds_; alias the node (std::map nodes are
-    // address-stable) with an empty control block — the store itself
-    // keeps it alive.
-    return std::shared_ptr<const StoredPredicate>(
-        std::shared_ptr<const void>(), &it->second);
+    const auto &chain = it->second;
+    // Newest version with generation <= the pin, scanning the (short,
+    // append-only) chain backward.
+    for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit)
+        if (!generation || rit->first <= *generation)
+            return rit->second;
+    return nullptr;
 }
 
 std::uint64_t
@@ -196,30 +186,37 @@ PredicateStore::publish(
     for (auto &kv : versions) {
         kv.second->generation = gen;
         auto &chain = versions_[kv.first];
-        bool brand_new = chain.empty() && preds_.count(kv.first) == 0;
-        chain.emplace_back(gen, std::shared_ptr<const StoredPredicate>(
-                                    std::move(kv.second)));
-        if (brand_new)
+        if (chain.empty())
             order_.push_back(kv.first);
+        chain.emplace_back(gen, std::move(kv.second));
     }
     return gen;
+}
+
+std::vector<term::PredicateId>
+PredicateStore::predicates() const
+{
+    std::shared_lock lock(*mvccMutex_);
+    return order_;
 }
 
 std::uint64_t
 PredicateStore::dataBytes() const
 {
+    std::shared_lock lock(*mvccMutex_);
     std::uint64_t n = 0;
-    for (const auto &kv : preds_)
-        n += kv.second.clauses.image().size();
+    for (const auto &kv : versions_)
+        n += kv.second.back().second->clauses.image().size();
     return n;
 }
 
 std::uint64_t
 PredicateStore::indexBytes() const
 {
+    std::shared_lock lock(*mvccMutex_);
     std::uint64_t n = 0;
-    for (const auto &kv : preds_)
-        n += kv.second.index.image().size();
+    for (const auto &kv : versions_)
+        n += kv.second.back().second->index.image().size();
     return n;
 }
 

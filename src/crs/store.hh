@@ -56,8 +56,8 @@ struct StoredPredicate
 
     /**
      * MVCC generation this version was published at.  0 = the
-     * immutable load-time base; live commits publish versions stamped
-     * with monotonically increasing generations.
+     * load-time version each chain opens with; live commits publish
+     * versions stamped with monotonically increasing generations.
      */
     std::uint64_t generation = 0;
 
@@ -106,6 +106,21 @@ struct StoredPredicate
 void decodeClauses(const storage::ClauseFile &file, std::size_t begin,
                    std::size_t end, term::SymbolTable &symbols,
                    term::ClauseTable &out);
+
+/**
+ * Receiver of cache-invalidation notices.  The retrieval server
+ * implements this: after a LiveStore commit publishes new versions,
+ * every cached result derived from a touched predicate (its
+ * goal-cache entries) is dropped.
+ */
+class CacheInvalidationSink
+{
+  public:
+    virtual ~CacheInvalidationSink() = default;
+
+    /** A write to @p pred committed; drop derived cached state. */
+    virtual void invalidatePredicate(const term::PredicateId &pred) = 0;
+};
 
 /**
  * The predicate store: builds clause and secondary files from parsed
@@ -178,52 +193,54 @@ class PredicateStore
         std::map<term::PredicateId,
                  std::shared_ptr<StoredPredicate>> versions);
 
-    const std::vector<term::PredicateId> &predicates() const
-    {
-        return order_;
-    }
+    /**
+     * Every stored predicate, in insertion order.  A copy taken under
+     * the version lock: a commit may register a brand-new predicate
+     * concurrently.
+     */
+    std::vector<term::PredicateId> predicates() const;
 
     const storage::DiskModel &dataDisk() const { return dataDisk_; }
     const storage::DiskModel &indexDisk() const { return indexDisk_; }
     const scw::CodewordGenerator &generator() const { return generator_; }
 
-    /** Total bytes of clause data stored. */
+    /** Bytes of clause data in the head version of every predicate. */
     std::uint64_t dataBytes() const;
-    /** Total bytes of index data stored. */
+    /** Bytes of index data in the head version of every predicate. */
     std::uint64_t indexBytes() const;
 
   private:
+    /** Open @p pred's version chain at generation 0. */
+    void openChain(const term::PredicateId &pred,
+                   std::shared_ptr<StoredPredicate> stored);
+
     term::SymbolTable &symbols_;
     scw::CodewordGenerator generator_;
     term::TermWriter writer_;
     storage::DiskModel dataDisk_;
     storage::DiskModel indexDisk_;
-    std::map<term::PredicateId, StoredPredicate> preds_;
 
     /**
-     * Predicate enumeration order.  Only publish() of a *new*
-     * predicate appends here (under mvccMutex_); concurrent readers
-     * iterating predicates() while a writer introduces a brand-new
-     * predicate is the one enumeration hazard — the serving tier
-     * resolves predicates by id, never by enumeration, on the hot
-     * path.
+     * Predicate enumeration order.  addProgram()/addStored() and
+     * publish() of a *new* predicate append here.
      */
     std::vector<term::PredicateId> order_;
     bool finalized_ = false;
 
     /**
-     * MVCC version chains, newest last, each entry (generation,
-     * version).  Generation-0 versions live in preds_ (std::map nodes
-     * are address-stable, so predicateVersion() aliases them); chains
-     * only exist for predicates touched by a live commit.  Chains
-     * only ever append.  Guarded by mvccMutex_ (unique_ptr so
-     * the store stays movable before serving starts).
+     * MVCC version chains, oldest first, each entry (generation,
+     * version).  addProgram()/addStored() open a predicate's chain at
+     * generation 0; commits append.  Versions are mutable only while
+     * finalize() completes the generation-0 ones; readers get them as
+     * const.  After finalize() the chains and order_ are guarded by
+     * mvccMutex_ (unique_ptr so the store stays movable before
+     * serving starts).
      */
     std::unique_ptr<std::shared_mutex> mvccMutex_;
     std::uint64_t headGeneration_ = 0;
     std::map<term::PredicateId,
              std::vector<std::pair<std::uint64_t,
-                                   std::shared_ptr<const StoredPredicate>>>>
+                                   std::shared_ptr<StoredPredicate>>>>
         versions_;
 };
 

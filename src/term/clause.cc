@@ -150,7 +150,7 @@ Program::add(Clause clause)
     clauses_.push_back(std::move(clause));
     auto it = byPred_.find(pred);
     if (it == byPred_.end()) {
-        preds_.push_back(pred);
+        predicates_.push_back(pred);
         it = byPred_.emplace(pred, std::vector<std::size_t>{}).first;
     }
     it->second.push_back(ordinal);
@@ -165,7 +165,7 @@ Program::addFront(Clause clause)
     clauses_.push_back(std::move(clause));
     auto it = byPred_.find(pred);
     if (it == byPred_.end()) {
-        preds_.push_back(pred);
+        predicates_.push_back(pred);
         it = byPred_.emplace(pred, std::vector<std::size_t>{}).first;
     }
     it->second.insert(it->second.begin(), ordinal);

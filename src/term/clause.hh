@@ -181,7 +181,7 @@ class Program
     clausesOf(const PredicateId &pred) const;
 
     /** All predicates, in first-appearance order. */
-    const std::vector<PredicateId> &predicates() const { return preds_; }
+    const std::vector<PredicateId> &predicates() const { return predicates_; }
 
     /**
      * True if the predicate mixes ground facts with rules or non-ground
@@ -191,7 +191,7 @@ class Program
 
   private:
     std::vector<Clause> clauses_;
-    std::vector<PredicateId> preds_;
+    std::vector<PredicateId> predicates_;
     std::map<PredicateId, std::vector<std::size_t>> byPred_;
 
     static const std::vector<std::size_t> kEmpty;

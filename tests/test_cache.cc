@@ -5,7 +5,7 @@
  *
  * crs::GoalCache: a hit replays the full response payload
  * bit-identically while charging only the modeled cache lookup;
- * entries invalidate per predicate through crs::Transaction commit.
+ * entries invalidate per predicate when a crs::LiveStore commits.
  *
  * Invariants: every miss, cold or bypassed request is bit-identical
  * to the same request on a cache-disabled server, ticks included, and
@@ -17,15 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "crs/live_update.hh"
 #include "crs/server.hh"
 #include "crs/store.hh"
-#include "crs/transaction.hh"
 #include "fs1/fs1_engine.hh"
 #include "net/wire.hh"
 #include "storage/disk_model.hh"
@@ -433,20 +434,19 @@ TEST_F(ServerCacheTest, EveryMissIsBitIdenticalToCacheDisabledServer)
     EXPECT_EQ(counter(*server, "crs.cache.evictions"), 4u);
 }
 
-TEST_F(ServerCacheTest, TransactionCommitInvalidatesOnlyItsPredicate)
+TEST_F(ServerCacheTest, LiveCommitInvalidatesOnlyItsPredicate)
 {
     auto server = makeServer(cachedConfig());
     server->serve(request(goals[0]));     // p0
     server->serve(request(goals[2]));     // p1
     ASSERT_EQ(server->goalCacheSize(), 2u);
 
-    crs::LockManager locks;
-    term::PredicateId p0{sym.intern("p0"), 2};
-    {
-        crs::Transaction tx(locks, 1, server.get());
-        ASSERT_TRUE(tx.acquire(p0, crs::LockKind::Exclusive));
-        tx.commit();
-    }
+    const std::string wal_path =
+        ::testing::TempDir() + "cache_live_commit.wal";
+    std::remove(wal_path.c_str());
+    crs::LiveStore live(*store, sym, wal_path);
+    live.attachSink(server.get());
+    EXPECT_EQ(live.assertz(reader->parseClause("p0(a1, a2).")), 1u);
     EXPECT_EQ(server->goalCacheSize(), 1u);
     EXPECT_EQ(counter(*server, "crs.cache.invalidations"), 1u);
 
@@ -458,22 +458,37 @@ TEST_F(ServerCacheTest, TransactionCommitInvalidatesOnlyItsPredicate)
     std::uint64_t hits = counter(*server, "crs.cache.hits");
     server->serve(request(goals[2]));
     EXPECT_EQ(counter(*server, "crs.cache.hits"), hits + 1);
+    std::remove(wal_path.c_str());
 }
 
-TEST_F(ServerCacheTest, AbortedTransactionInvalidatesNothing)
+TEST_F(ServerCacheTest, AbortedLiveUpdateInvalidatesNothing)
 {
     auto server = makeServer(cachedConfig());
     server->serve(request(goals[0]));
     ASSERT_EQ(server->goalCacheSize(), 1u);
-    crs::LockManager locks;
+
+    const std::string wal_path =
+        ::testing::TempDir() + "cache_live_abort.wal";
+    std::remove(wal_path.c_str());
+    crs::LiveStore live(*store, sym, wal_path);
+    live.attachSink(server.get());
     {
-        crs::Transaction tx(locks, 1, server.get());
-        ASSERT_TRUE(tx.acquire(term::PredicateId{sym.intern("p0"), 2},
-                               crs::LockKind::Exclusive));
-        tx.abort();
+        crs::LiveStore::Update txn = live.begin();
+        txn.assertz(reader->parseClause("p0(a1, a2)."));
+        txn.abort();
     }
+    {
+        // Destroying an uncommitted update aborts it.
+        crs::LiveStore::Update txn = live.begin();
+        txn.assertz(reader->parseClause("p0(a1, a2)."));
+    }
+    EXPECT_EQ(store->headGeneration(), 0u);
     EXPECT_EQ(server->goalCacheSize(), 1u);
     EXPECT_EQ(counter(*server, "crs.cache.invalidations"), 0u);
+    std::uint64_t hits = counter(*server, "crs.cache.hits");
+    server->serve(request(goals[0]));
+    EXPECT_EQ(counter(*server, "crs.cache.hits"), hits + 1);
+    std::remove(wal_path.c_str());
 }
 
 TEST_F(ServerCacheTest, EvictionUnderCapacityPressure)

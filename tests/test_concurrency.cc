@@ -4,11 +4,11 @@
  * (bit-identical candidates and answers at any shard width), server
  * retrieval against the reference oracle, serveBatch() equivalence
  * with a serve() loop, fs1.* metric aggregation on a shared server,
- * transaction/lock-manager edge cases (re-acquisition, upgrade,
- * partial acquireAll failure), and live-update interleaving: a writer
- * thread streaming assertz commits through a LiveStore while
- * concurrent serveBatch() readers prove that snapshot-pinned reads
- * stay bit-identical to the quiesced pre-commit reference.  These
+ * and live-update interleaving: a writer thread streaming assertz
+ * commits through a LiveStore while concurrent serveBatch() readers
+ * prove that snapshot-pinned reads stay bit-identical to the quiesced
+ * pre-commit reference, and while another thread enumerates the
+ * store's predicates as commits register new ones.  These
  * tests carry the `tsan` ctest label so a -DCLARE_SANITIZE=thread
  * build exercises them under ThreadSanitizer.
  */
@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "crs/live_update.hh"
 #include "crs/server.hh"
 #include "crs/store.hh"
-#include "crs/transaction.hh"
 #include "kb/knowledge_base.hh"
 #include "net/wire.hh"
 #include "oracle_retrieval.hh"
@@ -286,137 +284,6 @@ TEST_F(PipelineTest, SharedServerMetricsAggregateFs1Scans)
 }
 
 // ---------------------------------------------------------------------
-// Transaction / lock-manager edge cases.  These pin the exact contract
-// the live-update path depends on: held-lock bookkeeping must release
-// exactly once, commit must invalidate exactly the predicates written,
-// and neither abort path may invalidate anything.
-// ---------------------------------------------------------------------
-
-struct CountingSink : crs::CacheInvalidationSink
-{
-    std::map<term::PredicateId, int> counts;
-    void
-    invalidatePredicate(const term::PredicateId &pred) override
-    {
-        ++counts[pred];
-    }
-};
-
-TEST(TransactionEdgeTest, ReacquiredLockReleasesExactlyOnce)
-{
-    crs::LockManager lm;
-    const term::PredicateId p{3, 2};
-    crs::Transaction tx(lm, 7);
-    EXPECT_TRUE(tx.acquire(p, crs::LockKind::Shared));
-    EXPECT_TRUE(tx.acquire(p, crs::LockKind::Shared));
-    // A duplicate held-lock entry would double-release here and trip
-    // the manager's unheld-lock assert.
-    tx.commit();
-    EXPECT_FALSE(lm.holds(7, p));
-    EXPECT_EQ(lm.holders(p), 0u);
-}
-
-TEST(TransactionEdgeTest, SharedThenExclusiveInvalidatesOnceOnCommit)
-{
-    crs::LockManager lm;
-    CountingSink sink;
-    const term::PredicateId p{3, 2};
-    crs::Transaction tx(lm, 7, &sink);
-    EXPECT_TRUE(tx.acquire(p, crs::LockKind::Shared));
-    // The sole sharer is granted the in-place strengthen; the held
-    // record must follow it so commit treats the predicate as written.
-    EXPECT_TRUE(tx.acquire(p, crs::LockKind::Exclusive));
-    EXPECT_EQ(lm.holders(p), 1u);
-    tx.commit();
-    EXPECT_EQ(sink.counts[p], 1);
-    EXPECT_FALSE(lm.holds(7, p));
-}
-
-TEST(TransactionEdgeTest, UpgradeMarksPredicateWritten)
-{
-    crs::LockManager lm;
-    CountingSink sink;
-    const term::PredicateId p{4, 1};
-    crs::Transaction co(lm, 1);
-    ASSERT_TRUE(co.acquire(p, crs::LockKind::Shared));
-    crs::Transaction tx(lm, 2, &sink);
-    ASSERT_TRUE(tx.acquire(p, crs::LockKind::Shared));
-    // A co-sharer blocks the upgrade and must not corrupt the held
-    // record: tx still reads as a plain sharer.
-    EXPECT_FALSE(tx.upgrade(p));
-    co.commit();
-    // Now the sole sharer; the upgrade succeeds and is idempotent.
-    EXPECT_TRUE(tx.upgrade(p));
-    EXPECT_TRUE(tx.upgrade(p));
-    tx.commit();
-    EXPECT_EQ(sink.counts[p], 1);
-    EXPECT_EQ(lm.holders(p), 0u);
-}
-
-TEST(TransactionEdgeTest, FailedAcquireAllKeepsPriorLocks)
-{
-    crs::LockManager lm;
-    const term::PredicateId a{1, 1};
-    const term::PredicateId b{2, 1};
-    const term::PredicateId c{3, 1};
-    crs::Transaction blocker(lm, 1);
-    ASSERT_TRUE(blocker.acquire(b, crs::LockKind::Exclusive));
-    crs::Transaction tx(lm, 2);
-    ASSERT_TRUE(tx.acquire(a, crs::LockKind::Shared));
-    // The batch sorts to {a, b, c} and fails at b.  Only locks the
-    // call newly created may be rolled back — `a` predates it.
-    EXPECT_FALSE(tx.acquireAll({c, b, a}, crs::LockKind::Shared));
-    EXPECT_TRUE(lm.holds(2, a));
-    EXPECT_FALSE(lm.holds(2, c));
-    tx.commit();
-    EXPECT_EQ(lm.holders(a), 0u);
-    blocker.abort();
-    EXPECT_EQ(lm.holders(b), 0u);
-}
-
-TEST(TransactionEdgeTest, FailedAcquireAllDowngradesInPlaceUpgrades)
-{
-    crs::LockManager lm;
-    CountingSink sink;
-    const term::PredicateId a{1, 1};
-    const term::PredicateId b{2, 1};
-    crs::Transaction blocker(lm, 1);
-    ASSERT_TRUE(blocker.acquire(b, crs::LockKind::Exclusive));
-    crs::Transaction tx(lm, 2, &sink);
-    ASSERT_TRUE(tx.acquire(a, crs::LockKind::Shared));
-    // The batch sorts to {a, b}: `a` is strengthened in place to
-    // exclusive, then `b` conflicts.  Rollback must restore `a` to
-    // Shared, not leave it escalated.
-    EXPECT_FALSE(tx.acquireAll({a, b}, crs::LockKind::Exclusive));
-    EXPECT_EQ(lm.heldKind(2, a), crs::LockKind::Shared);
-    // The proof of the downgrade: a co-sharer can join again (an
-    // escalated lock would refuse), and an exclusive grab cannot.
-    crs::Transaction sharer(lm, 3);
-    EXPECT_TRUE(sharer.acquire(a, crs::LockKind::Shared));
-    EXPECT_FALSE(lm.acquire(4, a, crs::LockKind::Exclusive));
-    sharer.abort();
-    // And the held record kept its pre-call strength: commit must not
-    // treat `a` as written.
-    tx.commit();
-    EXPECT_TRUE(sink.counts.empty());
-    EXPECT_EQ(lm.holders(a), 0u);
-    blocker.abort();
-}
-
-TEST(TransactionEdgeTest, DestructorAbortNeverInvalidates)
-{
-    crs::LockManager lm;
-    CountingSink sink;
-    const term::PredicateId p{5, 2};
-    {
-        crs::Transaction tx(lm, 9, &sink);
-        ASSERT_TRUE(tx.acquire(p, crs::LockKind::Exclusive));
-    }
-    EXPECT_TRUE(sink.counts.empty());
-    EXPECT_EQ(lm.holders(p), 0u);
-}
-
-// ---------------------------------------------------------------------
 // Live-update interleaving: a writer thread streams single-clause
 // assertz commits through a LiveStore while reader threads hammer
 // serveBatch() on the same server.  Reads pinned at snapshot 0 must be
@@ -570,6 +437,65 @@ TEST(LiveInterleavingTest, SnapshotReadsAreIsolatedFromAStreamingWriter)
         EXPECT_EQ(live_head[i].elapsed, ref_head[i].elapsed)
             << "goal " << i;
     }
+    std::remove(wal_path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Predicate enumeration beside commits that register new predicates:
+// PredicateStore::predicates() (what NetServer's health reply counts)
+// must hand out a consistent snapshot while publish() appends to the
+// enumeration order.
+// ---------------------------------------------------------------------
+
+TEST(LiveInterleavingTest, EnumerationRacesBrandNewPredicateCommits)
+{
+    constexpr std::size_t kCommits = 32;
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    term::Program program;
+    for (auto &c : reader.parseProgram("edge(a, b).\n"))
+        program.add(std::move(c));
+    crs::PredicateStore store(sym, scw::CodewordGenerator{});
+    store.addProgram(program);
+    store.finalize();
+
+    const std::string wal_path =
+        ::testing::TempDir() + "enumeration_race.wal";
+    std::remove(wal_path.c_str());
+    crs::LiveStore live(store, sym, wal_path);
+
+    // Each commit introduces a predicate the store has never seen;
+    // every symbol is interned here, before the threads start.
+    std::vector<term::Clause> fresh;
+    for (std::size_t i = 0; i < kCommits; ++i)
+        fresh.push_back(reader.parseClause(
+            "new" + std::to_string(i) + "(a, b)."));
+
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        for (const term::Clause &clause : fresh)
+            live.assertz(clause);
+        done.store(true, std::memory_order_release);
+    });
+    const term::PredicateId edge{sym.lookup("edge"), 2};
+    // Each snapshot only grows and always starts with the base.
+    std::size_t seen = 1;
+    bool consistent = true;
+    do {
+        const std::vector<term::PredicateId> preds = store.predicates();
+        consistent = consistent && preds.size() >= seen &&
+                     preds.size() <= kCommits + 1 && preds.front() == edge;
+        seen = preds.size();
+    } while (!done.load(std::memory_order_acquire));
+    writer.join();
+    EXPECT_TRUE(consistent);
+
+    const std::vector<term::PredicateId> preds = store.predicates();
+    ASSERT_EQ(preds.size(), kCommits + 1);
+    for (std::size_t i = 0; i < kCommits; ++i)
+        EXPECT_EQ(preds[i + 1], (term::PredicateId{
+                                    sym.lookup("new" + std::to_string(i)),
+                                    2}));
     std::remove(wal_path.c_str());
 }
 

@@ -1,15 +1,13 @@
 /**
  * @file
  * CRS tests: predicate store layout, the four retrieval modes (answer
- * equality, candidate-set quality ordering), mode selection, and the
- * lock manager / transactions.
+ * equality, candidate-set quality ordering) and mode selection.
  */
 
 #include <gtest/gtest.h>
 
 #include "crs/server.hh"
 #include "crs/store.hh"
-#include "crs/transaction.hh"
 #include "support/logging.hh"
 #include "term/term_reader.hh"
 #include "workload/kb_generator.hh"
@@ -240,112 +238,6 @@ TEST_F(CrsTest, ServeDefaultsToSelectedMode)
     request.goal = t.root;
     RetrievalResponse r = server->serve(request);
     EXPECT_EQ(r.mode, server->selectMode(t.arena, t.root));
-}
-
-// ---------------------------------------------------------------------
-// Locks and transactions.
-// ---------------------------------------------------------------------
-
-term::PredicateId
-pred(std::uint32_t functor, std::uint32_t arity = 1)
-{
-    return term::PredicateId{functor, arity};
-}
-
-TEST(LockManagerTest, SharedLocksCoexist)
-{
-    LockManager lm;
-    EXPECT_TRUE(lm.acquire(1, pred(10), LockKind::Shared));
-    EXPECT_TRUE(lm.acquire(2, pred(10), LockKind::Shared));
-    EXPECT_EQ(lm.holders(pred(10)), 2u);
-}
-
-TEST(LockManagerTest, ExclusiveExcludes)
-{
-    LockManager lm;
-    EXPECT_TRUE(lm.acquire(1, pred(10), LockKind::Exclusive));
-    EXPECT_FALSE(lm.acquire(2, pred(10), LockKind::Shared));
-    EXPECT_FALSE(lm.acquire(2, pred(10), LockKind::Exclusive));
-    // Re-entrant for the owner.
-    EXPECT_TRUE(lm.acquire(1, pred(10), LockKind::Exclusive));
-    EXPECT_TRUE(lm.acquire(1, pred(10), LockKind::Shared));
-}
-
-TEST(LockManagerTest, SharedBlocksExclusiveFromOthers)
-{
-    LockManager lm;
-    EXPECT_TRUE(lm.acquire(1, pred(10), LockKind::Shared));
-    EXPECT_FALSE(lm.acquire(2, pred(10), LockKind::Exclusive));
-}
-
-TEST(LockManagerTest, UpgradeWhenSoleSharer)
-{
-    LockManager lm;
-    EXPECT_TRUE(lm.acquire(1, pred(10), LockKind::Shared));
-    EXPECT_TRUE(lm.upgrade(1, pred(10)));
-    EXPECT_FALSE(lm.acquire(2, pred(10), LockKind::Shared));
-}
-
-TEST(LockManagerTest, UpgradeFailsWithOtherSharers)
-{
-    LockManager lm;
-    EXPECT_TRUE(lm.acquire(1, pred(10), LockKind::Shared));
-    EXPECT_TRUE(lm.acquire(2, pred(10), LockKind::Shared));
-    EXPECT_FALSE(lm.upgrade(1, pred(10)));
-}
-
-TEST(LockManagerTest, ReleaseMakesWayForWriters)
-{
-    LockManager lm;
-    EXPECT_TRUE(lm.acquire(1, pred(10), LockKind::Shared));
-    lm.release(1, pred(10));
-    EXPECT_TRUE(lm.acquire(2, pred(10), LockKind::Exclusive));
-}
-
-TEST(LockManagerTest, ReleaseAll)
-{
-    LockManager lm;
-    lm.acquire(1, pred(10), LockKind::Shared);
-    lm.acquire(1, pred(11), LockKind::Exclusive);
-    lm.releaseAll(1);
-    EXPECT_FALSE(lm.holds(1, pred(10)));
-    EXPECT_TRUE(lm.acquire(2, pred(11), LockKind::Exclusive));
-}
-
-TEST(TransactionTest, CommitReleasesLocks)
-{
-    LockManager lm;
-    {
-        Transaction tx(lm, 1);
-        EXPECT_TRUE(tx.acquire(pred(10), LockKind::Exclusive));
-        EXPECT_TRUE(lm.holds(1, pred(10)));
-        tx.commit();
-    }
-    EXPECT_FALSE(lm.holds(1, pred(10)));
-}
-
-TEST(TransactionTest, DestructorAborts)
-{
-    LockManager lm;
-    {
-        Transaction tx(lm, 1);
-        EXPECT_TRUE(tx.acquire(pred(10), LockKind::Shared));
-    }
-    EXPECT_FALSE(lm.holds(1, pred(10)));
-}
-
-TEST(TransactionTest, AcquireAllIsAtomic)
-{
-    LockManager lm;
-    lm.acquire(2, pred(11), LockKind::Exclusive);
-    Transaction tx(lm, 1);
-    // 11 is blocked, so neither 10 nor 12 may be kept.
-    EXPECT_FALSE(tx.acquireAll({pred(12), pred(10), pred(11)},
-                               LockKind::Shared));
-    EXPECT_FALSE(lm.holds(1, pred(10)));
-    EXPECT_FALSE(lm.holds(1, pred(12)));
-    EXPECT_TRUE(tx.acquireAll({pred(10), pred(12)}, LockKind::Shared));
-    tx.commit();
 }
 
 } // namespace

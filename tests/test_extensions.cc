@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the extension modules: the structural FS1 PLA matcher
- * (exact agreement with the behavioural match rule), clause-file
- * persistence, and the multi-client CRS simulation.
+ * (exact agreement with the behavioural match rule) and clause-file
+ * persistence.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 
 #include <filesystem>
 
-#include "crs/client_sim.hh"
+#include "crs/server.hh"
 #include "crs/store_io.hh"
 #include "fs1/pla_matcher.hh"
 #include "storage/file_io.hh"
@@ -321,98 +321,6 @@ TEST_F(StoreIoTest, MissingDirectoryIsFatal)
 {
     term::SymbolTable sym;
     EXPECT_THROW(crs::loadStore(dir_ + "/nope", sym), IoError);
-}
-
-// ---------------------------------------------------------------------
-// Multi-client simulation.
-// ---------------------------------------------------------------------
-
-class ClientSimTest : public ::testing::Test
-{
-  protected:
-    term::SymbolTable sym;
-    std::unique_ptr<crs::PredicateStore> store;
-
-    void
-    SetUp() override
-    {
-        term::TermReader reader(sym);
-        term::Program program;
-        for (auto &c : reader.parseProgram(
-                 "stock(widget, 10).\nstock(gadget, 3).\n"
-                 "price(widget, 5).\nprice(gadget, 9).\n"))
-            program.add(std::move(c));
-        store = std::make_unique<crs::PredicateStore>(
-            sym, scw::CodewordGenerator{});
-        store->addProgram(program);
-        store->finalize();
-    }
-};
-
-TEST_F(ClientSimTest, ReadersShareOneRound)
-{
-    crs::ClientSimulation sim(sym, *store);
-    for (int i = 0; i < 4; ++i) {
-        crs::ClientId c = sim.addClient();
-        sim.addJob(c, "stock(widget, N)");
-    }
-    crs::SimulationResult r = sim.run();
-    EXPECT_EQ(r.totalJobs, 4u);
-    EXPECT_EQ(r.totalWaits, 0u);
-    EXPECT_EQ(r.rounds, 2u);    // one working round + the empty check
-}
-
-TEST_F(ClientSimTest, WriterSerializesReaders)
-{
-    crs::ClientSimulation sim(sym, *store);
-    crs::ClientId writer = sim.addClient();
-    sim.addJob(writer, "stock(widget, 7)", /*exclusive=*/true);
-    crs::ClientId reader1 = sim.addClient();
-    sim.addJob(reader1, "stock(widget, N)");
-    crs::ClientId reader2 = sim.addClient();
-    sim.addJob(reader2, "stock(gadget, N)");
-
-    crs::SimulationResult r = sim.run();
-    EXPECT_EQ(r.totalJobs, 3u);
-    // reader1 conflicts with the writer on stock/2; reader2 hits a
-    // different... no: same predicate stock/2 — both readers wait one
-    // round behind the exclusive holder.
-    EXPECT_GE(r.totalWaits, 2u);
-    ASSERT_EQ(r.clients.size(), 3u);
-    EXPECT_EQ(r.clients[0].lockWaits, 0u);      // writer went first
-    EXPECT_GE(r.clients[1].lockWaits, 1u);
-}
-
-TEST_F(ClientSimTest, DisjointPredicatesRunConcurrently)
-{
-    crs::ClientSimulation sim(sym, *store);
-    crs::ClientId a = sim.addClient();
-    sim.addJob(a, "stock(widget, N)", /*exclusive=*/true);
-    crs::ClientId b = sim.addClient();
-    sim.addJob(b, "price(widget, P)", /*exclusive=*/true);
-    crs::SimulationResult r = sim.run();
-    EXPECT_EQ(r.totalWaits, 0u);
-    EXPECT_EQ(r.rounds, 2u);
-}
-
-TEST_F(ClientSimTest, QueuesDrainInOrder)
-{
-    crs::ClientSimulation sim(sym, *store);
-    crs::ClientId c = sim.addClient();
-    for (int i = 0; i < 5; ++i)
-        sim.addJob(c, "price(gadget, P)");
-    crs::SimulationResult r = sim.run();
-    EXPECT_EQ(r.totalJobs, 5u);
-    ASSERT_EQ(r.clients.size(), 1u);
-    EXPECT_EQ(r.clients[0].completed, 5u);
-    EXPECT_GT(r.clients[0].busyTime, 0u);
-    EXPECT_GT(r.makespan, 0u);
-}
-
-TEST_F(ClientSimTest, UnknownClientIsFatal)
-{
-    crs::ClientSimulation sim(sym, *store);
-    EXPECT_THROW(sim.addJob(42, "stock(widget, N)"), FatalError);
 }
 
 } // namespace

@@ -34,7 +34,6 @@
 
 #include "crs/server.hh"
 #include "crs/store_io.hh"
-#include "crs/transaction.hh"
 #include "net/term_codec.hh"
 #include "fs1/pla_matcher.hh"
 #include "fs1/sliced_matcher.hh"
@@ -438,7 +437,7 @@ TEST(InjectedFaultSweep, NoSeedCrashesTheServer)
 
 // ---------------------------------------------------------------------
 // Cache-interleave fuzz: random queries against a cache-enabled server
-// with invalidating transactions mixed in, every answer checked
+// with per-predicate invalidations mixed in, every answer checked
 // against the ground-truth unification oracle.
 // ---------------------------------------------------------------------
 
@@ -469,7 +468,6 @@ TEST_P(CacheInterleaveFuzz, CachedAnswersAlwaysMatchTheOracle)
     config.cache.goalCapacity = 8;      // small: force evictions too
     crs::ClauseRetrievalServer server(sym, store, config);
     crs::ClauseRetrievalServer plain(sym, store);
-    crs::LockManager locks;
 
     // Goal pool: ground, half-ground, and fully variable shapes.
     std::vector<term::ParsedTerm> goals;
@@ -493,12 +491,10 @@ TEST_P(CacheInterleaveFuzz, CachedAnswersAlwaysMatchTheOracle)
     Rng rng(GetParam());
     for (int iter = 0; iter < 300; ++iter) {
         if (rng.chance(0.15)) {
-            // An invalidating update transaction on a random predicate.
+            // An invalidation of a random predicate.
             term::PredicateId pred{
                 sym.intern("p" + std::to_string(rng.below(3))), 2};
-            crs::Transaction tx(locks, 1, &server);
-            ASSERT_TRUE(tx.acquire(pred, crs::LockKind::Exclusive));
-            tx.commit();
+            server.invalidatePredicate(pred);
             continue;
         }
         const term::ParsedTerm &goal = goals[rng.below(goals.size())];
@@ -545,8 +541,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheInterleaveFuzz,
 
 // ---------------------------------------------------------------------
 // Arena-reset interleave: the serving tier's per-connection bump
-// arenas rewind once per request while invalidating transactions race
-// the shared caches.  Each serving thread replays the wire decode —
+// arenas rewind once per request while per-predicate invalidations
+// race the shared cache.  Each serving thread replays the wire decode —
 // reset, decode into the arena, serve — exactly as a NetServer
 // connection does; a cached blob handle held across an invalidation
 // must stay readable (the shared_ptr pins it) and byte-stable.
@@ -574,7 +570,6 @@ TEST(ArenaInterleaveFuzz, ArenaResetRacesCacheInvalidationSafely)
     config.cache.enabled = true;
     config.cache.goalCapacity = 8;
     crs::ClauseRetrievalServer server(sym, store, config);
-    crs::LockManager locks;
 
     // Goals as wire bytes, their oracle answer sets precomputed, and
     // every synthetic "_W<slot>" variable name interned up front so
@@ -648,9 +643,7 @@ TEST(ArenaInterleaveFuzz, ArenaResetRacesCacheInvalidationSafely)
         while (!stop.load()) {
             term::PredicateId pred{
                 sym.lookup("p" + std::to_string(rng.below(3))), 2};
-            crs::Transaction tx(locks, 1, &server);
-            if (tx.acquire(pred, crs::LockKind::Exclusive))
-                tx.commit();
+            server.invalidatePredicate(pred);
             std::this_thread::yield();
         }
     });

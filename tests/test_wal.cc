@@ -1012,5 +1012,38 @@ TEST(LiveUpdate, CheckpointRoundTrip)
               8u);
 }
 
+// ---------------------------------------------------------------------
+// Store byte totals count the head versions
+// ---------------------------------------------------------------------
+
+TEST(LiveUpdate, ByteTotalsCountHeadVersionsAcrossCheckpoint)
+{
+    TempDir root;
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    auto store = makeStore(sym, reader, kBaseProgram);
+    const std::uint64_t base_data = store->dataBytes();
+    LiveStore live(*store, sym, root.path + "/wal.log");
+    live.assertz(reader.parseClause("edge(a, e)."));
+
+    std::uint64_t data = 0;
+    std::uint64_t index = 0;
+    for (const term::PredicateId &pred : store->predicates()) {
+        const std::shared_ptr<const StoredPredicate> head =
+            store->predicateVersion(pred);
+        data += head->clauses.image().size();
+        index += head->index.image().size();
+    }
+    EXPECT_GT(data, base_data);
+    EXPECT_EQ(store->dataBytes(), data);
+    EXPECT_EQ(store->indexBytes(), index);
+
+    live.checkpoint(root.path);
+    term::SymbolTable loaded_sym;
+    PredicateStore loaded = openStore(root.path, loaded_sym);
+    EXPECT_EQ(loaded.dataBytes(), data);
+    EXPECT_EQ(loaded.indexBytes(), index);
+}
+
 } // namespace
 } // namespace clare::crs
