@@ -64,17 +64,20 @@ echo "== tier-1: ASan+UBSan build + arena-labeled tests =="
 # every patched-blob send) is in-bounds.
 ctest --test-dir "$ASAN_BUILD" -L arena --output-on-failure -j
 
-echo "== tier-1: TSan build + tsan- and arena-labeled tests =="
+echo "== tier-1: TSan build + tsan-, arena- and wal-labeled tests =="
 # Concurrent serve() callers on one server are the server's only
 # concurrency: test_concurrency (label tsan) races them against a
-# streaming LiveStore writer and kb::clausesFor readers, test_cache
-# (tsan) shares the goal cache across them, and the arena suites
-# reset connection arenas while invalidations drop that cache's entries
-# (the blob shared_ptr handles cross threads).  TSan proves the
-# interleavings race-free.
+# streaming LiveStore writer and kb::clausesFor readers, some pinned
+# to the very head version each commit appends onto in place in the
+# shared clause/index storage, test_cache (tsan) shares the goal cache
+# across them, and the arena suites reset connection arenas while
+# invalidations drop that cache's entries (the blob shared_ptr handles
+# cross threads).  The wal suite runs the live commit path itself
+# (in-place appends, storage regrowth, delta chains) sanitized too.
+# TSan proves the interleavings race-free.
 cmake -B "$TSAN_BUILD" -S . -DCLARE_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j
-ctest --test-dir "$TSAN_BUILD" -L 'tsan|arena' --output-on-failure -j
+ctest --test-dir "$TSAN_BUILD" -L 'tsan|arena|wal' --output-on-failure -j
 
 echo "== tier-1: loopback cluster smoke (replicated + sharded) =="
 # Boots a 3-replica clare_server cluster (one backend fault-poisoned)

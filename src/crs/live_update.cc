@@ -81,6 +81,53 @@ bodyConjunction(term::TermArena &arena, term::SymbolTable &symbols,
     return conj;
 }
 
+/**
+ * Apply one op to a predicate's evolving source-text list.
+ * @return false when a retract names a position past the list
+ */
+bool
+applyOp(std::vector<std::string> &texts, const LiveOp &op)
+{
+    switch (op.kind) {
+    case LiveOp::Kind::Assertz:
+        texts.push_back(op.text);
+        break;
+    case LiveOp::Kind::Asserta:
+        texts.insert(texts.begin(), op.text);
+        break;
+    case LiveOp::Kind::Retract:
+        if (op.ordinal >= texts.size())
+            return false;
+        texts.erase(texts.begin() +
+                    static_cast<std::ptrdiff_t>(op.ordinal));
+        break;
+    }
+    return true;
+}
+
+/** Every source text of @p prev (none when null), in clause order. */
+std::vector<std::string>
+sourceTexts(const StoredPredicate *prev)
+{
+    std::vector<std::string> texts;
+    if (prev != nullptr) {
+        texts.reserve(prev->clauses.clauseCount());
+        for (std::size_t i = 0; i < prev->clauses.clauseCount(); ++i)
+            texts.push_back(prev->clauses.sourceText(i));
+    }
+    return texts;
+}
+
+/** Rule fraction of @p v from its carried rule count. */
+void
+setRuleFraction(StoredPredicate &v)
+{
+    v.ruleFraction = v.clauses.clauseCount() == 0
+        ? 0.0
+        : static_cast<double>(v.rules) /
+          static_cast<double>(v.clauses.clauseCount());
+}
+
 /** Durably write a small file in one shot (the CURRENT.tmp path). */
 void
 writeFile(const std::string &path, const std::string &content)
@@ -147,37 +194,62 @@ LiveStore::LiveStore(PredicateStore &store, term::SymbolTable &symbols,
     }
 }
 
+CorruptionError
+LiveStore::walDamage(std::uint64_t lsn, const std::string &why) const
+{
+    return CorruptionError(wal_->path(), kNoFilePosition, lsn,
+                           "record at LSN " + std::to_string(lsn) + ": " +
+                               why);
+}
+
+LiveOp
+LiveStore::assertOp(LiveOp::Kind kind, std::string text)
+{
+    LiveOp op;
+    op.kind = kind;
+    op.text = std::move(text);
+    op.clause = term::TermReader(symbols_).parseClause(op.text);
+    op.pred = op.clause.predicate();
+    return op;
+}
+
 LiveOp
 LiveStore::decodeOp(const storage::Wal::Record &rec)
 {
+    auto corrupt = [&](const std::string &why) {
+        return walDamage(rec.lsn, why);
+    };
     LiveOp op;
     const std::vector<std::uint8_t> &p = rec.payload;
     if (rec.kind == storage::Wal::RecordKind::Retract) {
         if (p.size() < 12)
-            throw CorruptionError(wal_->path(), kNoFilePosition,
-                                  rec.lsn, "short retract payload");
+            throw corrupt("short retract payload");
         op.kind = LiveOp::Kind::Retract;
         op.pred.arity = getU32(p, 0);
         op.ordinal = getU32(p, 4);
         std::uint32_t len = getU32(p, 8);
         if (p.size() != 12 + static_cast<std::size_t>(len))
-            throw CorruptionError(wal_->path(), kNoFilePosition,
-                                  rec.lsn, "malformed retract payload");
+            throw corrupt("malformed retract payload");
         std::string name(p.begin() + 12, p.end());
         op.pred.functor = symbols_.intern(name);
+        op.lsn = rec.lsn;
         return op;
     }
     if (p.size() < 5)
-        throw CorruptionError(wal_->path(), kNoFilePosition, rec.lsn,
-                              "short assert payload");
-    op.kind = p[0] != 0 ? LiveOp::Kind::Asserta : LiveOp::Kind::Assertz;
+        throw corrupt("short assert payload");
+    const LiveOp::Kind kind =
+        p[0] != 0 ? LiveOp::Kind::Asserta : LiveOp::Kind::Assertz;
     std::uint32_t len = getU32(p, 1);
     if (p.size() != 5 + static_cast<std::size_t>(len))
-        throw CorruptionError(wal_->path(), kNoFilePosition, rec.lsn,
-                              "malformed assert payload");
-    op.text.assign(p.begin() + 5, p.end());
-    term::TermReader reader(symbols_);
-    op.pred = reader.parseClause(op.text).predicate();
+        throw corrupt("malformed assert payload");
+    // A CRC-valid record whose text does not parse (a writer bug or a
+    // forged log) is damage in the log, not a program fault.
+    try {
+        op = assertOp(kind, std::string(p.begin() + 5, p.end()));
+    } catch (const FatalError &e) {
+        throw corrupt(std::string("unparsable clause: ") + e.what());
+    }
+    op.lsn = rec.lsn;
     return op;
 }
 
@@ -231,8 +303,8 @@ LiveStore::commitOps(std::vector<LiveOp> ops, bool log)
     }
 
     // Group per predicate, preserving op order within each group.
-    std::map<term::PredicateId, std::vector<const LiveOp *>> groups;
-    for (const LiveOp &op : ops)
+    std::map<term::PredicateId, std::vector<LiveOp *>> groups;
+    for (LiveOp &op : ops)
         groups[op.pred].push_back(&op);
 
     std::map<term::PredicateId, std::shared_ptr<StoredPredicate>>
@@ -268,120 +340,121 @@ LiveStore::commitOps(std::vector<LiveOp> ops, bool log)
 
 std::shared_ptr<StoredPredicate>
 LiveStore::buildComposite(const StoredPredicate &prev,
-                          const std::vector<const LiveOp *> &ops)
+                          const std::vector<LiveOp *> &ops)
 {
-    term::TermReader reader(symbols_);
     const scw::CodewordGenerator &gen = store_.generator();
 
     // Compile the appended tail exactly as a from-scratch build would
     // compile these clause positions: ordinals continue the base
     // file's, so the concatenated image is byte-identical to a full
     // rebuild (ClauseFile::concat asserts the contract).
+    const std::size_t base_count = prev.clauses.clauseCount();
     storage::ClauseFileBuilder tail_builder(
-        writer_,
-        static_cast<std::uint32_t>(prev.clauses.clauseCount()));
+        writer_, static_cast<std::uint32_t>(base_count));
     std::vector<scw::Signature> sigs;
-    for (const LiveOp *op : ops) {
-        term::Clause clause = reader.parseClause(op->text);
-        sigs.push_back(gen.encode(clause.arena(), clause.head()));
-        tail_builder.add(clause);
-    }
-    storage::ClauseFile tail = tail_builder.finish();
-
+    sigs.reserve(ops.size());
+    std::vector<term::Clause> clauses;
+    clauses.reserve(ops.size());
     auto out = std::make_shared<StoredPredicate>();
-    out->clauses = storage::ClauseFile::concat(prev.clauses, tail);
+    out->rules = prev.rules;
+    for (LiveOp *op : ops) {
+        sigs.push_back(gen.encode(op->clause.arena(), op->clause.head()));
+        tail_builder.add(op->clause);
+        out->rules += op->clause.isFact() ? 0 : 1;
+        clauses.push_back(std::move(op->clause));
+    }
+    out->clauses = storage::ClauseFile::concat(prev.clauses,
+                                               tail_builder.finish());
+    setRuleFraction(*out);
 
     // Composite secondary file: the base entry image plus the tail
     // entries serialized against the composite clause directory —
     // again byte-identical to SecondaryFile::build over all clauses.
-    const std::size_t entry_bytes = gen.signatureBytes() + 8;
-    std::vector<std::uint8_t> image = prev.index.image();
-    const std::size_t base_count = prev.clauses.clauseCount();
+    std::vector<std::uint8_t> entries;
     for (std::size_t k = 0; k < sigs.size(); ++k) {
-        gen.serialize(sigs[k], image);
+        gen.serialize(sigs[k], entries);
         const storage::ClauseRecord &rec =
             out->clauses.record(base_count + k);
-        putU32(image, rec.offset);
-        putU32(image, rec.ordinal);
+        putU32(entries, rec.offset);
+        putU32(entries, rec.ordinal);
     }
-    const std::size_t total = out->clauses.clauseCount();
-    out->index = scw::SecondaryFile::fromImage(std::move(image), total,
-                                               entry_bytes);
+    out->index = prev.index.append(entries);
+
+    // Pages before the predecessor's last full page are unchanged, so
+    // their CRCs carry over; only the pages from there on are summed.
+    constexpr std::size_t page = support::kChecksumPageBytes;
+    const std::size_t kept = prev.index.image().size() / page;
+    out->indexPageCrcs.reserve((out->index.image().size() + page - 1) /
+                               page);
+    out->indexPageCrcs.assign(prev.indexPageCrcs.begin(),
+                              prev.indexPageCrcs.begin() +
+                                  static_cast<std::ptrdiff_t>(kept));
+    const std::span<const std::uint8_t> tail_pages =
+        out->index.image().subspan(kept * page);
+    for (std::uint32_t crc : support::pageChecksums(tail_pages.data(),
+                                                    tail_pages.size()))
+        out->indexPageCrcs.push_back(crc);
 
     // LSM-flavored maintenance: share the base plane untouched and
-    // transpose only [baseEntries, total) into a delta mini-plane.
-    // FS1 scans both parts and sums the bytes before the one tick
-    // conversion, so the split is tick-identical to scanning one full
-    // plane.
+    // cover [baseEntries, total) with the delta mini-plane, extended
+    // by this commit's entries only.  FS1 scans both parts and sums
+    // the bytes before the one tick conversion, so the split is
+    // tick-identical to scanning one full plane.  Without a delta the
+    // base plane covers the whole predecessor, however few entries
+    // that is (an emptied predicate starts a delta at 0).
     out->sliced = prev.sliced;
-    const std::size_t base_entries = prev.baseEntries == 0
-        ? prev.index.entryCount()
-        : prev.baseEntries;
-    out->baseEntries = base_entries;
-    std::vector<std::uint8_t> delta_image(
-        out->index.image().begin() +
-            static_cast<std::ptrdiff_t>(base_entries * entry_bytes),
-        out->index.image().end());
-    scw::SecondaryFile delta = scw::SecondaryFile::fromImage(
-        std::move(delta_image), total - base_entries, entry_bytes);
+    out->baseEntries = prev.deltaSliced != nullptr
+        ? prev.baseEntries
+        : prev.index.entryCount();
     out->deltaSliced = std::make_shared<const scw::BitSlicedIndex>(
-        scw::BitSlicedIndex::build(gen, delta));
+        (prev.deltaSliced != nullptr ? *prev.deltaSliced
+                                     : scw::BitSlicedIndex())
+            .extended(gen, out->index, out->baseEntries));
 
     // The decoded clauses split the same way: the base table is
-    // shared, the delta table copies the previous delta's decoded
-    // terms and decodes only this commit's clauses.
+    // shared, and the delta chain gains this commit's parsed clauses.
     out->decoded = prev.decoded;
-    auto decoded_delta = std::make_shared<term::ClauseTable>();
-    if (prev.decodedDelta != nullptr)
-        decoded_delta->append(*prev.decodedDelta);
-    decodeClauses(out->clauses, base_count, total, symbols_,
-                  *decoded_delta);
-    out->decodedDelta = std::move(decoded_delta);
+    out->decodedDelta = std::make_shared<const DecodedDelta>(
+        prev.decodedDelta, std::move(clauses));
 
-    finishVersion(*out, &prev);
+    out->clauseFileOffset = prev.clauseFileOffset;
+    out->indexFileOffset = prev.indexFileOffset;
     return out;
 }
 
 std::shared_ptr<StoredPredicate>
 LiveStore::buildCompacted(const StoredPredicate *prev,
-                          const std::vector<const LiveOp *> &ops)
+                          const std::vector<LiveOp *> &ops)
 {
     // Replay the ops over the predicate's evolving source-text list
     // (the same sequence Update resolved retract ordinals against),
     // then rebuild the predicate from scratch — a minor compaction.
-    std::vector<std::string> texts;
-    if (prev != nullptr)
-        for (std::size_t i = 0; i < prev->clauses.clauseCount(); ++i)
-            texts.push_back(prev->clauses.sourceText(i));
-    for (const LiveOp *op : ops) {
-        switch (op->kind) {
-        case LiveOp::Kind::Assertz:
-            texts.push_back(op->text);
-            break;
-        case LiveOp::Kind::Asserta:
-            texts.insert(texts.begin(), op->text);
-            break;
-        case LiveOp::Kind::Retract:
-            clare_assert(op->ordinal < texts.size(),
-                         "retract ordinal %u outside %zu clauses",
-                         op->ordinal, texts.size());
-            texts.erase(texts.begin() + op->ordinal);
-            break;
-        }
-    }
+    std::vector<std::string> texts = sourceTexts(prev);
+    for (const LiveOp *op : ops)
+        if (!applyOp(texts, *op))
+            // Only a replayed record can name a clause that is not
+            // there: the live path resolved the position itself.
+            throw walDamage(op->lsn,
+                            "retract of clause " +
+                                std::to_string(op->ordinal) + " of " +
+                                std::to_string(texts.size()));
 
     term::TermReader reader(symbols_);
     const scw::CodewordGenerator &gen = store_.generator();
     storage::ClauseFileBuilder builder(writer_);
     std::vector<scw::Signature> sigs;
+    auto out = std::make_shared<StoredPredicate>();
     for (const std::string &text : texts) {
         term::Clause clause = reader.parseClause(text);
         sigs.push_back(gen.encode(clause.arena(), clause.head()));
         builder.add(clause);
+        out->rules += clause.isFact() ? 0 : 1;
     }
-    auto out = std::make_shared<StoredPredicate>();
     out->clauses = builder.finish();
+    setRuleFraction(*out);
     out->index = scw::SecondaryFile::build(gen, sigs, out->clauses);
+    out->indexPageCrcs = support::pageChecksums(
+        out->index.image().data(), out->index.image().size());
     // Full rebuild, full plane and table — no delta, base coverage
     // resets.
     out->sliced = std::make_shared<const scw::BitSlicedIndex>(
@@ -390,27 +463,11 @@ LiveStore::buildCompacted(const StoredPredicate *prev,
     decodeClauses(out->clauses, 0, out->clauses.clauseCount(), symbols_,
                   *decoded);
     out->decoded = std::move(decoded);
-    finishVersion(*out, prev);
-    return out;
-}
-
-void
-LiveStore::finishVersion(StoredPredicate &v,
-                         const StoredPredicate *prev) const
-{
-    std::size_t rules = 0;
-    for (std::size_t i = 0; i < v.clauses.clauseCount(); ++i)
-        rules += v.clauses.record(i).isFact() ? 0 : 1;
-    v.ruleFraction = v.clauses.clauseCount() == 0
-        ? 0.0
-        : static_cast<double>(rules) /
-          static_cast<double>(v.clauses.clauseCount());
-    v.indexPageCrcs = support::pageChecksums(v.index.image().data(),
-                                             v.index.image().size());
     if (prev != nullptr) {
-        v.clauseFileOffset = prev->clauseFileOffset;
-        v.indexFileOffset = prev->indexFileOffset;
+        out->clauseFileOffset = prev->clauseFileOffset;
+        out->indexFileOffset = prev->indexFileOffset;
     }
+    return out;
 }
 
 void
@@ -557,38 +614,36 @@ LiveStore::Update::textsOf(const term::PredicateId &pred)
     auto it = working_.find(pred);
     if (it != working_.end())
         return it->second;
-    std::vector<std::string> texts;
-    std::shared_ptr<const StoredPredicate> prev =
-        owner_->store_.predicateVersion(pred);
-    if (prev != nullptr)
-        for (std::size_t i = 0; i < prev->clauses.clauseCount(); ++i)
-            texts.push_back(prev->clauses.sourceText(i));
+    std::vector<std::string> texts =
+        sourceTexts(owner_->store_.predicateVersion(pred).get());
+    for (const LiveOp &op : ops_)
+        if (op.pred == pred)
+            applyOp(texts, op);
     return working_.emplace(pred, std::move(texts)).first->second;
+}
+
+void
+LiveStore::Update::push(LiveOp op)
+{
+    clare_assert(active_, "assert on a finished update");
+    auto it = working_.find(op.pred);
+    if (it != working_.end())
+        applyOp(it->second, op);
+    ops_.push_back(std::move(op));
 }
 
 void
 LiveStore::Update::assertz(const term::Clause &clause)
 {
-    clare_assert(active_, "assert on a finished update");
-    LiveOp op;
-    op.kind = LiveOp::Kind::Assertz;
-    op.pred = clause.predicate();
-    op.text = owner_->writer_.writeClause(clause);
-    textsOf(op.pred).push_back(op.text);
-    ops_.push_back(std::move(op));
+    push(owner_->assertOp(LiveOp::Kind::Assertz,
+                          owner_->writer_.writeClause(clause)));
 }
 
 void
 LiveStore::Update::asserta(const term::Clause &clause)
 {
-    clare_assert(active_, "assert on a finished update");
-    LiveOp op;
-    op.kind = LiveOp::Kind::Asserta;
-    op.pred = clause.predicate();
-    op.text = owner_->writer_.writeClause(clause);
-    std::vector<std::string> &texts = textsOf(op.pred);
-    texts.insert(texts.begin(), op.text);
-    ops_.push_back(std::move(op));
+    push(owner_->assertOp(LiveOp::Kind::Asserta,
+                          owner_->writer_.writeClause(clause)));
 }
 
 bool
@@ -657,7 +712,7 @@ LiveStore::Update::retract(const term::TermArena &arena,
         op.kind = LiveOp::Kind::Retract;
         op.pred = pred;
         op.ordinal = static_cast<std::uint32_t>(i);
-        texts.erase(texts.begin() + static_cast<std::ptrdiff_t>(i));
+        applyOp(texts, op);
         ops_.push_back(std::move(op));
         return true;
     }

@@ -19,17 +19,32 @@
  *    historical generation via RetrievalRequest::snapshot) and never
  *    block on or observe an in-flight writer.
  *
- *  - Index maintenance: an assertz-only commit appends to the
- *    predicate's images — composite clause/index files byte-identical
- *    to a from-scratch rebuild — and transposes only the appended
- *    tail into an LSM-flavored delta mini-plane (the base bit-sliced
- *    plane is shared untouched across commits).  The decoded clause
- *    table splits the same way: shared base, per-version delta.  asserta/retract
- *    trigger a per-predicate minor compaction: the predicate is
- *    rebuilt from its evolving source-text list, which is exactly the
- *    LSM tombstone-merge rule with a level count of one.  Either way
- *    the scan results (survivor order AND modeled Ticks) are
- *    bit-identical to a full rebuild.
+ *  - Index maintenance: an assertz-only commit costs O(delta) in
+ *    work and bytes copied, whatever the predicate's size.  Each
+ *    asserted clause is parsed once.  The clause image, record
+ *    directory and index image are prefixes of append-only storage
+ *    shared with the predecessor version (support::SharedPrefix): the
+ *    new bytes go in place behind the predecessor's prefix, or, when
+ *    the storage is full or was already extended, into one copy of
+ *    doubled capacity.  The composite images stay byte-identical to a
+ *    from-scratch rebuild.  The base bit-sliced plane and decoded
+ *    table are shared untouched; the delta mini-plane is the
+ *    predecessor's extended by the new entries only, and the decoded
+ *    delta is a chain of per-commit links (DecodedDelta).  The rule
+ *    count and the index page CRCs carry over; only the CRCs of pages
+ *    past the predecessor's last full page are computed.
+ *    asserta/retract trigger a per-predicate minor compaction: the
+ *    predicate is rebuilt from its evolving source-text list, which
+ *    is exactly the LSM tombstone-merge rule with a level count of
+ *    one.  That list is materialized only when a retract needs it
+ *    (and by the compaction itself).  Either way the scan results
+ *    (survivor order AND modeled Ticks) are bit-identical to a full
+ *    rebuild.
+ *
+ *  - What still grows per commit: every version is kept (there is no
+ *    snapshot horizon yet), each with its own delta plane, whose copy
+ *    grows with the entries appended since the base plane was built,
+ *    and its own copy of the index page CRCs (4 bytes per 4 KB page).
  *
  * Writers are serialized by an internal mutex (single-writer,
  * many-reader); begin() holds it until commit()/abort() so retract
@@ -49,6 +64,7 @@
 
 #include "crs/store.hh"
 #include "storage/wal.hh"
+#include "support/errors.hh"
 #include "term/symbol_table.hh"
 #include "term/term_writer.hh"
 
@@ -72,6 +88,10 @@ struct LiveOp
     Kind kind = Kind::Assertz;
     term::PredicateId pred;
     std::string text;           ///< clause source (assert ops)
+    /** `text` parsed, the one parse an assert op gets per commit. */
+    term::Clause clause;
+    /** WAL position of a replayed op, for error reports (else 0). */
+    std::uint64_t lsn = 0;
     /**
      * Retract target: the clause's position in the predicate's
      * *evolving* source-text list — head store state with this
@@ -147,8 +167,15 @@ class LiveStore
         friend class LiveStore;
         explicit Update(LiveStore &owner);
 
-        /** Evolving source-text list of @p pred under this txn. */
+        /**
+         * Evolving source-text list of @p pred under this txn, built
+         * on first use (a retract) from the head version and this
+         * txn's earlier ops; later ops keep it current.
+         */
         std::vector<std::string> &textsOf(const term::PredicateId &p);
+
+        /** Record an assert op, keeping a built text list current. */
+        void push(LiveOp op);
 
         LiveStore *owner_;
         std::unique_lock<std::mutex> lock_;
@@ -199,14 +226,23 @@ class LiveStore
 
     std::shared_ptr<StoredPredicate>
     buildComposite(const StoredPredicate &prev,
-                   const std::vector<const LiveOp *> &ops);
+                   const std::vector<LiveOp *> &ops);
     std::shared_ptr<StoredPredicate>
     buildCompacted(const StoredPredicate *prev,
-                   const std::vector<const LiveOp *> &ops);
-    void finishVersion(StoredPredicate &v,
-                       const StoredPredicate *prev) const;
+                   const std::vector<LiveOp *> &ops);
 
-    /** Decode a recovered WAL record back into an op (replay path). */
+    /** An assert op of @p text, parsed once. */
+    LiveOp assertOp(LiveOp::Kind kind, std::string text);
+
+    /** Damage in the replayed WAL record at @p lsn. */
+    CorruptionError walDamage(std::uint64_t lsn,
+                              const std::string &why) const;
+
+    /**
+     * Decode a recovered WAL record back into an op (replay path).
+     * @throws CorruptionError naming the WAL and the record's LSN when
+     *         the payload is malformed or its clause does not parse
+     */
     LiveOp decodeOp(const storage::Wal::Record &rec);
 
     PredicateStore &store_;

@@ -53,6 +53,19 @@ ClauseRetrievalServer::ClauseRetrievalServer(const term::SymbolTable &symbols,
     if (config_.cache.enabled && config_.faults == nullptr)
         goalCache_ = std::make_unique<GoalCache>(
             config_.cache.goalCapacity);
+    refreshStoreGauges();
+}
+
+void
+ClauseRetrievalServer::refreshStoreGauges()
+{
+    metrics_.gauge("store.versions.live",
+                   "MVCC versions held, generation 0 included")
+        .set(static_cast<double>(store_.liveVersions()));
+    metrics_.gauge("store.bytes.retained",
+                   "heap bytes the held versions keep alive "
+                   "(shared storage counted once)")
+        .set(static_cast<double>(store_.retainedBytes()));
 }
 
 term::PredicateId
@@ -191,7 +204,7 @@ ClauseRetrievalServer::scanIndex(const StoredPredicate &stored,
     IndexScan scan;
     if (config_.faults != nullptr) {
         const support::FaultInjector &faults = *config_.faults;
-        const std::vector<std::uint8_t> &image = stored.index.image();
+        const std::span<const std::uint8_t> image = stored.index.image();
         const storage::DiskModel &disk = store_.indexDisk();
         const std::uint64_t base = stored.indexFileOffset;
 
@@ -312,6 +325,7 @@ ClauseRetrievalServer::maybeCacheGoal(const std::string &goal_key,
 void
 ClauseRetrievalServer::invalidatePredicate(const term::PredicateId &pred)
 {
+    refreshStoreGauges();
     if (goalCache_ == nullptr)
         return;
     std::size_t removed = goalCache_->invalidatePredicate(pred);

@@ -229,9 +229,9 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     const obs::MetricsRegistry &metrics() const { return metrics_; }
 
     /**
-     * Drop the goal-cache entries of @p pred.  Called by LiveStore
-     * after publish, for every predicate the commit touched.  Safe
-     * under concurrent serves.
+     * Drop the goal-cache entries of @p pred and refresh the store
+     * gauges.  Called by LiveStore after publish, for every predicate
+     * the commit touched.  Safe under concurrent serves.
      */
     void invalidatePredicate(const term::PredicateId &pred) override;
 
@@ -239,6 +239,12 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     std::size_t goalCacheSize() const;
 
   private:
+    /**
+     * Set the store.versions.live and store.bytes.retained gauges from
+     * the store (every held MVCC version, shared storage counted once).
+     */
+    void refreshStoreGauges();
+
     const term::SymbolTable &symbols_;
     const PredicateStore &store_;
     CrsConfig config_;

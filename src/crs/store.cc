@@ -6,6 +6,81 @@
 
 namespace clare::crs {
 
+DecodedDelta::DecodedDelta(std::shared_ptr<const DecodedDelta> prev,
+                           std::vector<term::Clause> clauses)
+    : prev_(std::move(prev)), clauses_(std::move(clauses))
+{
+    std::vector<term::ClauseView> views;
+    views.reserve(clauses_.size());
+    for (const term::Clause &c : clauses_)
+        views.push_back(term::ClauseView{&c.arena(), c.head(), c.body()});
+    views_ = prev_ != nullptr
+        ? prev_->views_.append(views)
+        : support::SharedPrefix<term::ClauseView>().append(views);
+}
+
+DecodedDelta::~DecodedDelta()
+{
+    // Release the chain link by link: letting each destructor free its
+    // predecessor would nest one call per commit since the base table
+    // was built.  A link nobody else holds is unlinked before it dies.
+    std::shared_ptr<const DecodedDelta> next = std::move(prev_);
+    while (next != nullptr && next.use_count() == 1)
+        next = std::move(next->prev_);
+}
+
+std::size_t
+DecodedDelta::bytesBeyondPrev() const
+{
+    std::size_t n = sizeof(DecodedDelta) +
+        clauses_.capacity() * sizeof(term::Clause);
+    for (const term::Clause &c : clauses_)
+        n += c.arena().memoryFootprint() +
+            c.body().size() * sizeof(term::TermRef);
+    if (prev_ == nullptr ||
+        views_.extent().block != prev_->views_.extent().block)
+        n += views_.extent().bytes;
+    return n;
+}
+
+namespace {
+
+/**
+ * Heap bytes @p v keeps alive beyond its chain predecessor @p prev
+ * (null for the first version of a chain).  Versions share storage
+ * only with their predecessor, so counting what differs from it
+ * counts every shared block once.
+ */
+std::uint64_t
+bytesBeyond(const StoredPredicate &v, const StoredPredicate *prev)
+{
+    const StoredPredicate none;
+    const StoredPredicate &p = prev != nullptr ? *prev : none;
+    std::uint64_t n = sizeof(StoredPredicate) +
+        v.indexPageCrcs.capacity() * sizeof(std::uint32_t);
+    auto block = [&n](support::StorageExtent mine,
+                      support::StorageExtent theirs) {
+        if (mine.block != theirs.block)
+            n += mine.bytes;
+    };
+    const auto mine = v.clauses.storage();
+    const auto theirs = p.clauses.storage();
+    for (std::size_t i = 0; i < mine.size(); ++i)
+        block(mine[i], theirs[i]);
+    block(v.index.storage(), p.index.storage());
+    if (v.sliced != nullptr && v.sliced != p.sliced)
+        n += v.sliced->memoryBytes();
+    if (v.deltaSliced != nullptr && v.deltaSliced != p.deltaSliced)
+        n += v.deltaSliced->memoryBytes();
+    if (v.decoded != nullptr && v.decoded != p.decoded)
+        n += v.decoded->memoryBytes();
+    if (v.decodedDelta != nullptr && v.decodedDelta != p.decodedDelta)
+        n += v.decodedDelta->bytesBeyondPrev();
+    return n;
+}
+
+} // namespace
+
 term::ClauseView
 StoredPredicate::decodedClause(std::uint32_t ordinal) const
 {
@@ -73,6 +148,7 @@ PredicateStore::addProgram(const term::Program &program)
                                               clause.head());
                 return signature;
             });
+        stored->rules = rules;
         stored->ruleFraction = ordinals.empty()
             ? 0.0
             : static_cast<double>(rules) /
@@ -93,6 +169,7 @@ PredicateStore::addStored(const term::PredicateId &pred,
     std::size_t rules = 0;
     for (std::size_t i = 0; i < clauses.clauseCount(); ++i)
         rules += clauses.record(i).isFact() ? 0 : 1;
+    stored->rules = rules;
     stored->ruleFraction = clauses.clauseCount() == 0
         ? 0.0
         : static_cast<double>(rules) /
@@ -138,7 +215,9 @@ PredicateStore::finalize()
         decodeClauses(stored.clauses, 0, stored.clauses.clauseCount(),
                       symbols_, *decoded);
         stored.decoded = std::move(decoded);
+        retainedBytes_ += bytesBeyond(stored, nullptr);
     }
+    liveVersions_ = order_.size();
     dataDisk_.setExtent(data_extent);
     indexDisk_.setExtent(index_extent);
     finalized_ = true;
@@ -188,6 +267,9 @@ PredicateStore::publish(
         auto &chain = versions_[kv.first];
         if (chain.empty())
             order_.push_back(kv.first);
+        retainedBytes_ += bytesBeyond(
+            *kv.second, chain.empty() ? nullptr : chain.back().second.get());
+        ++liveVersions_;
         chain.emplace_back(gen, std::move(kv.second));
     }
     return gen;
@@ -218,6 +300,20 @@ PredicateStore::indexBytes() const
     for (const auto &kv : versions_)
         n += kv.second.back().second->index.image().size();
     return n;
+}
+
+std::uint64_t
+PredicateStore::liveVersions() const
+{
+    std::shared_lock lock(*mvccMutex_);
+    return liveVersions_;
+}
+
+std::uint64_t
+PredicateStore::retainedBytes() const
+{
+    std::shared_lock lock(*mvccMutex_);
+    return retainedBytes_;
 }
 
 } // namespace clare::crs

@@ -21,11 +21,47 @@
 #include "scw/index_file.hh"
 #include "storage/clause_file.hh"
 #include "storage/disk_model.hh"
+#include "support/shared_prefix.hh"
 #include "term/clause.hh"
 #include "term/symbol_table.hh"
 #include "term/term_writer.hh"
 
 namespace clare::crs {
+
+/**
+ * The decoded clauses appended by assertz commits since a version's
+ * base decoded table was built.  Each commit adds one link holding
+ * its own parsed clauses and chained to its predecessor's link, which
+ * keeps the earlier clauses alive; a flat directory of views, shared
+ * append-only along the chain, gives O(1) lookup.  A commit therefore
+ * neither re-decodes nor copies the earlier delta clauses.
+ */
+class DecodedDelta
+{
+  public:
+    /** @p prev's clauses (none when null) followed by @p clauses. */
+    DecodedDelta(std::shared_ptr<const DecodedDelta> prev,
+                 std::vector<term::Clause> clauses);
+    ~DecodedDelta();
+
+    DecodedDelta(const DecodedDelta &) = delete;
+    DecodedDelta &operator=(const DecodedDelta &) = delete;
+
+    std::size_t size() const { return views_.size(); }
+    term::ClauseView view(std::size_t i) const { return views_[i]; }
+
+    /** Heap bytes this link holds beyond what its predecessor holds. */
+    std::size_t bytesBeyondPrev() const;
+
+  private:
+    /**
+     * Mutable only so the destructor can unlink a long chain
+     * iteratively instead of recursing once per commit.
+     */
+    mutable std::shared_ptr<const DecodedDelta> prev_;
+    std::vector<term::Clause> clauses_;
+    support::SharedPrefix<term::ClauseView> views_;
+};
 
 /** One predicate's on-disk artifacts. */
 struct StoredPredicate
@@ -37,6 +73,8 @@ struct StoredPredicate
 
     /** Fraction of clauses that are rules (body-carrying). */
     double ruleFraction = 0.0;
+    /** Clauses that are rules; an assertz commit carries it forward. */
+    std::size_t rules = 0;
 
     /**
      * CRC-32 of each 4 KB page of the secondary file image, computed
@@ -62,19 +100,23 @@ struct StoredPredicate
     std::uint64_t generation = 0;
 
     /**
-     * Entries of `index` covered by the base `sliced` plane.  A live
-     * assertz commit concatenates new clauses onto the base images
-     * without rebuilding the (large) base plane; the tail
-     * [baseEntries, entryCount) is covered by `deltaSliced` instead.
-     * 0 means `sliced`, when present, covers the whole index.
+     * Entries of `index` covered by the base `sliced` plane while
+     * `deltaSliced` is set.  A live assertz commit appends new clauses
+     * to the base images without rebuilding the (large) base plane;
+     * the tail [baseEntries, entryCount) is covered by `deltaSliced`
+     * instead, and baseEntries may then be 0 (an emptied predicate
+     * growing again).  Without a delta it is 0 and unused: `sliced`
+     * covers the whole index.
      */
     std::size_t baseEntries = 0;
 
     /**
      * LSM-flavored delta mini-plane over the index tail appended since
-     * the base plane was built.  Rebuilt O(delta) at each commit;
-     * folded into a fresh full plane at checkpoint.  Null when the
-     * version carries no un-sliced tail.
+     * the base plane was built.  Each commit extends its
+     * predecessor's delta by only the new entries; a compaction folds
+     * it into a fresh full plane (a checkpoint does so in the
+     * persisted copy only).  Null when the version carries no
+     * un-sliced tail.
      */
     std::shared_ptr<const scw::BitSlicedIndex> deltaSliced;
 
@@ -91,7 +133,7 @@ struct StoredPredicate
      * Decoded tail appended by assertz commits since `decoded` was
      * built (the clause-side twin of deltaSliced); null when none.
      */
-    std::shared_ptr<const term::ClauseTable> decodedDelta;
+    std::shared_ptr<const DecodedDelta> decodedDelta;
 
     /** Clause @p ordinal of this version, from the decoded tables. */
     term::ClauseView decodedClause(std::uint32_t ordinal) const;
@@ -209,6 +251,15 @@ class PredicateStore
     /** Bytes of index data in the head version of every predicate. */
     std::uint64_t indexBytes() const;
 
+    /** Versions held by the chains, generation 0 included. */
+    std::uint64_t liveVersions() const;
+    /**
+     * Heap bytes every held version keeps alive: images, record
+     * directories, planes, decoded tables and page CRCs, with storage
+     * that versions share counted once.
+     */
+    std::uint64_t retainedBytes() const;
+
   private:
     /** Open @p pred's version chain at generation 0. */
     void openChain(const term::PredicateId &pred,
@@ -238,6 +289,9 @@ class PredicateStore
      */
     std::unique_ptr<std::shared_mutex> mvccMutex_;
     std::uint64_t headGeneration_ = 0;
+    /** liveVersions() / retainedBytes(), kept as versions are added. */
+    std::uint64_t liveVersions_ = 0;
+    std::uint64_t retainedBytes_ = 0;
     std::map<term::PredicateId,
              std::vector<std::pair<std::uint64_t,
                                    std::shared_ptr<StoredPredicate>>>>

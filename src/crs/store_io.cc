@@ -148,7 +148,8 @@ saveStoreImpl(const std::string &directory, const PredicateStore &store,
         // persisting it would frame a plane that disagrees with the
         // entry image; such heads get a fresh full transpose (this is
         // where checkpointing folds the delta mini-plane away).
-        std::vector<std::uint8_t> idx_payload = stored.index.image();
+        std::vector<std::uint8_t> idx_payload(stored.index.image().begin(),
+                                              stored.index.image().end());
         if (stored.sliced != nullptr &&
             stored.sliced->entryCount() == stored.index.entryCount()) {
             stored.sliced->serialize(idx_payload);

@@ -149,14 +149,13 @@ Fs1Engine::search(const scw::SecondaryFile &index,
         // Live (base + delta) version: the planes must tile the
         // composite file exactly.  The base part is unsharded — the
         // delta is small and the split already bounds the work.
-        if (!((base_entries == 0 ||
-               (sliced != nullptr &&
-                sliced->entryCount() == base_entries)) &&
-              base_entries + delta->entryCount() == count))
+        const std::size_t base_plane =
+            sliced != nullptr ? sliced->entryCount() : 0;
+        if (base_plane != base_entries ||
+            base_entries + delta->entryCount() != count)
             clare_fatal("FS1 planes (base %zu + delta %zu entries) do "
                         "not tile an index of %zu entries",
-                        sliced != nullptr ? sliced->entryCount() : 0,
-                        delta->entryCount(), count);
+                        base_plane, delta->entryCount(), count);
         if (base_entries > 0)
             scans.push_back(scanPlane(*sliced, entry_bytes, query,
                                       scw::EntryRange{0, base_entries},

@@ -95,10 +95,11 @@ class Fs1Engine
 
     /**
      * Scan one predicate version against a query signature.  The
-     * base plane @p sliced covers entries [0, base_entries) of
-     * @p index and the delta mini-plane @p delta covers the appended
-     * tail [base_entries, entryCount); with no delta, @p sliced covers
-     * the whole file and @p base_entries is ignored.  The delta
+     * base plane @p sliced covers exactly entries [0, base_entries)
+     * of @p index (it may be empty, or null when base_entries is 0)
+     * and the delta mini-plane @p delta covers the appended tail
+     * [base_entries, entryCount); with no delta, @p sliced covers the
+     * whole file and @p base_entries is ignored.  The delta
      * plane's entries carry composite ordinals and clause offsets, so
      * base hits then delta hits reproduce the sequential order over
      * the composite file.  bytesScanned sums both parts before the

@@ -1,5 +1,7 @@
 #include "scw/bit_sliced_index.hh"
 
+#include <algorithm>
+
 #include "support/crc32.hh"
 #include "support/errors.hh"
 #include "support/logging.hh"
@@ -26,7 +28,7 @@ putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 }
 
 std::uint32_t
-getU32(const std::vector<std::uint8_t> &in, std::size_t at)
+getU32(std::span<const std::uint8_t> in, std::size_t at)
 {
     std::uint32_t v = 0;
     for (int i = 0; i < 4; ++i)
@@ -51,7 +53,7 @@ constexpr std::size_t kHeaderBytes = 32;
 void
 BitSlicedIndex::loadAddresses(const SecondaryFile &index)
 {
-    const std::vector<std::uint8_t> &image = index.image();
+    const std::span<const std::uint8_t> image = index.image();
     const std::size_t entry_bytes = index.entryBytes();
     clauseOffsets_.resize(count_);
     ordinals_.resize(count_);
@@ -68,22 +70,48 @@ BitSlicedIndex
 BitSlicedIndex::build(const CodewordGenerator &generator,
                       const SecondaryFile &index)
 {
+    return BitSlicedIndex().extended(generator, index, 0);
+}
+
+BitSlicedIndex
+BitSlicedIndex::extended(const CodewordGenerator &generator,
+                         const SecondaryFile &index,
+                         std::size_t first) const
+{
     BitSlicedIndex plane;
     plane.fields_ = generator.config().encodedArgs;
     plane.fieldBits_ = generator.config().fieldBits;
-    plane.count_ = index.entryCount();
+    clare_assert(count_ == 0 || (fields_ == plane.fields_ &&
+                                 fieldBits_ == plane.fieldBits_),
+                 "extending a %ux%u plane with %ux%u signatures",
+                 fields_, fieldBits_, plane.fields_, plane.fieldBits_);
+    clare_assert(first + count_ <= index.entryCount(),
+                 "plane of %zu entries from %zu overruns an index of %zu",
+                 count_, first, index.entryCount());
+    plane.count_ = index.entryCount() - first;
     plane.words_ = (plane.count_ + 63) / 64;
-    plane.bits_.assign(
-        (static_cast<std::size_t>(plane.fields_) * plane.fieldBits_ +
-         plane.fields_) * plane.words_, 0);
-    plane.loadAddresses(index);
+    const std::size_t rows =
+        static_cast<std::size_t>(plane.fields_) * plane.fieldBits_ +
+        plane.fields_;
+    plane.bits_.assign(rows * plane.words_, 0);
+    if (count_ > 0)
+        for (std::size_t r = 0; r < rows; ++r)
+            std::copy_n(bits_.data() + r * words_, words_,
+                        plane.bits_.data() + r * plane.words_);
+    plane.clauseOffsets_.reserve(plane.count_);
+    plane.clauseOffsets_.assign(clauseOffsets_.begin(),
+                                clauseOffsets_.end());
+    plane.ordinals_.reserve(plane.count_);
+    plane.ordinals_.assign(ordinals_.begin(), ordinals_.end());
 
     IndexEntry scratch;
-    for (std::size_t i = 0; i < plane.count_; ++i) {
-        index.entryInto(generator, i, scratch);
+    std::uint64_t *base = plane.bits_.data();
+    for (std::size_t i = count_; i < plane.count_; ++i) {
+        index.entryInto(generator, first + i, scratch);
+        plane.clauseOffsets_.push_back(scratch.clauseOffset);
+        plane.ordinals_.push_back(scratch.ordinal);
         const std::uint64_t entry_bit = std::uint64_t{1} << (i % 64);
         const std::size_t entry_word = i / 64;
-        std::uint64_t *base = plane.bits_.data();
         for (std::uint32_t f = 0; f < plane.fields_; ++f) {
             const BitVec &code = scratch.signature.fields[f];
             for (std::uint32_t b = 0; b < plane.fieldBits_; ++b) {

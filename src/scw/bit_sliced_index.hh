@@ -43,6 +43,25 @@ class BitSlicedIndex
     static BitSlicedIndex build(const CodewordGenerator &generator,
                                 const SecondaryFile &index);
 
+    /**
+     * This plane extended to the end of @p index, where plane entry 0
+     * is index entry @p first: the existing rows are copied into the
+     * wider plane and only the entries past entryCount() are decoded
+     * and transposed.  The live write path grows its delta plane this
+     * way; the result equals build() over the same entries.
+     */
+    BitSlicedIndex extended(const CodewordGenerator &generator,
+                            const SecondaryFile &index,
+                            std::size_t first) const;
+
+    /** Heap bytes held (plane rows plus entry addresses). */
+    std::size_t memoryBytes() const
+    {
+        return bits_.capacity() * sizeof(std::uint64_t) +
+            (clauseOffsets_.capacity() + ordinals_.capacity()) *
+                sizeof(std::uint32_t);
+    }
+
     std::size_t entryCount() const { return count_; }
     std::uint32_t fields() const { return fields_; }
     std::uint32_t fieldBits() const { return fieldBits_; }

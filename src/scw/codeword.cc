@@ -210,7 +210,7 @@ CodewordGenerator::deserialize(const std::vector<std::uint8_t> &in,
 }
 
 void
-CodewordGenerator::deserializeInto(const std::vector<std::uint8_t> &in,
+CodewordGenerator::deserializeInto(std::span<const std::uint8_t> in,
                                    std::size_t &offset,
                                    Signature &sig) const
 {

@@ -26,6 +26,7 @@
 #define CLARE_SCW_CODEWORD_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "support/bitvec.hh"
@@ -110,7 +111,7 @@ class CodewordGenerator
      * scan loop decoding entries into one scratch signature performs
      * no per-entry allocation.
      */
-    void deserializeInto(const std::vector<std::uint8_t> &in,
+    void deserializeInto(std::span<const std::uint8_t> in,
                          std::size_t &offset, Signature &sig) const;
 
   private:

@@ -29,18 +29,18 @@ SecondaryFile::build(const CodewordGenerator &generator,
     SecondaryFile file;
     file.entryBytes_ = generator.signatureBytes() + 8;
     file.count_ = clauses.clauseCount();
-    file.image_.reserve(file.entryBytes_ * file.count_);
+    std::vector<std::uint8_t> image;
+    image.reserve(file.entryBytes_ * file.count_);
     for (std::size_t i = 0; i < file.count_; ++i) {
-        generator.serialize(signature_of(i), file.image_);
+        generator.serialize(signature_of(i), image);
         std::uint32_t off = clauses.record(i).offset;
         std::uint32_t ord = clauses.record(i).ordinal;
         for (int b = 0; b < 4; ++b)
-            file.image_.push_back(
-                static_cast<std::uint8_t>(off >> (8 * b)));
+            image.push_back(static_cast<std::uint8_t>(off >> (8 * b)));
         for (int b = 0; b < 4; ++b)
-            file.image_.push_back(
-                static_cast<std::uint8_t>(ord >> (8 * b)));
+            image.push_back(static_cast<std::uint8_t>(ord >> (8 * b)));
     }
+    file.image_ = support::SharedPrefix<std::uint8_t>(std::move(image));
     return file;
 }
 
@@ -53,9 +53,22 @@ SecondaryFile::fromImage(std::vector<std::uint8_t> image,
                  "index image of %zu bytes does not hold %zu entries "
                  "of %zu bytes", image.size(), entry_count, entry_bytes);
     SecondaryFile file;
-    file.image_ = std::move(image);
+    file.image_ = support::SharedPrefix<std::uint8_t>(std::move(image));
     file.count_ = entry_count;
     file.entryBytes_ = entry_bytes;
+    return file;
+}
+
+SecondaryFile
+SecondaryFile::append(std::span<const std::uint8_t> entries) const
+{
+    clare_assert(entryBytes_ != 0 && entries.size() % entryBytes_ == 0,
+                 "%zu bytes are not whole index entries of %zu bytes",
+                 entries.size(), entryBytes_);
+    SecondaryFile file;
+    file.image_ = image_.append(entries);
+    file.count_ = count_ + entries.size() / entryBytes_;
+    file.entryBytes_ = entryBytes_;
     return file;
 }
 
@@ -92,17 +105,18 @@ SecondaryFile::entryInto(const CodewordGenerator &generator,
                          std::size_t i, IndexEntry &scratch) const
 {
     clare_assert(i < count_, "index entry %zu out of range", i);
+    const std::span<const std::uint8_t> image = image_.view();
     std::size_t at = i * entryBytes_;
-    generator.deserializeInto(image_, at, scratch.signature);
+    generator.deserializeInto(image, at, scratch.signature);
     scratch.clauseOffset = 0;
     scratch.ordinal = 0;
     for (int b = 0; b < 4; ++b)
         scratch.clauseOffset |=
-            static_cast<std::uint32_t>(image_[at + b]) << (8 * b);
+            static_cast<std::uint32_t>(image[at + b]) << (8 * b);
     at += 4;
     for (int b = 0; b < 4; ++b)
         scratch.ordinal |=
-            static_cast<std::uint32_t>(image_[at + b]) << (8 * b);
+            static_cast<std::uint32_t>(image[at + b]) << (8 * b);
 }
 
 } // namespace clare::scw

@@ -18,6 +18,7 @@
 
 #include "scw/codeword.hh"
 #include "storage/clause_file.hh"
+#include "support/shared_prefix.hh"
 
 namespace clare::scw {
 
@@ -43,7 +44,11 @@ struct EntryRange
     std::size_t size() const { return end - begin; }
 };
 
-/** An immutable secondary file image plus decode helpers. */
+/**
+ * An immutable secondary file image plus decode helpers.  The image is
+ * a prefix of append-only storage that append() shares with the file
+ * it extends (support::SharedPrefix).
+ */
 class SecondaryFile
 {
   public:
@@ -76,9 +81,20 @@ class SecondaryFile
                                    std::size_t entry_count,
                                    std::size_t entry_bytes);
 
-    const std::vector<std::uint8_t> &image() const { return image_; }
+    /**
+     * This file followed by the serialized entries @p entries (a whole
+     * number of entries): the live assertz path, byte-identical to
+     * building the longer file, sharing this file's storage.
+     */
+    SecondaryFile append(std::span<const std::uint8_t> entries) const;
+
+    support::PrefixView<std::uint8_t> image() const
+    {
+        return image_.view();
+    }
     std::size_t entryCount() const { return count_; }
     std::size_t entryBytes() const { return entryBytes_; }
+    support::StorageExtent storage() const { return image_.extent(); }
 
     /** Decode entry @p i (requires the generator that built it). */
     IndexEntry entry(const CodewordGenerator &generator,
@@ -106,7 +122,7 @@ class SecondaryFile
     }
 
   private:
-    std::vector<std::uint8_t> image_;
+    support::SharedPrefix<std::uint8_t> image_;
     std::size_t count_ = 0;
     std::size_t entryBytes_ = 0;
 };

@@ -26,13 +26,13 @@ putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
 }
 
 std::uint16_t
-getU16(const std::vector<std::uint8_t> &in, std::size_t at)
+getU16(std::span<const std::uint8_t> in, std::size_t at)
 {
     return static_cast<std::uint16_t>(in[at] | (in[at + 1] << 8));
 }
 
 std::uint32_t
-getU32(const std::vector<std::uint8_t> &in, std::size_t at)
+getU32(std::span<const std::uint8_t> in, std::size_t at)
 {
     std::uint32_t v = 0;
     for (int i = 0; i < 4; ++i)
@@ -50,7 +50,7 @@ ClauseFile::record(std::size_t i) const
 }
 
 ClauseRecord
-ClauseFile::parseHeader(const std::vector<std::uint8_t> &image,
+ClauseFile::parseHeader(std::span<const std::uint8_t> image,
                         std::size_t offset)
 {
     if (offset + kRecordHeaderBytes > image.size())
@@ -94,7 +94,7 @@ ClauseFile::decodeArgsInto(const ClauseRecord &rec,
                       static_cast<unsigned>(tag));
         return std::string(buf);
     };
-    const std::vector<std::uint8_t> &image = image_;
+    const std::span<const std::uint8_t> image = image_.view();
     const std::size_t items_at = rec.offset + kRecordHeaderBytes;
     const std::size_t rec_end = std::min<std::size_t>(
         static_cast<std::size_t>(rec.offset) + rec.length, image.size());
@@ -197,11 +197,12 @@ std::string
 ClauseFile::sourceText(std::size_t i) const
 {
     const ClauseRecord &rec = record(i);
-    std::uint32_t item_bytes = getU32(image_, rec.offset + 12);
-    std::uint32_t source_bytes = getU32(image_, rec.offset + 16);
+    const std::span<const std::uint8_t> image = image_.view();
+    std::uint32_t item_bytes = getU32(image, rec.offset + 12);
+    std::uint32_t source_bytes = getU32(image, rec.offset + 16);
     std::size_t at = rec.offset + kRecordHeaderBytes + item_bytes;
-    return std::string(image_.begin() + static_cast<std::ptrdiff_t>(at),
-                       image_.begin() +
+    return std::string(image.begin() + static_cast<std::ptrdiff_t>(at),
+                       image.begin() +
                        static_cast<std::ptrdiff_t>(at + source_bytes));
 }
 
@@ -210,12 +211,12 @@ ClauseFileBuilder::add(const term::Clause &clause)
 {
     term::PredicateId pred = clause.predicate();
     if (!havePredicate_) {
-        file_.predicate_ = pred;
+        predicate_ = pred;
         havePredicate_ = true;
-    } else if (!(pred == file_.predicate_)) {
+    } else if (!(pred == predicate_)) {
         clare_fatal("clause file mixes predicates (functor %u/%u vs "
                     "%u/%u)", pred.functor, pred.arity,
-                    file_.predicate_.functor, file_.predicate_.arity);
+                    predicate_.functor, predicate_.arity);
     }
     if (pred.arity > 255)
         clare_fatal("predicate arity %u exceeds the record limit",
@@ -231,8 +232,8 @@ ClauseFileBuilder::add(const term::Clause &clause)
 
     ClauseRecord rec;
     rec.ordinal = firstOrdinal_ +
-        static_cast<std::uint32_t>(file_.records_.size());
-    rec.offset = static_cast<std::uint32_t>(file_.image_.size());
+        static_cast<std::uint32_t>(records_.size());
+    rec.offset = static_cast<std::uint32_t>(image_.size());
     rec.functor = pred.functor;
     rec.arity = static_cast<std::uint8_t>(pred.arity);
     rec.flags = static_cast<std::uint8_t>(
@@ -245,27 +246,32 @@ ClauseFileBuilder::add(const term::Clause &clause)
     rec.length = static_cast<std::uint32_t>(
         kRecordHeaderBytes + items.size() + source.size());
 
-    putU32(file_.image_, rec.ordinal);
-    putU32(file_.image_, rec.functor);
-    file_.image_.push_back(rec.arity);
-    file_.image_.push_back(rec.flags);
-    putU16(file_.image_, rec.itemCount);
-    putU32(file_.image_, static_cast<std::uint32_t>(items.size()));
-    putU32(file_.image_, static_cast<std::uint32_t>(source.size()));
-    file_.image_.insert(file_.image_.end(), items.begin(), items.end());
-    file_.image_.insert(file_.image_.end(), source.begin(), source.end());
-    file_.records_.push_back(rec);
+    putU32(image_, rec.ordinal);
+    putU32(image_, rec.functor);
+    image_.push_back(rec.arity);
+    image_.push_back(rec.flags);
+    putU16(image_, rec.itemCount);
+    putU32(image_, static_cast<std::uint32_t>(items.size()));
+    putU32(image_, static_cast<std::uint32_t>(source.size()));
+    image_.insert(image_.end(), items.begin(), items.end());
+    image_.insert(image_.end(), source.begin(), source.end());
+    records_.push_back(rec);
 }
 
 ClauseFile
 ClauseFileBuilder::finish()
 {
-    ClauseFile out = std::move(file_);
+    ClauseFile out;
+    out.predicate_ = predicate_;
     // The image and directory grew by doubling; a finished file is
     // kept for as long as its versions live, so drop the slack.
-    out.image_.shrink_to_fit();
-    out.records_.shrink_to_fit();
-    file_ = ClauseFile();
+    image_.shrink_to_fit();
+    records_.shrink_to_fit();
+    out.image_ = support::SharedPrefix<std::uint8_t>(std::move(image_));
+    out.records_ =
+        support::SharedPrefix<ClauseRecord>(std::move(records_));
+    image_.clear();
+    records_.clear();
     havePredicate_ = false;
     return out;
 }
@@ -279,23 +285,18 @@ ClauseFile::concat(const ClauseFile &base, const ClauseFile &tail)
         return base;
     clare_assert(base.predicate_ == tail.predicate_,
                  "concatenating clause files of different predicates");
-    clare_assert(tail.records_.front().ordinal ==
-                     base.records_.size(),
+    clare_assert(tail.records_[0].ordinal == base.records_.size(),
                  "tail ordinals start at %u, base holds %zu clauses",
-                 tail.records_.front().ordinal, base.records_.size());
+                 tail.records_[0].ordinal, base.records_.size());
     ClauseFile out;
     out.predicate_ = base.predicate_;
-    out.image_.reserve(base.image_.size() + tail.image_.size());
-    out.image_ = base.image_;
-    out.image_.insert(out.image_.end(), tail.image_.begin(),
-                      tail.image_.end());
-    out.records_ = base.records_;
-    out.records_.reserve(base.records_.size() + tail.records_.size());
+    out.image_ = base.image_.append(tail.image_.view());
+    std::vector<ClauseRecord> shifted(tail.records_.view().begin(),
+                                      tail.records_.view().end());
     std::uint32_t shift = static_cast<std::uint32_t>(base.image_.size());
-    for (ClauseRecord rec : tail.records_) {
+    for (ClauseRecord &rec : shifted)
         rec.offset += shift;    // directory-only; not in the wire bytes
-        out.records_.push_back(rec);
-    }
+    out.records_ = base.records_.append(shifted);
     return out;
 }
 

@@ -25,11 +25,14 @@
 #ifndef CLARE_STORAGE_CLAUSE_FILE_HH
 #define CLARE_STORAGE_CLAUSE_FILE_HH
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "pif/encoder.hh"
+#include "support/shared_prefix.hh"
 #include "term/clause.hh"
 #include "term/term_writer.hh"
 
@@ -58,16 +61,26 @@ struct ClauseRecord
  *
  * The byte image is what the disk stores and the filters stream; the
  * directory is what the host (and FS1's address list) uses to fetch
- * individual clauses.
+ * individual clauses.  Both are prefixes of append-only storage that
+ * concat() shares with the base file (support::SharedPrefix).
  */
 class ClauseFile
 {
   public:
     ClauseFile() = default;
 
-    const std::vector<std::uint8_t> &image() const { return image_; }
+    support::PrefixView<std::uint8_t> image() const
+    {
+        return image_.view();
+    }
     std::size_t clauseCount() const { return records_.size(); }
     const ClauseRecord &record(std::size_t i) const;
+
+    /** Storage blocks of the image and the record directory. */
+    std::array<support::StorageExtent, 2> storage() const
+    {
+        return {image_.extent(), records_.extent()};
+    }
 
     term::PredicateId predicate() const { return predicate_; }
 
@@ -88,7 +101,7 @@ class ClauseFile
     std::string sourceText(std::size_t i) const;
 
     /** Parse one record starting at @p offset of an arbitrary image. */
-    static ClauseRecord parseHeader(const std::vector<std::uint8_t> &image,
+    static ClauseRecord parseHeader(std::span<const std::uint8_t> image,
                                     std::size_t offset);
 
     /**
@@ -99,6 +112,8 @@ class ClauseFile
      * ordinals live inside the wire bytes, so numbering is fixed at
      * build time); the result is then byte-identical to rebuilding
      * the whole predicate from scratch.  An empty base yields tail.
+     * The composite shares base's storage, so the copying is
+     * O(tail) except when that storage has to grow.
      */
     static ClauseFile concat(const ClauseFile &base,
                              const ClauseFile &tail);
@@ -108,8 +123,8 @@ class ClauseFile
     friend ClauseFile loadClauseFile(const std::string &path);
 
     term::PredicateId predicate_;
-    std::vector<std::uint8_t> image_;
-    std::vector<ClauseRecord> records_;
+    support::SharedPrefix<std::uint8_t> image_;
+    support::SharedPrefix<ClauseRecord> records_;
 };
 
 /** Builds a clause file for one predicate, preserving clause order. */
@@ -132,7 +147,7 @@ class ClauseFileBuilder
     void add(const term::Clause &clause);
 
     /** Number of clauses added so far. */
-    std::size_t size() const { return file_.records_.size(); }
+    std::size_t size() const { return records_.size(); }
 
     /** Finish and return the file (builder becomes empty). */
     ClauseFile finish();
@@ -140,7 +155,9 @@ class ClauseFileBuilder
   private:
     const term::TermWriter &writer_;
     pif::Encoder encoder_;
-    ClauseFile file_;
+    term::PredicateId predicate_;
+    std::vector<std::uint8_t> image_;
+    std::vector<ClauseRecord> records_;
     bool havePredicate_ = false;
     std::uint32_t firstOrdinal_ = 0;
 };

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,11 @@ class DiskModel
 
     /** Replace the stored image; the extent becomes its size. */
     void load(std::vector<std::uint8_t> image);
+    /** The same, from a copy of @p image (e.g. a file's image()). */
+    void load(std::span<const std::uint8_t> image)
+    {
+        load(std::vector<std::uint8_t>(image.begin(), image.end()));
+    }
 
     /**
      * Model a disk of @p bytes without holding them: timing and fault

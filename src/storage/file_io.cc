@@ -74,7 +74,7 @@ pageCount(std::size_t payload_size, std::uint32_t page_bytes)
 
 void
 putPageCrcs(std::vector<std::uint8_t> &out,
-            const std::vector<std::uint8_t> &payload,
+            std::span<const std::uint8_t> payload,
             std::uint32_t page_bytes)
 {
     for (std::uint32_t c : support::pageChecksums(
@@ -284,20 +284,19 @@ loadClauseFile(const std::string &path)
                 + " of " + std::to_string(image_size) + " image bytes)");
     }
 
-    ClauseFile file;
-    file.predicate_ = term::PredicateId{functor, arity};
-    file.image_.assign(in.begin() + static_cast<std::ptrdiff_t>(image_at),
-                       in.end());
+    std::vector<std::uint8_t> image(
+        in.begin() + static_cast<std::ptrdiff_t>(image_at), in.end());
 
     // Re-derive the record directory by walking the image.  With a v2
     // checksum pass behind us a walk failure means a writer bug, but
     // v1 images are unverified, so every structural violation is a
     // typed error rather than an assert.
+    std::vector<ClauseRecord> records;
     std::size_t offset = 0;
-    while (offset < file.image_.size()) {
+    while (offset < image.size()) {
         ClauseRecord rec;
         try {
-            rec = ClauseFile::parseHeader(file.image_, offset);
+            rec = ClauseFile::parseHeader(image, offset);
         } catch (const FatalError &e) {
             corrupt(path, offset / support::kChecksumPageBytes,
                     image_at + offset, e.what());
@@ -307,14 +306,19 @@ loadClauseFile(const std::string &path)
                     image_at + offset,
                     "record " + std::to_string(rec.ordinal) +
                     " does not match the file predicate");
-        file.records_.push_back(rec);
+        records.push_back(rec);
         offset += rec.length;
     }
-    if (file.records_.size() != count)
+    if (records.size() != count)
         corrupt(path, kNoFilePosition, kNoFilePosition,
-                "directory count " +
-                std::to_string(file.records_.size()) +
+                "directory count " + std::to_string(records.size()) +
                 " != header count " + std::to_string(count));
+    records.shrink_to_fit();
+    ClauseFile file;
+    file.predicate_ = term::PredicateId{functor, arity};
+    file.image_ = support::SharedPrefix<std::uint8_t>(std::move(image));
+    file.records_ =
+        support::SharedPrefix<ClauseRecord>(std::move(records));
     return file;
 }
 

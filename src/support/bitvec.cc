@@ -132,7 +132,7 @@ BitVec::deserialize(const std::vector<std::uint8_t> &in,
 }
 
 void
-BitVec::deserializeInto(const std::vector<std::uint8_t> &in,
+BitVec::deserializeInto(std::span<const std::uint8_t> in,
                         std::size_t &offset, std::size_t width)
 {
     if (width_ != width) {

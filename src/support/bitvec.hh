@@ -11,6 +11,7 @@
 #define CLARE_SUPPORT_BITVEC_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,7 +83,7 @@ class BitVec
      * words when the width already matches, so a scan loop decoding
      * entries into a scratch vector performs no per-entry allocation.
      */
-    void deserializeInto(const std::vector<std::uint8_t> &in,
+    void deserializeInto(std::span<const std::uint8_t> in,
                          std::size_t &offset, std::size_t width);
 
     /** Number of bytes the serialized form occupies for a given width. */

@@ -95,15 +95,6 @@ ClauseTable::add(const Clause &clause)
 }
 
 void
-ClauseTable::append(const ClauseTable &other)
-{
-    for (std::size_t i = 0; i < other.size(); ++i) {
-        ClauseView c = other.view(i);
-        add(*c.arena, c.head, c.body);
-    }
-}
-
-void
 ClauseTable::add(const TermArena &arena, TermRef head,
                  std::span<const TermRef> body)
 {

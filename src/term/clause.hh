@@ -110,9 +110,6 @@ class ClauseTable
     /** Append a copy of @p clause. */
     void add(const Clause &clause);
 
-    /** Append copies of every clause of @p other, in order. */
-    void append(const ClauseTable &other);
-
     /**
      * Release growth slack: the arena's vectors double as clauses are
      * added, leaving relocated copies behind in the bump arena.  A
@@ -129,6 +126,14 @@ class ClauseTable
     std::size_t size() const { return entries_.size(); }
 
     ClauseView view(std::size_t i) const;
+
+    /** Heap bytes held (arena blocks plus the index vectors). */
+    std::size_t memoryBytes() const
+    {
+        return arena_.memoryFootprint() +
+            entries_.capacity() * sizeof(Entry) +
+            goals_.capacity() * sizeof(TermRef);
+    }
 
   private:
     struct Entry

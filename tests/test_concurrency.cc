@@ -8,7 +8,9 @@
  * commits through a LiveStore while concurrent serveBatch() readers
  * prove that snapshot-pinned reads stay bit-identical to the quiesced
  * pre-commit reference, and while another thread enumerates the
- * store's predicates as commits register new ones.  These
+ * store's predicates as commits register new ones, and while readers
+ * pin the very head version each commit appends onto in place (all
+ * four modes and kb::clausesFor).  These
  * tests carry the `tsan` ctest label so a -DCLARE_SANITIZE=thread
  * build exercises them under ThreadSanitizer.
  */
@@ -437,6 +439,121 @@ TEST(LiveInterleavingTest, SnapshotReadsAreIsolatedFromAStreamingWriter)
         EXPECT_EQ(live_head[i].elapsed, ref_head[i].elapsed)
             << "goal " << i;
     }
+    std::remove(wal_path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Readers pinned to the head version the writer appends onto.  An
+// assertz-only commit writes its clause, directory and index bytes in
+// place behind the head's prefix of the shared storage, so a reader
+// holding that head reads memory right next to the writer's.  Every
+// read must see exactly its pinned generation, in all four modes and
+// through kb::clausesFor; under TSan the test also proves the reads
+// and the in-place appends race-free.
+// ---------------------------------------------------------------------
+
+TEST(LiveInterleavingTest, HeadPinnedReadersRaceInPlaceAppends)
+{
+    constexpr int kStream = 48;
+    constexpr int kReaders = 2;
+    constexpr crs::SearchMode kModes[] = {
+        crs::SearchMode::SoftwareOnly, crs::SearchMode::Fs1Only,
+        crs::SearchMode::Fs2Only, crs::SearchMode::TwoStage};
+    kb::KbConfig config;
+    config.largeThreshold = 2;
+    kb::KnowledgeBase kb(config);
+    kb.consult("edge(a, b).\nedge(b, c).\nedge(c, d).\n");
+    kb.compile();
+    const std::string wal_path =
+        ::testing::TempDir() + "head_pinned_appends.wal";
+    std::remove(wal_path.c_str());
+    kb.enableLiveUpdates(wal_path);
+    const crs::PredicateStore &store = kb.store();
+    crs::ClauseRetrievalServer &server = kb.server();
+
+    // Every symbol is interned here, before the threads start.
+    term::TermReader reader(kb.symbols());
+    term::TermWriter writer(kb.symbols());
+    std::vector<std::string> texts;
+    for (const char *t : {"edge(a, b)", "edge(b, c)", "edge(c, d)"}) {
+        term::ParsedTerm p = reader.parseTerm(t);
+        texts.push_back(writer.write(p.arena, p.root));
+    }
+    constexpr std::size_t kBase = 3;
+    std::vector<term::Clause> stream;
+    for (int i = 0; i < kStream; ++i) {
+        stream.push_back(reader.parseClause(
+            "edge(w" + std::to_string(i) + ", w" +
+            std::to_string(i + 1) + ")."));
+        texts.push_back(writer.write(stream.back().arena(),
+                                     stream.back().head()));
+    }
+    term::ParsedTerm goal = reader.parseTerm("edge(X, Y)");
+
+    // The clauses a reader got must be the first texts, in order.
+    auto prefix_ok = [&](const std::vector<term::ClauseView> &got,
+                         std::size_t want) {
+        if (got.size() != want)
+            return false;
+        for (std::size_t i = 0; i < got.size(); ++i)
+            if (writer.write(*got[i].arena, got[i].head) != texts[i])
+                return false;
+        return true;
+    };
+
+    std::atomic<bool> done{false};
+    std::atomic<int> wrong{0};
+    std::atomic<int> reads{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+        readers.emplace_back([&] {
+            do {
+                const std::uint64_t g = store.headGeneration();
+                const std::size_t want = kBase + g;
+                for (crs::SearchMode mode : kModes) {
+                    crs::RetrievalRequest request;
+                    request.arena = &goal.arena;
+                    request.goal = goal.root;
+                    request.mode = mode;
+                    request.snapshot = g;
+                    crs::RetrievalResponse got = server.serve(request);
+                    std::vector<term::ClauseView> clauses;
+                    for (std::uint32_t ordinal : got.answers)
+                        clauses.push_back(
+                            got.version->decodedClause(ordinal));
+                    const storage::ClauseFile &file =
+                        got.version->clauses;
+                    if (!prefix_ok(clauses, want) ||
+                        file.clauseCount() != want ||
+                        file.sourceText(want - 1) !=
+                            texts[want - 1] + ".")
+                        wrong.fetch_add(1);
+
+                    // kb::clausesFor pins whatever head its retrieval
+                    // resolves, at least generation g.
+                    kb::RetrievedClauses kbc =
+                        kb.clausesFor(goal.arena, goal.root, mode);
+                    if (kbc.clauses.size() < want ||
+                        !prefix_ok(kbc.clauses, kbc.clauses.size()))
+                        wrong.fetch_add(1);
+                }
+                reads.fetch_add(1);
+            } while (!done.load(std::memory_order_acquire));
+        });
+    }
+    // Stream once every reader is reading, so commits land mid-read.
+    while (reads.load() < kReaders)
+        std::this_thread::yield();
+    for (const term::Clause &clause : stream)
+        kb.assertz(clause);
+    done.store(true, std::memory_order_release);
+    for (std::thread &t : readers)
+        t.join();
+
+    EXPECT_EQ(wrong.load(), 0) << "of " << reads.load() << " rounds";
+    EXPECT_EQ(store.headGeneration(), static_cast<std::uint64_t>(kStream));
+    EXPECT_TRUE(prefix_ok(kb.clausesFor(goal.arena, goal.root).clauses,
+                          kBase + kStream));
     std::remove(wal_path.c_str());
 }
 

@@ -499,7 +499,8 @@ TEST_F(FormatFaultTest, V1FlippedTagByteIsTypedCorruptionNotACrash)
         0xff,                   // in-line list of arity 31: overrun
     };
     for (std::uint8_t bad : flips) {
-        std::vector<std::uint8_t> image = file.image();
+        std::vector<std::uint8_t> image(file.image().begin(),
+                                        file.image().end());
         ASSERT_NE(image[tag_at], bad);
         image[tag_at] = bad;
         write_v1(image);
@@ -540,7 +541,7 @@ TEST_F(FormatFaultTest, V1FlippedTagByteIsTypedCorruptionNotACrash)
 
     // The pristine image still decodes and retrieves cleanly through
     // the same v1 vehicle.
-    write_v1(file.image());
+    write_v1({file.image().begin(), file.image().end()});
     storage::ClauseFile clean = storage::loadClauseFile(path_);
     EXPECT_NO_THROW(clean.decodeArgs(0));
 }

@@ -4,12 +4,14 @@
  * torn-tail recovery (truncation and bit-flip fuzz), MVCC snapshot
  * visibility, the delta-plane-vs-full-rebuild exactness oracle
  * (answers AND modeled ticks), byte-granular crash kill-point fuzzers
- * through commit and checkpoint, and the CURRENT checkpoint
- * round-trip.
+ * through commit and checkpoint, the CURRENT checkpoint round-trip,
+ * typed errors for damaged-but-CRC-valid replay records, and the
+ * retained-memory soak (an assertz commit keeps O(delta) bytes).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -597,6 +599,125 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
     }
 }
 
+TEST(LiveUpdate, EmptiedPredicateGrowsAgainInEveryMode)
+{
+    // Retracting every clause leaves a full plane of 0 entries; the
+    // assertz commits after it must start a delta at entry 0 and keep
+    // extending it, never mistake the empty base for the whole index.
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    TempDir dir;
+    auto live_store = makeStore(sym, reader,
+                                "item(a, 1).\nitem(b, 2).\n");
+    LiveStore live(*live_store, sym, dir.path + "/wal.log");
+    ClauseRetrievalServer live_server(sym, *live_store);
+    for (const char *text : {"item(a, 1)", "item(b, 2)"}) {
+        term::ParsedTerm pat = reader.parseTerm(text);
+        ASSERT_TRUE(live.retract(pat.arena, pat.root).has_value());
+    }
+    const term::PredicateId item{sym.lookup("item"), 2};
+    ASSERT_EQ(live_store->predicateVersion(item)->clauses.clauseCount(),
+              0u);
+
+    std::string rebuilt_text;
+    for (const char *text : {"item(c, 3).", "item(d, 4).", "item(c, 5)."}) {
+        live.assertz(reader.parseClause(text));
+        rebuilt_text += std::string(text) + "\n";
+        auto ref_store = makeStore(sym, reader, rebuilt_text);
+        ClauseRetrievalServer ref_server(sym, *ref_store);
+        auto v = live_store->predicateVersion(item);
+        ASSERT_NE(v->deltaSliced, nullptr);
+        EXPECT_EQ(v->baseEntries, 0u);
+        EXPECT_EQ(v->sliced->entryCount(), 0u);
+        EXPECT_EQ(v->deltaSliced->entryCount(),
+                  v->clauses.clauseCount());
+        EXPECT_EQ(v->index.image(),
+                  ref_store->predicateVersion(item)->index.image());
+        for (const char *goal : {"item(X, Y)", "item(c, X)", "item(X, 4)"})
+            for (SearchMode mode : kAllModes)
+                expectSameResponse(
+                    serveOn(live_server, reader, goal, mode),
+                    serveOn(ref_server, reader, goal, mode),
+                    rebuilt_text + goal + " " + searchModeName(mode));
+    }
+}
+
+TEST(LiveUpdate, ReplayedRetractPastTheListIsTypedCorruption)
+{
+    // A CRC-valid Retract record naming clause 7 of a 2-clause
+    // predicate: recovery reports the damaged log instead of aborting.
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    TempDir dir;
+    const std::string wal_path = dir.path + "/wal.log";
+    std::uint64_t lsn = 0;
+    {
+        storage::Wal wal(wal_path);
+        std::vector<std::uint8_t> payload;
+        for (std::uint32_t v : {2u, 7u, 4u})
+            for (int b = 0; b < 4; ++b)
+                payload.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+        payload.insert(payload.end(), {'i', 't', 'e', 'm'});
+        lsn = wal.append(storage::Wal::RecordKind::Retract, payload);
+        wal.commit();
+    }
+    auto store = makeStore(sym, reader, "item(a, 1).\nitem(b, 2).\n");
+    try {
+        LiveStore live(*store, sym, wal_path);
+        FAIL() << "recovery replayed a retract past the clause list";
+    } catch (const CorruptionError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(wal_path), std::string::npos) << what;
+        EXPECT_NE(what.find("LSN " + std::to_string(lsn)),
+                  std::string::npos)
+            << what;
+    }
+    // Nothing was published.
+    EXPECT_EQ(store->headGeneration(), 0u);
+}
+
+TEST(LiveUpdate, ReplayedUnparsableAssertIsTypedCorruption)
+{
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    TempDir dir;
+    const std::string wal_path = dir.path + "/wal.log";
+    std::uint64_t lsn = 0;
+    // An assertz record's payload: front flag 0, u32 length, text.
+    auto assertz_payload = [](const std::string &text) {
+        std::vector<std::uint8_t> payload(5 + text.size(), 0);
+        for (int b = 0; b < 4; ++b)
+            payload[1 + b] =
+                static_cast<std::uint8_t>(text.size() >> (8 * b));
+        std::copy(text.begin(), text.end(), payload.begin() + 5);
+        return payload;
+    };
+    {
+        storage::Wal wal(wal_path);
+        wal.append(storage::Wal::RecordKind::Assert,
+                   assertz_payload("item(a, 1)."));
+        wal.commit();
+        lsn = wal.append(storage::Wal::RecordKind::Assert,
+                         assertz_payload("item(a, ."));
+        wal.commit();
+    }
+    auto store = makeStore(sym, reader, "item(b, 2).\n");
+    try {
+        LiveStore live(*store, sym, wal_path);
+        FAIL() << "recovery replayed an unparsable clause";
+    } catch (const CorruptionError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(wal_path), std::string::npos) << what;
+        EXPECT_NE(what.find("LSN " + std::to_string(lsn)),
+                  std::string::npos)
+            << what;
+    }
+    // The commit before the damaged record was replayed.
+    const term::PredicateId item{sym.lookup("item"), 2};
+    EXPECT_EQ(store->headGeneration(), 1u);
+    EXPECT_EQ(store->predicateVersion(item)->clauses.clauseCount(), 2u);
+}
+
 TEST(LiveUpdate, RetractConvenienceReportsMatch)
 {
     term::SymbolTable sym;
@@ -1043,6 +1164,98 @@ TEST(LiveUpdate, ByteTotalsCountHeadVersionsAcrossCheckpoint)
     PredicateStore loaded = openStore(root.path, loaded_sym);
     EXPECT_EQ(loaded.dataBytes(), data);
     EXPECT_EQ(loaded.indexBytes(), index);
+}
+
+// ---------------------------------------------------------------------
+// Retained memory: an assertz commit keeps O(delta) bytes alive
+// ---------------------------------------------------------------------
+
+/** What a single-clause commit soak on one predicate retained. */
+struct SoakResult
+{
+    double bytesPerCommit = 0.0;
+    std::uint64_t firstCommitBytes = 0;
+    std::uint64_t baseImageBytes = 0;
+};
+
+/**
+ * One warm-up commit, then @p commits single-clause assertz commits
+ * on a predicate of @p clauses facts, with the store gauges read from
+ * the server's registry.  The warm-up is the one commit that copies
+ * the exact-size load-time images into storage of doubled capacity;
+ * it is reported on its own.
+ */
+SoakResult
+soak(std::size_t clauses, std::size_t commits)
+{
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    std::string text;
+    for (std::size_t i = 0; i < clauses; ++i)
+        text += "big(k" + std::to_string(i) + ", v" +
+            std::to_string(i % 97) + ").\n";
+    auto store = makeStore(sym, reader, text);
+    TempDir dir;
+    LiveStore live(*store, sym, dir.path + "/wal.log");
+    ClauseRetrievalServer server(sym, *store);
+    live.attachSink(&server);
+    obs::MetricsRegistry &metrics = server.metrics();
+    auto retained = [&] {
+        const double gauge = metrics.gauge("store.bytes.retained").value();
+        EXPECT_EQ(gauge, static_cast<double>(store->retainedBytes()));
+        return static_cast<std::uint64_t>(gauge);
+    };
+
+    const term::PredicateId big{sym.lookup("big"), 2};
+    auto base = store->predicateVersion(big);
+    SoakResult out;
+    out.baseImageBytes = base->clauses.image().size() +
+        base->clauses.clauseCount() * sizeof(storage::ClauseRecord) +
+        base->index.image().size();
+    const std::uint64_t at_load = retained();
+    live.assertz(reader.parseClause("big(w, v0)."));
+    const std::uint64_t after_first = retained();
+    out.firstCommitBytes = after_first - at_load;
+
+    std::shared_ptr<const StoredPredicate> prev =
+        store->predicateVersion(big);
+    for (std::size_t c = 0; c < commits; ++c) {
+        live.assertz(reader.parseClause(
+            "big(n" + std::to_string(c) + ", v1)."));
+        auto head = store->predicateVersion(big);
+        // The composite extends its predecessor's storage in place.
+        EXPECT_EQ(head->clauses.image().data(),
+                  prev->clauses.image().data())
+            << c;
+        EXPECT_EQ(head->index.image().data(), prev->index.image().data())
+            << c;
+        prev = std::move(head);
+    }
+    EXPECT_EQ(metrics.gauge("store.versions.live").value(),
+              static_cast<double>(1 + 1 + commits));
+    out.bytesPerCommit = static_cast<double>(retained() - after_first) /
+        static_cast<double>(commits);
+    return out;
+}
+
+TEST(LiveUpdate, RetainedBytesPerCommitDoNotScaleWithThePredicate)
+{
+    constexpr std::size_t kCommits = 200;
+    const SoakResult small = soak(500, kCommits);
+    const SoakResult large = soak(5000, kCommits);
+    // Per-commit retention is the delta's, whatever the predicate size
+    // (copying the predicate per commit would make these 10x apart).
+    EXPECT_LT(large.bytesPerCommit, 1.5 * small.bytesPerCommit)
+        << "500 clauses: " << small.bytesPerCommit
+        << " B/commit, 5000 clauses: " << large.bytesPerCommit;
+    EXPECT_LT(small.bytesPerCommit, 1.5 * large.bytesPerCommit);
+    // The warm-up commit copies the load-time images once into
+    // doubled storage, and no more than that plus the delta.
+    for (const SoakResult *r : {&small, &large})
+        EXPECT_LT(r->firstCommitBytes,
+                  2 * r->baseImageBytes + 4 * r->bytesPerCommit)
+            << r->firstCommitBytes << " vs images of "
+            << r->baseImageBytes;
 }
 
 } // namespace
