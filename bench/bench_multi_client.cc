@@ -19,6 +19,10 @@
  * reported as p50/p99/p999; a sample of the wire answers is checked
  * bit-identical to a single-process serve() of the same goals.
  *
+ * The minor-compaction section times single asserta, retract and
+ * assertz commits on a 5000-clause predicate: the first two rebuild
+ * the predicate, the last appends.
+ *
  * The write-mix section (--write-mix=P, default 0.10) adds a live
  * writer: an in-process thread streams WAL-backed assertz commits
  * through a LiveStore while reader threads run a closed loop against
@@ -379,6 +383,93 @@ liveWriteMixSweep(double write_mix, json::Value &json_rows)
                 "probes reproduce the pre-write answers and modeled "
                 "ticks exactly\nwhile commits land, at every reader "
                 "count.\n\n");
+}
+
+/**
+ * What an order-changing commit costs.  An asserta or a retract
+ * rebuilds its predicate (a minor compaction, one pass per clause
+ * through crs::PredicateBuilder), while an assertz appends in
+ * O(delta).  Each commit is timed alone, WAL append and sync
+ * included, on one 5000-clause predicate.
+ */
+void
+minorCompactionSweep(json::Value &json_rows)
+{
+    constexpr int kReps = 21;
+    term::SymbolTable sym;
+    workload::KbGenerator kbgen(sym);
+    workload::KbSpec spec;
+    spec.predicates = 1;
+    spec.clausesPerPredicate = 5000;
+    spec.arityMin = 2;
+    spec.arityMax = 2;
+    spec.atomVocabulary = 2000;
+    term::Program program = kbgen.generate(spec);
+    crs::PredicateStore store(sym, scw::CodewordGenerator{});
+    store.addProgram(program);
+    store.finalize();
+    const std::string wal_path =
+        (std::filesystem::temp_directory_path() /
+         "clare_bench_minor_compaction.wal").string();
+    std::filesystem::remove(wal_path);
+    crs::LiveStore live(store, sym, wal_path);
+
+    using Clock = std::chrono::steady_clock;
+    auto ms_since = [](Clock::time_point begin) {
+        return std::chrono::duration<double, std::milli>(Clock::now() -
+                                                         begin).count();
+    };
+    term::TermReader reader(sym);
+    std::vector<double> asserta_ms, retract_ms, assertz_ms;
+    bool retracted = true;
+    for (int r = 0; r < kReps; ++r) {
+        // Prepend a clause, retract it again (it is the first clause,
+        // so matching it is cheap and the commit dominates), then
+        // append one.
+        const std::string text = "p0(hot" + std::to_string(r) + ", x)";
+        const term::Clause clause = reader.parseClause(text + ".");
+        const term::ParsedTerm pattern = reader.parseTerm(text);
+        Clock::time_point begin = Clock::now();
+        live.asserta(clause);
+        asserta_ms.push_back(ms_since(begin));
+        begin = Clock::now();
+        retracted &= live.retract(pattern.arena, pattern.root).has_value();
+        retract_ms.push_back(ms_since(begin));
+        const term::Clause tail = reader.parseClause(
+            "p0(tail" + std::to_string(r) + ", x).");
+        begin = Clock::now();
+        live.assertz(tail);
+        assertz_ms.push_back(ms_since(begin));
+    }
+    std::filesystem::remove(wal_path);
+
+    Table t("Minor compaction (one commit on a 5000-clause predicate, " +
+            std::to_string(kReps) + " each)");
+    t.header({"Commit", "Median", "Min", "Max"});
+    auto report = [&](const char *name, std::vector<double> ms) {
+        std::sort(ms.begin(), ms.end());
+        char med[32], lo[32], hi[32];
+        std::snprintf(med, sizeof(med), "%.2f ms", ms[ms.size() / 2]);
+        std::snprintf(lo, sizeof(lo), "%.2f ms", ms.front());
+        std::snprintf(hi, sizeof(hi), "%.2f ms", ms.back());
+        t.row({name, med, lo, hi});
+        json::Value row = json::Value::object();
+        row.set("sweep", "minor_compaction");
+        row.set("commit", name);
+        row.set("clauses", spec.clausesPerPredicate);
+        row.set("median_ms", ms[ms.size() / 2]);
+        row.set("min_ms", ms.front());
+        row.set("max_ms", ms.back());
+        json_rows.push(std::move(row));
+    };
+    report("asserta", asserta_ms);
+    report("retract", retract_ms);
+    report("assertz", assertz_ms);
+    t.print(std::cout);
+    std::printf("shape: asserta and retract rebuild the predicate, so "
+                "they cost O(predicate);\nassertz appends in O(delta).\n\n");
+    if (!retracted)
+        std::exit(1);
 }
 
 /** Load-generator knobs (`--lg-*`; `--no-router` skips the section). */
@@ -839,6 +930,7 @@ main(int argc, char **argv)
 
     repeatedGoalCacheSweep(json_rows, cache_knobs);
     liveWriteMixSweep(writeMixArg(argc, argv), json_rows);
+    minorCompactionSweep(json_rows);
     if (lg_knobs.enabled) {
         routerLoadSweep(lg_knobs, json_rows);
         shardedClusterSweep(json_rows);

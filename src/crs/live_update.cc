@@ -82,24 +82,25 @@ bodyConjunction(term::TermArena &arena, term::SymbolTable &symbols,
 }
 
 /**
- * Apply one op to a predicate's evolving source-text list.
+ * Apply one op to a predicate's evolving list, of source texts or of
+ * decoded clauses; @p item is the asserted clause in the list's terms.
  * @return false when a retract names a position past the list
  */
+template <typename T>
 bool
-applyOp(std::vector<std::string> &texts, const LiveOp &op)
+applyOp(std::vector<T> &list, const LiveOp &op, const T &item)
 {
     switch (op.kind) {
     case LiveOp::Kind::Assertz:
-        texts.push_back(op.text);
+        list.push_back(item);
         break;
     case LiveOp::Kind::Asserta:
-        texts.insert(texts.begin(), op.text);
+        list.insert(list.begin(), item);
         break;
     case LiveOp::Kind::Retract:
-        if (op.ordinal >= texts.size())
+        if (op.ordinal >= list.size())
             return false;
-        texts.erase(texts.begin() +
-                    static_cast<std::ptrdiff_t>(op.ordinal));
+        list.erase(list.begin() + static_cast<std::ptrdiff_t>(op.ordinal));
         break;
     }
     return true;
@@ -116,16 +117,6 @@ sourceTexts(const StoredPredicate *prev)
             texts.push_back(prev->clauses.sourceText(i));
     }
     return texts;
-}
-
-/** Rule fraction of @p v from its carried rule count. */
-void
-setRuleFraction(StoredPredicate &v)
-{
-    v.ruleFraction = v.clauses.clauseCount() == 0
-        ? 0.0
-        : static_cast<double>(v.rules) /
-          static_cast<double>(v.clauses.clauseCount());
 }
 
 /** Durably write a small file in one shot (the CURRENT.tmp path). */
@@ -356,16 +347,16 @@ LiveStore::buildComposite(const StoredPredicate &prev,
     std::vector<term::Clause> clauses;
     clauses.reserve(ops.size());
     auto out = std::make_shared<StoredPredicate>();
-    out->rules = prev.rules;
+    std::size_t rules = prev.rules;
     for (LiveOp *op : ops) {
         sigs.push_back(gen.encode(op->clause.arena(), op->clause.head()));
         tail_builder.add(op->clause);
-        out->rules += op->clause.isFact() ? 0 : 1;
+        rules += op->clause.isFact() ? 0 : 1;
         clauses.push_back(std::move(op->clause));
     }
     out->clauses = storage::ClauseFile::concat(prev.clauses,
                                                tail_builder.finish());
-    setRuleFraction(*out);
+    out->setRules(rules);
 
     // Composite secondary file: the base entry image plus the tail
     // entries serialized against the composite clause directory —
@@ -426,43 +417,32 @@ std::shared_ptr<StoredPredicate>
 LiveStore::buildCompacted(const StoredPredicate *prev,
                           const std::vector<LiveOp *> &ops)
 {
-    // Replay the ops over the predicate's evolving source-text list
-    // (the same sequence Update resolved retract ordinals against),
-    // then rebuild the predicate from scratch — a minor compaction.
-    std::vector<std::string> texts = sourceTexts(prev);
+    // Replay the ops over the predicate's evolving clause list (the
+    // sequence Update resolved retract positions against), then
+    // rebuild the predicate from it: a minor compaction.  The list
+    // holds decoded clauses, which read back as their stored texts,
+    // and each asserted clause was parsed when its op was made, so
+    // the rebuild parses nothing.
+    std::vector<term::ClauseView> clauses;
+    if (prev != nullptr) {
+        const std::size_t n = prev->clauses.clauseCount();
+        clauses.reserve(n + ops.size());
+        for (std::size_t i = 0; i < n; ++i)
+            clauses.push_back(
+                prev->decodedClause(static_cast<std::uint32_t>(i)));
+    }
     for (const LiveOp *op : ops)
-        if (!applyOp(texts, *op))
+        if (!applyOp(clauses, *op, op->clause.view()))
             // Only a replayed record can name a clause that is not
             // there: the live path resolved the position itself.
             throw walDamage(op->lsn,
                             "retract of clause " +
                                 std::to_string(op->ordinal) + " of " +
-                                std::to_string(texts.size()));
+                                std::to_string(clauses.size()));
 
-    term::TermReader reader(symbols_);
-    const scw::CodewordGenerator &gen = store_.generator();
-    storage::ClauseFileBuilder builder(writer_);
-    std::vector<scw::Signature> sigs;
-    auto out = std::make_shared<StoredPredicate>();
-    for (const std::string &text : texts) {
-        term::Clause clause = reader.parseClause(text);
-        sigs.push_back(gen.encode(clause.arena(), clause.head()));
-        builder.add(clause);
-        out->rules += clause.isFact() ? 0 : 1;
-    }
-    out->clauses = builder.finish();
-    setRuleFraction(*out);
-    out->index = scw::SecondaryFile::build(gen, sigs, out->clauses);
-    out->indexPageCrcs = support::pageChecksums(
-        out->index.image().data(), out->index.image().size());
-    // Full rebuild, full plane and table — no delta, base coverage
-    // resets.
-    out->sliced = std::make_shared<const scw::BitSlicedIndex>(
-        scw::BitSlicedIndex::build(gen, out->index));
-    auto decoded = std::make_shared<term::ClauseTable>();
-    decodeClauses(out->clauses, 0, out->clauses.clauseCount(), symbols_,
-                  *decoded);
-    out->decoded = std::move(decoded);
+    std::shared_ptr<StoredPredicate> out =
+        PredicateBuilder(symbols_, store_.generator(), writer_)
+            .build(clauses);
     if (prev != nullptr) {
         out->clauseFileOffset = prev->clauseFileOffset;
         out->indexFileOffset = prev->indexFileOffset;
@@ -618,7 +598,7 @@ LiveStore::Update::textsOf(const term::PredicateId &pred)
         sourceTexts(owner_->store_.predicateVersion(pred).get());
     for (const LiveOp &op : ops_)
         if (op.pred == pred)
-            applyOp(texts, op);
+            applyOp(texts, op, op.text);
     return working_.emplace(pred, std::move(texts)).first->second;
 }
 
@@ -628,7 +608,7 @@ LiveStore::Update::push(LiveOp op)
     clare_assert(active_, "assert on a finished update");
     auto it = working_.find(op.pred);
     if (it != working_.end())
-        applyOp(it->second, op);
+        applyOp(it->second, op, op.text);
     ops_.push_back(std::move(op));
 }
 
@@ -712,7 +692,7 @@ LiveStore::Update::retract(const term::TermArena &arena,
         op.kind = LiveOp::Kind::Retract;
         op.pred = pred;
         op.ordinal = static_cast<std::uint32_t>(i);
-        applyOp(texts, op);
+        applyOp(texts, op, op.text);
         ops_.push_back(std::move(op));
         return true;
     }

@@ -34,12 +34,17 @@
  *    count and the index page CRCs carry over; only the CRCs of pages
  *    past the predecessor's last full page are computed.
  *    asserta/retract trigger a per-predicate minor compaction: the
- *    predicate is rebuilt from its evolving source-text list, which
- *    is exactly the LSM tombstone-merge rule with a level count of
- *    one.  That list is materialized only when a retract needs it
- *    (and by the compaction itself).  Either way the scan results
- *    (survivor order AND modeled Ticks) are bit-identical to a full
- *    rebuild.
+ *    predicate is rebuilt from its evolving clause list, which is
+ *    exactly the LSM tombstone-merge rule with a level count of one.
+ *    The list is the predecessor's decoded clauses with the ops
+ *    applied, and the rebuild runs through PredicateBuilder, the
+ *    compile's one-pass build, so it parses nothing: each decoded
+ *    clause renders back to its stored text, and each asserted
+ *    clause was parsed once when its op was made.  (A retract
+ *    resolves its target against the source-text list, materialized
+ *    only then.)  Either way the images, plane and decoded table,
+ *    and so the scan results (survivor order AND modeled Ticks), are
+ *    bit-identical to a full rebuild.
  *
  *  - What still grows per commit: every version is kept (there is no
  *    snapshot horizon yet), each with its own delta plane, whose copy

@@ -81,6 +81,16 @@ bytesBeyond(const StoredPredicate &v, const StoredPredicate *prev)
 
 } // namespace
 
+void
+StoredPredicate::setRules(std::size_t rule_count)
+{
+    rules = rule_count;
+    ruleFraction = clauses.clauseCount() == 0
+        ? 0.0
+        : static_cast<double>(rules) /
+          static_cast<double>(clauses.clauseCount());
+}
+
 term::ClauseView
 StoredPredicate::decodedClause(std::uint32_t ordinal) const
 {
@@ -89,26 +99,76 @@ StoredPredicate::decodedClause(std::uint32_t ordinal) const
                           : decodedDelta->view(ordinal - base);
 }
 
-void
-decodeClauses(const storage::ClauseFile &file, std::size_t begin,
-              std::size_t end, term::SymbolTable &symbols,
-              term::ClauseTable &out)
+std::shared_ptr<const term::ClauseTable>
+decodeClauses(const storage::ClauseFile &file, term::SymbolTable &symbols)
 {
-    // Two parses: the first only sizes the table, so it is built in
-    // exactly sized storage instead of regrowing (a predicate's worth
-    // of abandoned copies would stay behind as free heap).
     term::TermReader reader(symbols);
-    term::TermArena::Mark terms;
-    for (std::size_t i = begin; i < end; ++i) {
-        const term::TermArena::Mark m =
-            reader.parseClause(file.sourceText(i)).arena().mark();
-        terms.nodes += m.nodes;
-        terms.args += m.args;
+    std::vector<term::Clause> parsed;
+    parsed.reserve(file.clauseCount());
+    term::ClauseTable::Size size;
+    for (std::size_t i = 0; i < file.clauseCount(); ++i) {
+        parsed.push_back(reader.parseClause(file.sourceText(i)));
+        size.add(parsed.back().view());
     }
-    out.reserve(end - begin, terms);
-    for (std::size_t i = begin; i < end; ++i)
-        out.add(reader.parseClause(file.sourceText(i)));
-    out.shrinkToFit();
+    auto table = std::make_shared<term::ClauseTable>();
+    table->reserve(size);
+    for (const term::Clause &clause : parsed)
+        table->add(clause);
+    return table;
+}
+
+std::shared_ptr<StoredPredicate>
+PredicateBuilder::build(std::span<const term::ClauseView> clauses)
+{
+    // Size the decoded table first.  A clause whose text would not
+    // read back as itself is decoded from that text, as a load would
+    // decode its record; these are kept by position.
+    std::vector<std::pair<std::size_t, term::Clause>> reparsed;
+    term::ClauseTable::Size size;
+    for (std::size_t i = 0; i < clauses.size(); ++i) {
+        if (writer_.readsBack(clauses[i])) {
+            size.add(clauses[i]);
+            continue;
+        }
+        reparsed.emplace_back(i, term::TermReader(symbols_).parseClause(
+                                     writer_.writeClause(clauses[i])));
+        size.add(reparsed.back().second.view());
+    }
+    auto decoded = std::make_shared<term::ClauseTable>();
+    decoded->reserve(size);
+
+    storage::ClauseFileBuilder file(writer_);
+    const std::size_t entry_bytes = generator_.signatureBytes() + 8;
+    std::vector<std::uint8_t> index;
+    index.reserve(entry_bytes * clauses.size());
+    auto sliced =
+        std::make_shared<scw::BitSlicedIndex>(generator_, clauses.size());
+    std::size_t rules = 0;
+    std::size_t next_reparsed = 0;
+    for (std::size_t i = 0; i < clauses.size(); ++i) {
+        const term::ClauseView &clause = clauses[i];
+        const storage::ClauseRecord rec = file.add(clause);
+        generator_.encodeInto(*clause.arena, clause.head, signature_);
+        scw::SecondaryFile::appendEntry(generator_, signature_, rec, index);
+        sliced->setEntry(i, signature_, rec.offset, rec.ordinal);
+        if (next_reparsed < reparsed.size() &&
+            reparsed[next_reparsed].first == i)
+            decoded->add(reparsed[next_reparsed++].second);
+        else
+            decoded->addAsRead(clause);
+        rules += clause.isFact() ? 0 : 1;
+    }
+
+    auto out = std::make_shared<StoredPredicate>();
+    out->clauses = file.finish();
+    out->setRules(rules);
+    out->index = scw::SecondaryFile::fromImage(std::move(index),
+                                               clauses.size(), entry_bytes);
+    out->indexPageCrcs = support::pageChecksums(
+        out->index.image().data(), out->index.image().size());
+    out->sliced = std::move(sliced);
+    out->decoded = std::move(decoded);
+    return out;
 }
 
 PredicateStore::PredicateStore(term::SymbolTable &symbols,
@@ -124,36 +184,13 @@ void
 PredicateStore::addProgram(const term::Program &program)
 {
     clare_assert(!finalized_, "store already finalized");
+    PredicateBuilder builder(symbols_, generator_, writer_);
+    std::vector<term::ClauseView> clauses;
     for (const term::PredicateId &pred : program.predicates()) {
-        storage::ClauseFileBuilder builder(writer_);
-        std::size_t rules = 0;
-        const auto &ordinals = program.clausesOf(pred);
-        for (std::size_t i : ordinals) {
-            const term::Clause &clause = program.clause(i);
-            builder.add(clause);
-            if (!clause.isFact())
-                ++rules;
-        }
-
-        auto stored = std::make_shared<StoredPredicate>();
-        stored->clauses = builder.finish();
-        // Each signature is encoded as its index entry is written, so
-        // setup never holds a predicate's worth of them.
-        scw::Signature signature;
-        stored->index = scw::SecondaryFile::build(
-            generator_, stored->clauses,
-            [&](std::size_t k) -> const scw::Signature & {
-                const term::Clause &clause = program.clause(ordinals[k]);
-                signature = generator_.encode(clause.arena(),
-                                              clause.head());
-                return signature;
-            });
-        stored->rules = rules;
-        stored->ruleFraction = ordinals.empty()
-            ? 0.0
-            : static_cast<double>(rules) /
-              static_cast<double>(ordinals.size());
-        openChain(pred, std::move(stored));
+        clauses.clear();
+        for (std::size_t i : program.clausesOf(pred))
+            clauses.push_back(program.clause(i).view());
+        openChain(pred, builder.build(clauses));
     }
 }
 
@@ -169,14 +206,16 @@ PredicateStore::addStored(const term::PredicateId &pred,
     std::size_t rules = 0;
     for (std::size_t i = 0; i < clauses.clauseCount(); ++i)
         rules += clauses.record(i).isFact() ? 0 : 1;
-    stored->rules = rules;
-    stored->ruleFraction = clauses.clauseCount() == 0
-        ? 0.0
-        : static_cast<double>(rules) /
-          static_cast<double>(clauses.clauseCount());
+    stored->decoded = decodeClauses(clauses, symbols_);
     stored->clauses = std::move(clauses);
+    stored->setRules(rules);
     stored->index = std::move(index);
-    stored->sliced = std::move(sliced);
+    stored->indexPageCrcs = support::pageChecksums(
+        stored->index.image().data(), stored->index.image().size());
+    stored->sliced = sliced != nullptr
+        ? std::move(sliced)
+        : std::make_shared<scw::BitSlicedIndex>(
+              scw::BitSlicedIndex::build(generator_, stored->index));
     openChain(pred, std::move(stored));
 }
 
@@ -206,15 +245,6 @@ PredicateStore::finalize()
         data_extent += stored.clauses.image().size();
         stored.indexFileOffset = index_extent;
         index_extent += stored.index.image().size();
-        stored.indexPageCrcs = support::pageChecksums(
-            stored.index.image().data(), stored.index.image().size());
-        if (stored.sliced == nullptr)
-            stored.sliced = std::make_shared<scw::BitSlicedIndex>(
-                scw::BitSlicedIndex::build(generator_, stored.index));
-        auto decoded = std::make_shared<term::ClauseTable>();
-        decodeClauses(stored.clauses, 0, stored.clauses.clauseCount(),
-                      symbols_, *decoded);
-        stored.decoded = std::move(decoded);
         retainedBytes_ += bytesBeyond(stored, nullptr);
     }
     liveVersions_ = order_.size();

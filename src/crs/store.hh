@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -76,19 +77,22 @@ struct StoredPredicate
     /** Clauses that are rules; an assertz commit carries it forward. */
     std::size_t rules = 0;
 
+    /** Set `rules` and the `ruleFraction` it makes of `clauses`. */
+    void setRules(std::size_t rule_count);
+
     /**
      * CRC-32 of each 4 KB page of the secondary file image, computed
-     * at finalize().  The CRS verifies delivered index pages against
-     * these so a corrupted index degrades the query to a full scan
-     * instead of matching garbage codewords.
+     * as the version is built.  The CRS verifies delivered index pages
+     * against these so a corrupted index degrades the query to a full
+     * scan instead of matching garbage codewords.
      */
     std::vector<std::uint32_t> indexPageCrcs;
 
     /**
      * Transposed (bit-sliced) plane of the secondary file, scanned by
      * the word-parallel FS1 kernel.  Loaded from a v3 store or built
-     * by PredicateStore::finalize(), so every published version has
-     * one.  Shared so concurrent readers can hold it without copying.
+     * with the version, so every published version has one.  Shared
+     * so concurrent readers can hold it without copying.
      */
     std::shared_ptr<const scw::BitSlicedIndex> sliced;
 
@@ -123,9 +127,10 @@ struct StoredPredicate
     /**
      * Decoded clauses (heads and bodies) in one shared arena, for host
      * unification and the knowledge base: the first decoded->size()
-     * clauses, each parsed once from its source text.  Like `sliced`
-     * it is built at finalize() and shared untouched by the versions
-     * of later assertz commits.
+     * clauses, each equal to its source text parsed (a build imports
+     * them, a load parses each record once).  Like `sliced` it is
+     * built with the version and shared untouched by the versions of
+     * later assertz commits.
      */
     std::shared_ptr<const term::ClauseTable> decoded;
 
@@ -140,14 +145,47 @@ struct StoredPredicate
 };
 
 /**
- * Decode clauses [begin, end) of @p file onto the end of @p out by
- * parsing their source text — exactly the text-parse oracle, run once
- * per clause when a version is built instead of once per candidate at
- * serve time.
+ * The decoded table of every clause of @p file, each parsed once from
+ * its source text: the load path's decode, and the text-parse oracle
+ * the tests hold a build against.  The table is sized exactly before
+ * it is filled.
  */
-void decodeClauses(const storage::ClauseFile &file, std::size_t begin,
-                   std::size_t end, term::SymbolTable &symbols,
-                   term::ClauseTable &out);
+std::shared_ptr<const term::ClauseTable>
+decodeClauses(const storage::ClauseFile &file, term::SymbolTable &symbols);
+
+/**
+ * The one build of a predicate version from clauses, shared by a
+ * compile (PredicateStore::addProgram) and a minor compaction
+ * (LiveStore's asserta/retract commits).  Each clause takes one pass:
+ * its record is appended, its head signature encoded once into a
+ * reused scratch, its index entry written, its plane bits set from
+ * that signature, and it is imported into a decoded table sized
+ * exactly up front.  Nothing is parsed, except the text of a clause
+ * that would not read back as itself (TermWriter::readsBack), once.
+ */
+class PredicateBuilder
+{
+  public:
+    PredicateBuilder(term::SymbolTable &symbols,
+                     const scw::CodewordGenerator &generator,
+                     const term::TermWriter &writer)
+        : symbols_(symbols), generator_(generator), writer_(writer)
+    {}
+
+    /**
+     * A version holding @p clauses in order: clause and index images,
+     * index page CRCs, a full plane (no delta), the decoded table and
+     * the rule count.  Placement and generation are the caller's.
+     */
+    std::shared_ptr<StoredPredicate>
+    build(std::span<const term::ClauseView> clauses);
+
+  private:
+    term::SymbolTable &symbols_;
+    const scw::CodewordGenerator &generator_;
+    const term::TermWriter &writer_;
+    scw::Signature signature_;
+};
 
 /**
  * Receiver of cache-invalidation notices.  The retrieval server
@@ -174,7 +212,7 @@ class PredicateStore
 {
   public:
     /**
-     * @param symbols shared symbol table (non-const: finalize() parses
+     * @param symbols shared symbol table (non-const: addStored() parses
      *        stored clause text to build the decoded tables)
      */
     PredicateStore(term::SymbolTable &symbols,
@@ -187,9 +225,11 @@ class PredicateStore
 
     /**
      * Insert an already-compiled predicate (the store-loading path);
-     * the rule fraction is re-derived from the record flags.
+     * the rule fraction is re-derived from the record flags, the
+     * index page CRCs are computed and the decoded table is parsed
+     * from the records (decodeClauses).
      * @param sliced pre-built bit-sliced plane (e.g. deserialized from
-     *        a v3 store), or null to have finalize() transpose one
+     *        a v3 store), or null to transpose one from the index image
      */
     void addStored(const term::PredicateId &pred,
                    storage::ClauseFile clauses,
@@ -199,11 +239,9 @@ class PredicateStore
 
     /**
      * Finish layout: place the predicates' images back to back on
-     * the disks (which record only the extents — the images live in
-     * the versions), and build the host-side metadata every version
-     * carries — the
-     * bit-sliced plane (unless one was loaded) and the decoded clause
-     * table.  Neither changes the on-disk images.
+     * the disks, which record only the extents (the images, planes
+     * and decoded tables live in the versions, built as each
+     * predicate was added).
      */
     void finalize();
 
@@ -282,7 +320,7 @@ class PredicateStore
      * MVCC version chains, oldest first, each entry (generation,
      * version).  addProgram()/addStored() open a predicate's chain at
      * generation 0; commits append.  Versions are mutable only while
-     * finalize() completes the generation-0 ones; readers get them as
+     * finalize() places the generation-0 ones; readers get them as
      * const.  After finalize() the chains and order_ are guarded by
      * mvccMutex_ (unique_ptr so the store stays movable before
      * serving starts).

@@ -1,5 +1,9 @@
 #include "kb/resolution.hh"
 
+#include <pthread.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -30,13 +34,39 @@ struct GoalEntry
     std::shared_ptr<bool> barrier;
 };
 
+/**
+ * The lowest frame address the search may reach on the calling thread:
+ * the stack's low end plus headroom for the deepest stretch between
+ * two goals (a retrieval through the CRS, a solution callback), at
+ * most a quarter of the stack.  0 when the bounds are unknown.
+ */
+std::uintptr_t
+stackFloor()
+{
+    static constexpr std::size_t kHeadroom = 512 * 1024;
+    thread_local const std::uintptr_t floor = [] {
+        pthread_attr_t attr;
+        if (pthread_getattr_np(pthread_self(), &attr) != 0)
+            return std::uintptr_t{0};
+        void *low = nullptr;
+        std::size_t size = 0;
+        const bool known = pthread_attr_getstack(&attr, &low, &size) == 0;
+        pthread_attr_destroy(&attr);
+        return known ? reinterpret_cast<std::uintptr_t>(low) +
+                std::min(kHeadroom, size / 4)
+                     : std::uintptr_t{0};
+    }();
+    return floor;
+}
+
 /** The depth-first SLD search over one runtime arena. */
 class SearchState
 {
   public:
     SearchState(KnowledgeBase &kb, const SolveOptions &options,
                 SolveStats &stats)
-        : kb_(kb), options_(options), stats_(stats)
+        : kb_(kb), options_(options), stats_(stats),
+          stackFloor_(stackFloor())
     {}
 
     TermArena &arena() { return arena_; }
@@ -53,6 +83,13 @@ class SearchState
     {
         if (idx == goals.size())
             return on_solution();
+        // The stack grows down.  Stopping here, before the goal's
+        // frames, leaves the headroom for the deepest of them.
+        if (reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)) <
+            stackFloor_) {
+            stats_.stackExhausted = true;
+            return true;
+        }
 
         const GoalEntry &entry = goals[idx];
         TermRef goal = bindings_.deref(arena_, entry.term);
@@ -74,6 +111,7 @@ class SearchState
     KnowledgeBase &kb_;
     const SolveOptions &options_;
     SolveStats &stats_;
+    const std::uintptr_t stackFloor_;
     TermArena arena_;
     unify::Bindings bindings_;
 

@@ -18,9 +18,11 @@
  *
  * Implementation note: the search is continuation-passing — each
  * resolved goal nests a C++ frame — so native stack depth grows with
- * the *proof size*, not just its depth.  Exponential proofs in the
- * hundreds of thousands of inferences need either a larger thread
- * stack or the maxSteps budget.
+ * the *proof size*, not just its depth.  Before each goal the search
+ * compares its frame address with the thread's stack bounds; a proof
+ * that comes within a fixed headroom of the end stops, as the step
+ * budget stops it, with SolveStats::stackExhausted set instead of
+ * overflowing the stack.
  */
 
 #ifndef CLARE_KB_RESOLUTION_HH
@@ -62,6 +64,11 @@ struct SolveStats
     std::uint64_t retrievalFalseDrops = 0;
     Tick retrievalTime = 0;             ///< modeled retrieval latency
     bool budgetExhausted = false;
+    /**
+     * The search stopped because the proof came near the end of the
+     * thread's native stack (see the implementation note above).
+     */
+    bool stackExhausted = false;
 };
 
 /** The resolution engine. */

@@ -157,23 +157,33 @@ Encoder::encodeArgs(const TermArena &arena, TermRef head_or_goal,
                     Side side) const
 {
     EncodedArgs result;
-    VarMap vars;
+    encodeArgsInto(arena, head_or_goal, side, result);
+    return result;
+}
+
+void
+Encoder::encodeArgsInto(const TermArena &arena, TermRef head_or_goal,
+                        Side side, EncodedArgs &out) const
+{
+    out.items.clear();
+    out.argIndex.clear();
+    out.varSlots = 0;
     TermKind k = arena.kind(head_or_goal);
     if (k == TermKind::Atom) {
         // Arity-0 predicate: empty argument stream.
-        return result;
+        return;
     }
     if (k != TermKind::Struct)
         clare_fatal("can only encode the arguments of an atom or "
                     "structure, got %s", term::termKindName(k));
+    VarMap vars;
     std::uint32_t arity = arena.arity(head_or_goal);
     for (std::uint32_t i = 0; i < arity; ++i) {
-        result.argIndex.push_back(result.items.size());
+        out.argIndex.push_back(out.items.size());
         encodeOne(arena, arena.arg(head_or_goal, i), side, 0, vars,
-                  result.items);
+                  out.items);
     }
-    result.varSlots = vars.nextSlot;
-    return result;
+    out.varSlots = vars.nextSlot;
 }
 
 EncodedArgs

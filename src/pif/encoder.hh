@@ -69,6 +69,14 @@ class Encoder
     EncodedArgs encodeArgs(const term::TermArena &arena,
                            term::TermRef head_or_goal, Side side) const;
 
+    /**
+     * encodeArgs() into @p out, reusing its vectors: a loop encoding
+     * into one scratch stream stops allocating once it is warm.
+     */
+    void encodeArgsInto(const term::TermArena &arena,
+                        term::TermRef head_or_goal, Side side,
+                        EncodedArgs &out) const;
+
     /** Encode one standalone term as a single argument. */
     EncodedArgs encodeTerm(const term::TermArena &arena,
                            term::TermRef t, Side side) const;

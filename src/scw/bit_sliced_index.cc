@@ -1,6 +1,7 @@
 #include "scw/bit_sliced_index.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/crc32.hh"
 #include "support/errors.hh"
@@ -73,57 +74,80 @@ BitSlicedIndex::build(const CodewordGenerator &generator,
     return BitSlicedIndex().extended(generator, index, 0);
 }
 
+BitSlicedIndex::BitSlicedIndex(const CodewordGenerator &generator,
+                               std::size_t entries)
+    : fields_(generator.config().encodedArgs),
+      fieldBits_(generator.config().fieldBits), count_(entries),
+      words_((entries + 63) / 64),
+      bits_((static_cast<std::size_t>(fields_) * fieldBits_ + fields_) *
+                words_,
+            0),
+      clauseOffsets_(entries), ordinals_(entries)
+{
+}
+
+void
+BitSlicedIndex::setEntry(std::size_t i, const Signature &signature,
+                         std::uint32_t clause_offset, std::uint32_t ordinal)
+{
+    clauseOffsets_[i] = clause_offset;
+    ordinals_[i] = ordinal;
+    const std::uint64_t entry_bit = std::uint64_t{1} << (i % 64);
+    std::uint64_t *column = bits_.data() + i / 64;
+    for (std::uint32_t f = 0; f < fields_; ++f) {
+        // Visit only the set bits of the field's code, a word at a
+        // time; bits a decoded image holds past fieldBits are ignored.
+        const BitVec &code = signature.fields[f];
+        std::uint64_t *rows = column +
+            static_cast<std::size_t>(f) * fieldBits_ * words_;
+        for (std::size_t w = 0; w * 64 < fieldBits_; ++w) {
+            std::uint64_t set = code.word(w);
+            const std::size_t valid = fieldBits_ - w * 64;
+            if (valid < 64)
+                set &= (std::uint64_t{1} << valid) - 1;
+            for (; set != 0; set &= set - 1) {
+                const std::size_t b = w * 64 +
+                    static_cast<std::size_t>(std::countr_zero(set));
+                rows[b * words_] |= entry_bit;
+            }
+        }
+        if (signature.masked(f))
+            column[(static_cast<std::size_t>(fields_) * fieldBits_ + f) *
+                   words_] |= entry_bit;
+    }
+}
+
 BitSlicedIndex
 BitSlicedIndex::extended(const CodewordGenerator &generator,
                          const SecondaryFile &index,
                          std::size_t first) const
 {
-    BitSlicedIndex plane;
-    plane.fields_ = generator.config().encodedArgs;
-    plane.fieldBits_ = generator.config().fieldBits;
+    clare_assert(first + count_ <= index.entryCount(),
+                 "plane of %zu entries from %zu overruns an index of %zu",
+                 count_, first, index.entryCount());
+    BitSlicedIndex plane(generator, index.entryCount() - first);
     clare_assert(count_ == 0 || (fields_ == plane.fields_ &&
                                  fieldBits_ == plane.fieldBits_),
                  "extending a %ux%u plane with %ux%u signatures",
                  fields_, fieldBits_, plane.fields_, plane.fieldBits_);
-    clare_assert(first + count_ <= index.entryCount(),
-                 "plane of %zu entries from %zu overruns an index of %zu",
-                 count_, first, index.entryCount());
-    plane.count_ = index.entryCount() - first;
-    plane.words_ = (plane.count_ + 63) / 64;
-    const std::size_t rows =
-        static_cast<std::size_t>(plane.fields_) * plane.fieldBits_ +
-        plane.fields_;
-    plane.bits_.assign(rows * plane.words_, 0);
-    if (count_ > 0)
+    if (count_ > 0) {
+        const std::size_t rows =
+            static_cast<std::size_t>(plane.fields_) * plane.fieldBits_ +
+            plane.fields_;
         for (std::size_t r = 0; r < rows; ++r)
             std::copy_n(bits_.data() + r * words_, words_,
                         plane.bits_.data() + r * plane.words_);
-    plane.clauseOffsets_.reserve(plane.count_);
-    plane.clauseOffsets_.assign(clauseOffsets_.begin(),
-                                clauseOffsets_.end());
-    plane.ordinals_.reserve(plane.count_);
-    plane.ordinals_.assign(ordinals_.begin(), ordinals_.end());
+        std::copy(clauseOffsets_.begin(), clauseOffsets_.end(),
+                  plane.clauseOffsets_.begin());
+        std::copy(ordinals_.begin(), ordinals_.end(),
+                  plane.ordinals_.begin());
+    }
 
     IndexEntry scratch;
-    std::uint64_t *base = plane.bits_.data();
     for (std::size_t i = count_; i < plane.count_; ++i) {
         index.entryInto(generator, first + i, scratch);
-        plane.clauseOffsets_.push_back(scratch.clauseOffset);
-        plane.ordinals_.push_back(scratch.ordinal);
-        const std::uint64_t entry_bit = std::uint64_t{1} << (i % 64);
-        const std::size_t entry_word = i / 64;
-        for (std::uint32_t f = 0; f < plane.fields_; ++f) {
-            const BitVec &code = scratch.signature.fields[f];
-            for (std::uint32_t b = 0; b < plane.fieldBits_; ++b) {
-                if (code.test(b))
-                    base[(static_cast<std::size_t>(f) * plane.fieldBits_
-                          + b) * plane.words_ + entry_word] |= entry_bit;
-            }
-            if (scratch.signature.masked(f))
-                base[(static_cast<std::size_t>(plane.fields_) *
-                          plane.fieldBits_ + f) * plane.words_ +
-                     entry_word] |= entry_bit;
-        }
+        plane.setEntry(i, scratch.signature, scratch.clauseOffset,
+                       scratch.ordinal);
     }
     return plane;
 }

@@ -39,6 +39,23 @@ class BitSlicedIndex
   public:
     BitSlicedIndex() = default;
 
+    /**
+     * An all-zero plane of @p entries entries in @p generator's
+     * dimensions, filled by setEntry().
+     */
+    BitSlicedIndex(const CodewordGenerator &generator,
+                   std::size_t entries);
+
+    /**
+     * Transpose @p signature into entry @p i's bits (which must still
+     * be zero) and record the entry's clause address.  The one
+     * transposition routine: a build from clauses calls it as each
+     * signature is encoded, extended() for entries decoded from an
+     * image.
+     */
+    void setEntry(std::size_t i, const Signature &signature,
+                  std::uint32_t clause_offset, std::uint32_t ordinal);
+
     /** Transpose a secondary file (one-time cost per predicate). */
     static BitSlicedIndex build(const CodewordGenerator &generator,
                                 const SecondaryFile &index);

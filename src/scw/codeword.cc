@@ -130,14 +130,23 @@ CodewordGenerator::encode(const TermArena &arena,
                           TermRef head_or_goal) const
 {
     Signature sig;
+    encodeInto(arena, head_or_goal, sig);
+    return sig;
+}
+
+void
+CodewordGenerator::encodeInto(const TermArena &arena,
+                              TermRef head_or_goal, Signature &sig) const
+{
     std::uint32_t arity = 0;
     if (arena.kind(head_or_goal) == TermKind::Struct)
         arity = arena.arity(head_or_goal);
     std::uint32_t n = std::min(arity, config_.encodedArgs);
 
-    sig.fields.reserve(config_.encodedArgs);
-    for (std::uint32_t f = 0; f < config_.encodedArgs; ++f)
-        sig.fields.emplace_back(config_.fieldBits);
+    sig.fields.resize(config_.encodedArgs);
+    for (BitVec &field : sig.fields)
+        field.zero(config_.fieldBits);
+    sig.maskBits = 0;
 
     for (std::uint32_t f = 0; f < n; ++f) {
         TermRef arg = arena.arg(head_or_goal, f);
@@ -157,7 +166,6 @@ CodewordGenerator::encode(const TermArena &arena,
     // (truncation): their fields stay empty and unmasked, which makes
     // them unconstraining on the query side and unconstrained on the
     // clause side.
-    return sig;
 }
 
 bool

@@ -92,6 +92,13 @@ class CodewordGenerator
     Signature encode(const term::TermArena &arena,
                      term::TermRef head_or_goal) const;
 
+    /**
+     * encode() into @p sig, reusing its field vectors: a loop encoding
+     * into one scratch signature allocates nothing once it is warm.
+     */
+    void encodeInto(const term::TermArena &arena,
+                    term::TermRef head_or_goal, Signature &sig) const;
+
     /** SCW+MB match rule: could the clause satisfy the query? */
     bool matches(const Signature &query, const Signature &clause) const;
 

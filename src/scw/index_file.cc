@@ -14,34 +14,25 @@ SecondaryFile::build(const CodewordGenerator &generator,
     clare_assert(signatures.size() == clauses.clauseCount(),
                  "signature count %zu != clause count %zu",
                  signatures.size(), clauses.clauseCount());
-    return build(generator, clauses,
-                 [&signatures](std::size_t i) -> const Signature & {
-                     return signatures[i];
-                 });
+    const std::size_t entry_bytes = generator.signatureBytes() + 8;
+    std::vector<std::uint8_t> image;
+    image.reserve(entry_bytes * signatures.size());
+    for (std::size_t i = 0; i < signatures.size(); ++i)
+        appendEntry(generator, signatures[i], clauses.record(i), image);
+    return fromImage(std::move(image), signatures.size(), entry_bytes);
 }
 
-SecondaryFile
-SecondaryFile::build(const CodewordGenerator &generator,
-                     const storage::ClauseFile &clauses,
-                     const std::function<const Signature &(std::size_t)> &
-                         signature_of)
+void
+SecondaryFile::appendEntry(const CodewordGenerator &generator,
+                           const Signature &signature,
+                           const storage::ClauseRecord &clause,
+                           std::vector<std::uint8_t> &out)
 {
-    SecondaryFile file;
-    file.entryBytes_ = generator.signatureBytes() + 8;
-    file.count_ = clauses.clauseCount();
-    std::vector<std::uint8_t> image;
-    image.reserve(file.entryBytes_ * file.count_);
-    for (std::size_t i = 0; i < file.count_; ++i) {
-        generator.serialize(signature_of(i), image);
-        std::uint32_t off = clauses.record(i).offset;
-        std::uint32_t ord = clauses.record(i).ordinal;
-        for (int b = 0; b < 4; ++b)
-            image.push_back(static_cast<std::uint8_t>(off >> (8 * b)));
-        for (int b = 0; b < 4; ++b)
-            image.push_back(static_cast<std::uint8_t>(ord >> (8 * b)));
-    }
-    file.image_ = support::SharedPrefix<std::uint8_t>(std::move(image));
-    return file;
+    generator.serialize(signature, out);
+    for (int b = 0; b < 4; ++b)
+        out.push_back(static_cast<std::uint8_t>(clause.offset >> (8 * b)));
+    for (int b = 0; b < 4; ++b)
+        out.push_back(static_cast<std::uint8_t>(clause.ordinal >> (8 * b)));
 }
 
 SecondaryFile

@@ -13,7 +13,6 @@
 #define CLARE_SCW_INDEX_FILE_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "scw/codeword.hh"
@@ -55,26 +54,21 @@ class SecondaryFile
     SecondaryFile() = default;
 
     /**
-     * Build the secondary file for a compiled clause file, parsing
-     * each record's source text is not needed: signatures are produced
-     * from the already-parsed clauses by the caller, so this overload
-     * takes them directly.
+     * Build the secondary file for a compiled clause file from the
+     * signatures of its clauses, in clause order.
      */
     static SecondaryFile build(const CodewordGenerator &generator,
                                const std::vector<Signature> &signatures,
                                const storage::ClauseFile &clauses);
 
     /**
-     * The same file, with the signature of clause i produced by
-     * @p signature_of(i) as its entry is written (the reference need
-     * only last until the next call): a caller encoding on demand
-     * holds one signature at a time instead of one per clause.
+     * Append one entry's wire form (signature, then the clause's
+     * address) to @p out.
      */
-    static SecondaryFile
-    build(const CodewordGenerator &generator,
-          const storage::ClauseFile &clauses,
-          const std::function<const Signature &(std::size_t)> &
-              signature_of);
+    static void appendEntry(const CodewordGenerator &generator,
+                            const Signature &signature,
+                            const storage::ClauseRecord &clause,
+                            std::vector<std::uint8_t> &out);
 
     /** Reconstruct from a persisted image (store loading path). */
     static SecondaryFile fromImage(std::vector<std::uint8_t> image,

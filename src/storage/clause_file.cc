@@ -206,8 +206,8 @@ ClauseFile::sourceText(std::size_t i) const
                        static_cast<std::ptrdiff_t>(at + source_bytes));
 }
 
-void
-ClauseFileBuilder::add(const term::Clause &clause)
+ClauseRecord
+ClauseFileBuilder::add(const term::ClauseView &clause)
 {
     term::PredicateId pred = clause.predicate();
     if (!havePredicate_) {
@@ -222,13 +222,13 @@ ClauseFileBuilder::add(const term::Clause &clause)
         clare_fatal("predicate arity %u exceeds the record limit",
                     pred.arity);
 
-    pif::EncodedArgs args = encoder_.encodeArgs(clause.arena(),
-                                                clause.head(),
-                                                pif::Side::Db);
-    std::vector<std::uint8_t> items;
-    for (const auto &item : args.items)
-        pif::serializeItem(item, items);
-    std::string source = writer_.writeClause(clause);
+    encoder_.encodeArgsInto(*clause.arena, clause.head, pif::Side::Db,
+                            args_);
+    if (args_.items.size() > 0xffff)
+        clare_fatal("clause head compiles to %zu PIF items (limit 65535)",
+                    args_.items.size());
+    source_.clear();
+    writer_.appendClause(clause, source_);
 
     ClauseRecord rec;
     rec.ordinal = firstOrdinal_ +
@@ -239,23 +239,29 @@ ClauseFileBuilder::add(const term::Clause &clause)
     rec.flags = static_cast<std::uint8_t>(
         (clause.isFact() ? 0x01 : 0x00) |
         (clause.isGroundFact() ? 0x02 : 0x00));
-    if (args.items.size() > 0xffff)
-        clare_fatal("clause head compiles to %zu PIF items (limit 65535)",
-                    args.items.size());
-    rec.itemCount = static_cast<std::uint16_t>(args.items.size());
-    rec.length = static_cast<std::uint32_t>(
-        kRecordHeaderBytes + items.size() + source.size());
+    rec.itemCount = static_cast<std::uint16_t>(args_.items.size());
 
+    // The items are serialized in place; their byte count, which the
+    // header carries ahead of them, is patched in after.
     putU32(image_, rec.ordinal);
     putU32(image_, rec.functor);
     image_.push_back(rec.arity);
     image_.push_back(rec.flags);
     putU16(image_, rec.itemCount);
-    putU32(image_, static_cast<std::uint32_t>(items.size()));
-    putU32(image_, static_cast<std::uint32_t>(source.size()));
-    image_.insert(image_.end(), items.begin(), items.end());
-    image_.insert(image_.end(), source.begin(), source.end());
+    const std::size_t item_bytes_at = image_.size();
+    putU32(image_, 0);
+    putU32(image_, static_cast<std::uint32_t>(source_.size()));
+    for (const pif::PifItem &item : args_.items)
+        pif::serializeItem(item, image_);
+    const auto item_bytes = static_cast<std::uint32_t>(
+        image_.size() - rec.offset - kRecordHeaderBytes);
+    for (int b = 0; b < 4; ++b)
+        image_[item_bytes_at + b] =
+            static_cast<std::uint8_t>(item_bytes >> (8 * b));
+    image_.insert(image_.end(), source_.begin(), source_.end());
+    rec.length = static_cast<std::uint32_t>(image_.size() - rec.offset);
     records_.push_back(rec);
+    return rec;
 }
 
 ClauseFile

@@ -143,8 +143,15 @@ class ClauseFileBuilder
         : writer_(writer), firstOrdinal_(first_ordinal)
     {}
 
-    /** Append a clause; all clauses must share one predicate. */
-    void add(const term::Clause &clause);
+    /**
+     * Append a clause; all clauses must share one predicate.
+     * @return its directory entry (offset relative to this file)
+     */
+    ClauseRecord add(const term::ClauseView &clause);
+    ClauseRecord add(const term::Clause &clause)
+    {
+        return add(clause.view());
+    }
 
     /** Number of clauses added so far. */
     std::size_t size() const { return records_.size(); }
@@ -155,6 +162,9 @@ class ClauseFileBuilder
   private:
     const term::TermWriter &writer_;
     pif::Encoder encoder_;
+    /** Per-clause scratch, reused from one clause to the next. */
+    pif::EncodedArgs args_;
+    std::string source_;
     term::PredicateId predicate_;
     std::vector<std::uint8_t> image_;
     std::vector<ClauseRecord> records_;

@@ -13,6 +13,16 @@ BitVec::BitVec(std::size_t width)
 }
 
 void
+BitVec::zero(std::size_t width)
+{
+    if (width_ != width) {
+        width_ = width;
+        words_.resize((width + 63) / 64);
+    }
+    std::fill(words_.begin(), words_.end(), 0);
+}
+
+void
 BitVec::checkBit(std::size_t bit) const
 {
     clare_assert(bit < width_, "bit %zu out of range (width %zu)",
@@ -135,11 +145,7 @@ void
 BitVec::deserializeInto(std::span<const std::uint8_t> in,
                         std::size_t &offset, std::size_t width)
 {
-    if (width_ != width) {
-        width_ = width;
-        words_.resize((width + 63) / 64);
-    }
-    std::fill(words_.begin(), words_.end(), 0);
+    zero(width);
     std::size_t bytes = serializedBytes(width);
     clare_assert(offset + bytes <= in.size(),
                  "bitvec deserialize overrun at offset %zu", offset);

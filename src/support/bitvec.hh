@@ -28,6 +28,12 @@ class BitVec
 
     std::size_t width() const { return width_; }
 
+    /**
+     * Make this an all-zero vector of @p width bits, reusing the
+     * backing words when the width already matches.
+     */
+    void zero(std::size_t width);
+
     void set(std::size_t bit);
     void clear(std::size_t bit);
     bool test(std::size_t bit) const;

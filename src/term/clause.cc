@@ -50,8 +50,10 @@ Clause::operator=(const Clause &other)
     return *this;
 }
 
+namespace {
+
 bool
-Clause::groundTerm(const TermArena &arena, TermRef t)
+groundTerm(const TermArena &arena, TermRef t)
 {
     switch (arena.kind(t)) {
       case TermKind::Atom:
@@ -74,52 +76,65 @@ Clause::groundTerm(const TermArena &arena, TermRef t)
     clare_panic("unreachable term kind");
 }
 
+} // namespace
+
 bool
-Clause::isGroundFact() const
+ClauseView::isGroundFact() const
 {
-    return isFact() && groundTerm(arena_, head_);
+    return isFact() && groundTerm(*arena, head);
 }
 
 PredicateId
-Clause::predicate() const
+ClauseView::predicate() const
 {
-    if (arena_.kind(head_) == TermKind::Atom)
-        return PredicateId{arena_.atomSymbol(head_), 0};
-    return PredicateId{arena_.functor(head_), arena_.arity(head_)};
+    if (arena->kind(head) == TermKind::Atom)
+        return PredicateId{arena->atomSymbol(head), 0};
+    return PredicateId{arena->functor(head), arena->arity(head)};
 }
 
 void
-ClauseTable::add(const Clause &clause)
+ClauseTable::Size::add(const ClauseView &clause)
 {
-    add(clause.arena(), clause.head(), clause.body());
+    ++clauses;
+    goals += clause.body.size();
+    clause.arena->measure(clause.head, terms);
+    for (TermRef g : clause.body)
+        clause.arena->measure(g, terms);
 }
 
 void
-ClauseTable::add(const TermArena &arena, TermRef head,
-                 std::span<const TermRef> body)
+ClauseTable::reserve(const Size &more)
+{
+    arena_.reserve(more.terms);
+    entries_.reserve(entries_.size() + more.clauses);
+    goals_.reserve(goals_.size() + more.goals);
+}
+
+void
+ClauseTable::add(const ClauseView &clause)
 {
     Entry e;
-    e.head = arena_.import(arena, head, 0);
+    e.head = arena_.import(*clause.arena, clause.head, 0);
     e.bodyBegin = static_cast<std::uint32_t>(goals_.size());
-    e.bodyCount = static_cast<std::uint32_t>(body.size());
-    for (TermRef g : body)
-        goals_.push_back(arena_.import(arena, g, 0));
+    e.bodyCount = static_cast<std::uint32_t>(clause.body.size());
+    for (TermRef g : clause.body)
+        goals_.push_back(arena_.import(*clause.arena, g, 0));
     entries_.push_back(e);
 }
 
 void
-ClauseTable::shrinkToFit()
+ClauseTable::addAsRead(const ClauseView &clause)
 {
-    arena_.shrinkToFit();
-    entries_.shrink_to_fit();
-    goals_.shrink_to_fit();
-}
-
-void
-ClauseTable::reserve(std::size_t clauses, const TermArena::Mark &terms)
-{
-    arena_.reserve(terms);
-    entries_.reserve(entries_.size() + clauses);
+    // The reader numbers variables in text order, and the writer
+    // renders the head, then the goals, each in import order.
+    std::vector<SymbolId> names;
+    Entry e;
+    e.head = arena_.importByName(*clause.arena, clause.head, names);
+    e.bodyBegin = static_cast<std::uint32_t>(goals_.size());
+    e.bodyCount = static_cast<std::uint32_t>(clause.body.size());
+    for (TermRef g : clause.body)
+        goals_.push_back(arena_.importByName(*clause.arena, g, names));
+    entries_.push_back(e);
 }
 
 ClauseView

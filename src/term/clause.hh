@@ -34,6 +34,25 @@ struct PredicateId
     auto operator<=>(const PredicateId &) const = default;
 };
 
+/**
+ * A read-only view of one clause whose terms live in a shared arena
+ * (a ClauseTable, or a Clause's own arena).
+ */
+struct ClauseView
+{
+    const TermArena *arena = nullptr;
+    TermRef head = kNoTerm;
+    std::span<const TermRef> body;
+
+    bool isFact() const { return body.empty(); }
+
+    /** A fact whose head holds no variable. */
+    bool isGroundFact() const;
+
+    /** The predicate of the head. */
+    PredicateId predicate() const;
+};
+
 /** A clause: a head and zero or more body goals, over one arena. */
 class Clause
 {
@@ -63,13 +82,15 @@ class Clause
      * head.  Ground facts are what a coupled system would push to its
      * extensional database.
      */
-    bool isGroundFact() const;
+    bool isGroundFact() const { return view().isGroundFact(); }
 
     /** Number of distinct variables in the clause. */
     VarId varCount() const { return arena_.varCeiling(); }
 
     /** The predicate this clause belongs to. */
-    PredicateId predicate() const;
+    PredicateId predicate() const { return view().predicate(); }
+
+    ClauseView view() const { return ClauseView{&arena_, head_, body()}; }
 
   private:
     TermArena arena_;
@@ -78,21 +99,6 @@ class Clause
     // most are facts, so the body costs one word plus a count.
     std::uint32_t bodySize_ = 0;
     std::unique_ptr<TermRef[]> body_;
-
-    static bool groundTerm(const TermArena &arena, TermRef t);
-};
-
-/**
- * A read-only view of one clause whose terms live in a shared arena
- * (a ClauseTable, or a Clause's own arena).
- */
-struct ClauseView
-{
-    const TermArena *arena = nullptr;
-    TermRef head = kNoTerm;
-    std::span<const TermRef> body;
-
-    bool isFact() const { return body.empty(); }
 };
 
 /**
@@ -100,28 +106,41 @@ struct ClauseView
  * Unlike a vector of Clause — one arena (and its first block) per
  * clause — the table holds every head and body in a single arena plus
  * two flat index vectors, so a large predicate costs a few bytes per
- * term node.  Variable ids are copied unchanged: each clause keeps its
- * own numbering from 0, and readers standardize apart on import
- * exactly as they would from the clause's own arena.
+ * term node.  Each clause keeps its own variable numbering from 0, and
+ * readers standardize apart on import exactly as they would from the
+ * clause's own arena.
  */
 class ClauseTable
 {
   public:
-    /** Append a copy of @p clause. */
-    void add(const Clause &clause);
+    /** What adding some clauses takes, counted for reserve(). */
+    struct Size
+    {
+        std::size_t clauses = 0;
+        std::size_t goals = 0;
+        TermArena::Mark terms;  ///< nodes and argument slots
+
+        /** Count @p clause in. */
+        void add(const ClauseView &clause);
+    };
 
     /**
-     * Release growth slack: the arena's vectors double as clauses are
-     * added, leaving relocated copies behind in the bump arena.  A
-     * finished table is copied once into exactly sized storage.
+     * Room for exactly @p more: a table filled to it holds no growth
+     * slack (one arena block, exactly sized index vectors).
      */
-    void shrinkToFit();
+    void reserve(const Size &more);
+
+    /** Append a copy of @p clause, variable ids unchanged. */
+    void add(const ClauseView &clause);
+    void add(const Clause &clause) { add(clause.view()); }
 
     /**
-     * Room for @p clauses more clauses whose terms total @p terms, so
-     * adding them does not regrow the table.
+     * Append @p clause as TermReader decodes the text TermWriter
+     * renders for it, without rendering or parsing it: variables are
+     * renumbered by name from 0, in order of first occurrence.  Only
+     * for a clause TermWriter::readsBack() accepts.
      */
-    void reserve(std::size_t clauses, const TermArena::Mark &terms);
+    void addAsRead(const ClauseView &clause);
 
     std::size_t size() const { return entries_.size(); }
 
@@ -142,9 +161,6 @@ class ClauseTable
         std::uint32_t bodyBegin;
         std::uint32_t bodyCount;
     };
-
-    void add(const TermArena &arena, TermRef head,
-             std::span<const TermRef> body);
 
     TermArena arena_;
     std::vector<Entry> entries_;

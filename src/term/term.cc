@@ -113,8 +113,25 @@ TermArena::mark() const
 void
 TermArena::reserve(const Mark &more)
 {
+    auto round8 = [](std::size_t n) { return (n + 7) & ~std::size_t{7}; };
+    mem_.reserve(round8(more.nodes * sizeof(Node)) +
+                 round8(more.args * sizeof(TermRef)));
     nodes_.reserve(mem_, nodes_.size() + more.nodes);
     args_.reserve(mem_, args_.size() + more.args);
+}
+
+void
+TermArena::measure(TermRef t, Mark &into) const
+{
+    const Node &n = node(t);
+    ++into.nodes;
+    if (n.kind() != TermKind::Struct && n.kind() != TermKind::List)
+        return;
+    into.args += n.argsCount();
+    for (std::uint32_t i = 0; i < n.argsCount(); ++i)
+        measure(args_[n.b + i], into);
+    if (n.kind() == TermKind::List && n.a != kNoTerm)
+        measure(n.a, into);
 }
 
 void
@@ -323,6 +340,48 @@ TermArena::import(const TermArena &src, TermRef t, VarId var_offset)
             return makeStruct(n.a, children);
         TermRef tail = n.a == kNoTerm
             ? kNoTerm : import(src, n.a, var_offset);
+        return makeList(children, tail);
+      }
+    }
+    clare_panic("unreachable term kind");
+}
+
+TermRef
+TermArena::importByName(const TermArena &src, TermRef t,
+                        std::vector<SymbolId> &names)
+{
+    const Node &n = src.node(t);
+    switch (n.kind()) {
+      case TermKind::Atom:
+      case TermKind::Int:
+      case TermKind::Float:
+        return import(src, t, 0);
+      case TermKind::Var: {
+        clare_assert(n.b != kNoSymbol,
+                     "renumbering an anonymous variable by name");
+        auto it = std::find(names.begin(), names.end(), n.b);
+        if (it == names.end())
+            it = names.insert(names.end(), n.b);
+        return makeVar(static_cast<VarId>(it - names.begin()), n.b);
+      }
+      case TermKind::Struct:
+      case TermKind::List: {
+        // As in import(): children first, their refs gathered aside.
+        constexpr std::uint32_t kInline = 8;
+        TermRef inline_refs[kInline];
+        std::vector<TermRef> spilled;
+        TermRef *refs = inline_refs;
+        if (n.argsCount() > kInline) {
+            spilled.resize(n.argsCount());
+            refs = spilled.data();
+        }
+        for (std::uint32_t i = 0; i < n.argsCount(); ++i)
+            refs[i] = importByName(src, src.args_[n.b + i], names);
+        std::span<const TermRef> children(refs, n.argsCount());
+        if (n.kind() == TermKind::Struct)
+            return makeStruct(n.a, children);
+        TermRef tail = n.a == kNoTerm
+            ? kNoTerm : importByName(src, n.a, names);
         return makeList(children, tail);
       }
     }

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "support/arena.hh"
 #include "term/symbol_table.hh"
@@ -103,9 +104,16 @@ class TermArena
 
     /**
      * Room for @p more nodes and argument slots past the current ones,
-     * sized exactly, so building them does not regrow the arena.
+     * sized exactly, so building them does not regrow the arena.  A
+     * fresh arena takes them in one block.
      */
     void reserve(const Mark &more);
+
+    /**
+     * Count the nodes and argument slots a copy of @p t takes (what
+     * import() adds) into @p into; its varCeiling is left alone.
+     */
+    void measure(TermRef t, Mark &into) const;
 
     /**
      * Drop every node made since @p m, keeping the memory for the
@@ -163,6 +171,17 @@ class TermArena
      * @return the handle of the copied root in this arena.
      */
     TermRef import(const TermArena &src, TermRef t, VarId var_offset);
+
+    /**
+     * import() with variables renumbered by name instead of offset: a
+     * variable takes its name's position in @p names, where the name
+     * is appended at its first occurrence in import order (arguments
+     * left to right, a list's tail after its elements).  That is the
+     * numbering TermReader gives the text TermWriter renders.  Every
+     * variable of @p t must be named.
+     */
+    TermRef importByName(const TermArena &src, TermRef t,
+                         std::vector<SymbolId> &names);
 
     /** Deep structural equality between terms of two arenas. */
     static bool equal(const TermArena &a, TermRef ta,

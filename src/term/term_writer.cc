@@ -1,7 +1,12 @@
 #include "term/term_writer.hh"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <string_view>
 
 #include "support/logging.hh"
 #include "term/clause.hh"
@@ -10,6 +15,9 @@
 namespace clare::term {
 
 namespace {
+
+/** Characters that make up symbolic atoms. */
+constexpr std::string_view kSymbolChars = "+-*/\\^<>=~:.?@#&";
 
 bool
 isUnquotedAtom(const std::string &name)
@@ -26,9 +34,8 @@ isUnquotedAtom(const std::string &name)
         return true;
     }
     // Symbolic atoms made purely of symbol chars.
-    const std::string symbolChars = "+-*/\\^<>=~:.?@#&";
     for (char c : name) {
-        if (symbolChars.find(c) == std::string::npos)
+        if (kSymbolChars.find(c) == std::string_view::npos)
             return false;
     }
     return true;
@@ -69,10 +76,10 @@ TermWriter::writeTerm(const TermArena &arena, TermRef t,
         writeAtomText(symbols_.name(arena.atomSymbol(t)), out);
         return;
       case TermKind::Int: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(arena.intValue(t)));
-        out += buf;
+        char buf[24];
+        const auto end =
+            std::to_chars(buf, buf + sizeof(buf), arena.intValue(t)).ptr;
+        out.append(buf, end);
         return;
       }
       case TermKind::Float: {
@@ -193,8 +200,7 @@ TermWriter::writeOperand(const TermArena &arena, TermRef t,
         // alphanumeric ("is-1" would lex -1 as a literal), so they
         // are parenthesized too.
         symbolic_atom = (!name.empty() &&
-            std::string("+-*/\\^<>=~:.?@#&").find(name[0]) !=
-                std::string::npos) ||
+            kSymbolChars.find(name[0]) != std::string_view::npos) ||
             infixOperator(name) != nullptr;
     }
     // The literal/atom lexing hazards only exist next to an infix
@@ -211,24 +217,100 @@ TermWriter::writeOperand(const TermArena &arena, TermRef t,
 std::string
 TermWriter::writeClause(const Clause &clause) const
 {
-    std::string out = write(clause.arena(), clause.head());
+    return writeClause(clause.view());
+}
+
+std::string
+TermWriter::writeClause(const ClauseView &clause) const
+{
+    std::string out;
+    appendClause(clause, out);
+    return out;
+}
+
+void
+TermWriter::appendClause(const ClauseView &clause, std::string &out) const
+{
+    writeTerm(*clause.arena, clause.head, out);
     if (!clause.isFact()) {
         out += " :- ";
-        for (std::size_t i = 0; i < clause.body().size(); ++i) {
+        for (std::size_t i = 0; i < clause.body.size(); ++i) {
             if (i)
                 out += ", ";
-            out += write(clause.arena(), clause.body()[i]);
+            writeTerm(*clause.arena, clause.body[i], out);
         }
     }
     // A trailing symbolic character would merge with the clause dot
     // ("+." lexes as one symbolic atom); separate them.
-    if (!out.empty() &&
-        std::string("+-*/\\^<>=~:?@#&").find(out.back()) !=
-            std::string::npos) {
+    if (!out.empty() && out.back() != '.' &&
+        kSymbolChars.find(out.back()) != std::string_view::npos) {
         out += ' ';
     }
     out += '.';
-    return out;
+}
+
+bool
+TermWriter::readsBack(const ClauseView &clause) const
+{
+    // The reader takes the head below the neck's precedence and splits
+    // the body at every top-level ',', so a goal binding looser than
+    // an argument would regroup with its neighbours.
+    if (termPrecedence(*clause.arena, clause.head) >= 1200 ||
+        !termReadsBack(*clause.arena, clause.head))
+        return false;
+    for (TermRef g : clause.body)
+        if (termPrecedence(*clause.arena, g) > 999 ||
+            !termReadsBack(*clause.arena, g))
+            return false;
+    return true;
+}
+
+bool
+TermWriter::termReadsBack(const TermArena &arena, TermRef t) const
+{
+    switch (arena.kind(t)) {
+      case TermKind::Atom:
+        return true;
+      case TermKind::Int:
+        // Its digits overflow the reader before the sign applies.
+        return arena.intValue(t) != INT64_MIN;
+      case TermKind::Float: {
+        const double v = symbols_.floatValue(arena.floatId(t));
+        if (!std::isfinite(v))
+            return false;
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), "%g", v);
+        return std::strtod(buf, nullptr) == v;
+      }
+      case TermKind::Var: {
+        if (arena.isAnonymous(t))
+            return false;
+        // A variable token: uppercase or '_' first, '_' alone being
+        // the anonymous variable.
+        const std::string &name = symbols_.name(arena.varName(t));
+        if (name.empty() || name == "_" ||
+            !(std::isupper(static_cast<unsigned char>(name[0])) ||
+              name[0] == '_'))
+            return false;
+        for (char c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_')
+                return false;
+        return true;
+      }
+      case TermKind::Struct:
+        for (std::uint32_t i = 0; i < arena.arity(t); ++i)
+            if (!termReadsBack(arena, arena.arg(t, i)))
+                return false;
+        return true;
+      case TermKind::List:
+        for (std::uint32_t i = 0; i < arena.arity(t); ++i)
+            if (!termReadsBack(arena, arena.arg(t, i)))
+                return false;
+        return arena.isTerminatedList(t) ||
+            (arena.kind(arena.listTail(t)) == TermKind::Var &&
+             termReadsBack(arena, arena.listTail(t)));
+    }
+    clare_panic("unreachable term kind");
 }
 
 } // namespace clare::term

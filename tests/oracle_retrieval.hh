@@ -152,6 +152,77 @@ expectSame(const crs::RetrievalResponse &want,
     EXPECT_EQ(got.elapsed, got.breakdown.serviceTime()) << label;
 }
 
+/**
+ * Node-for-node equality of two terms: kinds, values, variable ids
+ * and variable names all equal.
+ */
+inline bool
+sameTerm(const term::TermArena &a, term::TermRef ta,
+         const term::TermArena &b, term::TermRef tb)
+{
+    using term::TermKind;
+    if (a.kind(ta) != b.kind(tb))
+        return false;
+    switch (a.kind(ta)) {
+      case TermKind::Atom:
+        return a.atomSymbol(ta) == b.atomSymbol(tb);
+      case TermKind::Int:
+        return a.intValue(ta) == b.intValue(tb);
+      case TermKind::Float:
+        return a.floatId(ta) == b.floatId(tb);
+      case TermKind::Var:
+        return a.varId(ta) == b.varId(tb) &&
+            a.varName(ta) == b.varName(tb);
+      case TermKind::Struct:
+      case TermKind::List:
+        if (a.arity(ta) != b.arity(tb))
+            return false;
+        if (a.kind(ta) == TermKind::Struct
+                ? a.functor(ta) != b.functor(tb)
+                : (a.listTail(ta) == term::kNoTerm) !=
+                      (b.listTail(tb) == term::kNoTerm))
+            return false;
+        for (std::uint32_t i = 0; i < a.arity(ta); ++i)
+            if (!sameTerm(a, a.arg(ta, i), b, b.arg(tb, i)))
+                return false;
+        return a.kind(ta) == TermKind::Struct ||
+            a.listTail(ta) == term::kNoTerm ||
+            sameTerm(a, a.listTail(ta), b, b.listTail(tb));
+    }
+    return false;
+}
+
+/** Node-for-node equality of two clauses' heads and goals. */
+inline bool
+sameClause(const term::ClauseView &a, const term::ClauseView &b)
+{
+    if (a.body.size() != b.body.size() ||
+        !sameTerm(*a.arena, a.head, *b.arena, b.head))
+        return false;
+    for (std::size_t g = 0; g < a.body.size(); ++g)
+        if (!sameTerm(*a.arena, a.body[g], *b.arena, b.body[g]))
+            return false;
+    return true;
+}
+
+/**
+ * Expect every clause of @p table to equal its source text in @p file
+ * parsed (the text-parse oracle), variable numbering included.
+ */
+inline void
+expectDecodedAsParsed(term::SymbolTable &symbols,
+                      const storage::ClauseFile &file,
+                      const term::ClauseTable &table)
+{
+    ASSERT_EQ(table.size(), file.clauseCount());
+    term::TermReader reader(symbols);
+    for (std::size_t i = 0; i < file.clauseCount(); ++i) {
+        const term::Clause parsed = reader.parseClause(file.sourceText(i));
+        EXPECT_TRUE(sameClause(table.view(i), parsed.view()))
+            << "clause " << i << ": " << file.sourceText(i);
+    }
+}
+
 } // namespace clare::oracle
 
 #endif // CLARE_TESTS_ORACLE_RETRIEVAL_HH

@@ -6,16 +6,20 @@
  * whole-store discrepancy auditing, Result Memory overflow accounting,
  * and the CRS degradation contract — a corrupt or unreadable index
  * downgrades the query to a full scan with the *same answer set* as a
- * clean run, never a crash and never silent garbage.
+ * clean run, never a crash and never silent garbage.  A proof deeper
+ * than the native stack ends the same way: a typed flag, not a crash.
  */
 
 #include <gtest/gtest.h>
+
+#include <pthread.h>
 
 #include <cstdio>
 #include <cstring>
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -27,6 +31,8 @@
 #include "crs/store_io.hh"
 #include "fs2/fs2_engine.hh"
 #include "fs2/result_memory.hh"
+#include "kb/knowledge_base.hh"
+#include "kb/resolution.hh"
 #include "pif/type_tags.hh"
 #include "storage/disk_model.hh"
 #include "storage/file_io.hh"
@@ -1067,6 +1073,64 @@ TEST_F(CrsFaultTest, RetryPolicyIsValidated)
     EXPECT_THROW(cfg.validate(), crs::ConfigError);
     cfg.retry.maxAttempts = 64;
     EXPECT_NO_THROW(cfg.validate());
+}
+
+} // namespace
+} // namespace clare
+
+namespace clare {
+namespace {
+
+// ---------------------------------------------------------------------
+// A proof deeper than the native stack stops with a flag.
+// ---------------------------------------------------------------------
+
+/** Run @p body on a thread with an 8 MB stack, whatever the rlimit. */
+void
+onEightMegabyteStack(const std::function<void()> &body)
+{
+    pthread_attr_t attr;
+    ASSERT_EQ(pthread_attr_init(&attr), 0);
+    ASSERT_EQ(pthread_attr_setstacksize(&attr, 8u << 20), 0);
+    pthread_t thread;
+    auto run = [](void *arg) -> void * {
+        (*static_cast<const std::function<void()> *>(arg))();
+        return nullptr;
+    };
+    ASSERT_EQ(pthread_create(&thread, &attr, run,
+                             const_cast<std::function<void()> *>(&body)),
+              0);
+    pthread_join(thread, nullptr);
+    pthread_attr_destroy(&attr);
+}
+
+TEST(SolverStackTest, DeepRecursionStopsWithAFlagInsteadOfCrashing)
+{
+    // Each level nests the continuation-passing search's frames; well
+    // inside the default step budget, these proofs outgrow an 8 MB
+    // stack (and a sanitizer's larger frames sooner).
+    kb::KnowledgeBase base;
+    base.consult("count(0).\n"
+                 "count(N) :- N > 0, M is N - 1, count(M).\n");
+    kb::Solver solver(base);
+    std::vector<kb::SolveStats> stats;
+    std::vector<std::size_t> found;
+    onEightMegabyteStack([&] {
+        for (const char *query :
+             {"count(6000)", "count(50000)", "count(100)"}) {
+            found.push_back(solver.solve(query).size());
+            stats.push_back(solver.stats());
+        }
+    });
+    ASSERT_EQ(stats.size(), 3u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(found[i], 0u) << i;
+        EXPECT_TRUE(stats[i].stackExhausted) << i;
+        EXPECT_FALSE(stats[i].budgetExhausted) << i;
+    }
+    // A shallow proof still succeeds, and the flag is per solve.
+    EXPECT_EQ(found[2], 1u);
+    EXPECT_FALSE(stats[2].stackExhausted);
 }
 
 } // namespace

@@ -203,6 +203,7 @@ TEST_P(FuzzRoundTrip, ClauseSourceTextReparses)
     term::TermWriter writer(sym);
     TermFuzzer fuzzer(sym, GetParam() + 17);
 
+    int imported = 0;
     for (int i = 0; i < 100; ++i) {
         term::TermArena arena;
         std::vector<term::TermRef> args;
@@ -229,7 +230,17 @@ TEST_P(FuzzRoundTrip, ClauseSourceTextReparses)
         ASSERT_NO_THROW(back = reader.parseClause(text))
             << "unparseable clause: " << text;
         EXPECT_EQ(writer.writeClause(back), text);
+        // A clause the writer says reads back imports as the parse of
+        // its text (what a store build decodes without parsing).
+        if (writer.readsBack(clause.view())) {
+            ++imported;
+            term::ClauseTable table;
+            table.addAsRead(clause.view());
+            EXPECT_TRUE(oracle::sameClause(table.view(0), back.view()))
+                << "imports unlike its text: " << text;
+        }
     }
+    EXPECT_GT(imported, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzRoundTrip,

@@ -11,7 +11,10 @@
  * configurations, mask densities, and entry counts straddling 64-entry
  * word boundaries; round-trips the persisted v3 plane section; and
  * checks that a corrupted plane is a typed load error, never wrong
- * survivors.
+ * survivors.  It also holds the store's one build path
+ * (crs::PredicateBuilder) to the piecewise oracles: images, page CRCs
+ * and plane byte-identical to building each from the clauses alone,
+ * and a decoded table equal to parsing every stored source text.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +32,7 @@
 #include "fs1/sliced_matcher.hh"
 #include "scw/bit_sliced_index.hh"
 #include "storage/file_io.hh"
+#include "support/crc32.hh"
 #include "support/errors.hh"
 #include "support/thread_pool.hh"
 #include "term/term_reader.hh"
@@ -329,6 +333,106 @@ TEST_F(SlicedStoreTest, FinalizeBuildsPlanesAndDecodedTables)
         EXPECT_EQ(stored.decoded->size(), stored.clauses.clauseCount());
         EXPECT_EQ(stored.decodedDelta, nullptr);
     }
+}
+
+/**
+ * Build @p program through PredicateStore::addProgram and hold every
+ * predicate to the oracles: the clause image, index image, page CRCs
+ * and plane byte-identical to compiling each piece from the clauses
+ * (BitSlicedIndex::build transposes the index image), every decoded
+ * clause equal to its source text parsed, and the decoded table no
+ * larger than the load path's text-parse decode.
+ */
+void
+expectBuildIdentity(term::SymbolTable &sym, const term::Program &program)
+{
+    crs::PredicateStore store(sym, scw::CodewordGenerator{});
+    store.addProgram(program);
+    store.finalize();
+    const scw::CodewordGenerator &gen = store.generator();
+    term::TermWriter writer(sym);
+    ASSERT_FALSE(program.predicates().empty());
+    for (const term::PredicateId &pred : program.predicates()) {
+        storage::ClauseFileBuilder builder(writer);
+        std::vector<scw::Signature> sigs;
+        for (std::size_t i : program.clausesOf(pred)) {
+            const term::Clause &c = program.clause(i);
+            builder.add(c);
+            sigs.push_back(gen.encode(c.arena(), c.head()));
+        }
+        const storage::ClauseFile file = builder.finish();
+        const scw::SecondaryFile index =
+            scw::SecondaryFile::build(gen, sigs, file);
+
+        const std::shared_ptr<const crs::StoredPredicate> v =
+            store.predicateVersion(pred);
+        ASSERT_NE(v, nullptr);
+        EXPECT_EQ(v->clauses.image(), file.image());
+        EXPECT_EQ(v->index.image(), index.image());
+        EXPECT_EQ(v->indexPageCrcs,
+                  support::pageChecksums(index.image().data(),
+                                         index.image().size()));
+        ASSERT_NE(v->sliced, nullptr);
+        EXPECT_TRUE(*v->sliced == scw::BitSlicedIndex::build(gen, index));
+        EXPECT_EQ(v->deltaSliced, nullptr);
+        ASSERT_NE(v->decoded, nullptr);
+        oracle::expectDecodedAsParsed(sym, file, *v->decoded);
+        EXPECT_LE(v->decoded->memoryBytes(),
+                  crs::decodeClauses(file, sym)->memoryBytes());
+    }
+}
+
+TEST(PredicateBuilderTest, ReferenceKbBuildIsIdenticalToTheOracles)
+{
+    // The benchmark's reference KB shape: 4 x 5000 arity-2 facts with
+    // structures, lists, integers and floats.
+    term::SymbolTable sym;
+    workload::KbSpec spec;
+    spec.predicates = 4;
+    spec.clausesPerPredicate = 5000;
+    spec.arityMin = 2;
+    spec.arityMax = 2;
+    spec.atomVocabulary = 2000;
+    spec.seed = 1;
+    workload::KbGenerator gen(sym);
+    expectBuildIdentity(sym, gen.generate(spec));
+}
+
+TEST(PredicateBuilderTest, RulesAndVariablesDecodeAsTheirTextReadsBack)
+{
+    // Rules, shared and anonymous variables, list tails, operators,
+    // negative numbers, a float the text rounds and a disjunctive
+    // body: the import renumbers variables as the reader would, and a
+    // clause whose text does not read back as itself is parsed.
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    term::Program program;
+    for (term::Clause &c : reader.parseProgram(
+             "path(X, Y) :- edge(X, Y).\n"
+             "path(X, Z) :- edge(X, Y), path(Y, Z).\n"
+             "path(_, nowhere).\n"
+             "path([H|T], f(T, H, -3)) :- X is H * 2 + 1, X > -1.5.\n"
+             "path(Same, Same) :- \\+ edge(Same, _), !.\n"
+             "path(p(1.2345678), 'Quoted atom') :- (a ; b), c.\n"
+             "path(g(A, [B, C | D]), E) :- call(A), E = [B, C | D].\n"
+             "edge(a, b).\nedge(b, 2.5).\nedge(Y, X) :- edge(X, Y).\n"))
+        program.add(std::move(c));
+    // A generated clause numbers its variables out of text order.
+    {
+        term::TermArena arena;
+        const term::SymbolId path = sym.intern("path");
+        const term::TermRef args[] = {
+            arena.makeVar(7, sym.intern("Late")),
+            arena.makeVar(2, sym.intern("Early"))};
+        const term::TermRef head = arena.makeStruct(path, args);
+        const term::TermRef goal_args[] = {
+            arena.makeVar(2, sym.intern("Early")),
+            arena.makeVar(7, sym.intern("Late"))};
+        const term::TermRef goal =
+            arena.makeStruct(sym.intern("edge"), goal_args);
+        program.add(term::Clause(std::move(arena), head, {goal}));
+    }
+    expectBuildIdentity(sym, program);
 }
 
 TEST_F(SlicedStoreTest, V3RoundTripCarriesIdenticalPlanes)

@@ -28,6 +28,8 @@
 #include "support/fault_injector.hh"
 #include "term/term_reader.hh"
 
+#include "oracle_retrieval.hh"
+
 namespace clare::crs {
 namespace {
 
@@ -546,7 +548,8 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
         "item(a, 1).\n"
         "item(b, 2).\n"
         "item(c, 3).\n"
-        "item(d, 4).\n";
+        "item(d, 4).\n"
+        "item(f(X), X).\n";
     term::SymbolTable sym;
     term::TermReader reader(sym);
     {
@@ -559,38 +562,49 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
         live.assertz(reader.parseClause("item(e, 5)."));
         {
             LiveStore::Update txn = live.begin();
-            txn.asserta(reader.parseClause("item(z, 0)."));
+            txn.asserta(
+                reader.parseClause("item(g(Y, Z), Y) :- item(Y, Z)."));
             term::ParsedTerm pat = reader.parseTerm("item(b, 2)");
             EXPECT_TRUE(txn.retract(pat.arena, pat.root));
             txn.commit();
         }
 
         const char *const rebuilt_text =
-            "item(z, 0).\n"
+            "item(g(Y, Z), Y) :- item(Y, Z).\n"
             "item(a, 1).\n"
             "item(c, 3).\n"
             "item(d, 4).\n"
+            "item(f(X), X).\n"
             "item(e, 5).\n";
         auto ref_store = makeStore(sym, reader, rebuilt_text);
         ClauseRetrievalServer ref_server(sym, *ref_store);
 
         const term::PredicateId item{sym.lookup("item"), 2};
         auto v = live_store->predicateVersion(item);
+        auto ref = ref_store->predicateVersion(item);
         ASSERT_NE(v, nullptr);
-        EXPECT_EQ(v->index.image(),
-                  ref_store->predicateVersion(item)->index.image());
+        EXPECT_EQ(v->clauses.image(), ref->clauses.image());
+        EXPECT_EQ(v->index.image(), ref->index.image());
+        EXPECT_EQ(v->indexPageCrcs, ref->indexPageCrcs);
         // Compaction folds the delta back into one full plane and one
-        // full decoded table.
+        // full decoded table, each equal to the rebuild's.
         EXPECT_EQ(v->deltaSliced, nullptr);
         EXPECT_EQ(v->baseEntries, 0u);
         ASSERT_NE(v->sliced, nullptr);
-        EXPECT_EQ(v->sliced->entryCount(), 5u);
+        EXPECT_EQ(v->sliced->entryCount(), 6u);
+        EXPECT_TRUE(*v->sliced == *ref->sliced);
         EXPECT_EQ(v->decodedDelta, nullptr);
         ASSERT_NE(v->decoded, nullptr);
-        EXPECT_EQ(v->decoded->size(), 5u);
+        ASSERT_EQ(v->decoded->size(), ref->decoded->size());
+        for (std::size_t i = 0; i < v->decoded->size(); ++i)
+            EXPECT_TRUE(oracle::sameClause(v->decoded->view(i),
+                                           ref->decoded->view(i)))
+                << "clause " << i;
+        oracle::expectDecodedAsParsed(sym, v->clauses, *v->decoded);
 
-        for (const char *goal : {"item(X, Y)", "item(z, X)",
-                                 "item(b, X)", "item(X, 5)"})
+        for (const char *goal : {"item(X, Y)", "item(g(X, 2), X)",
+                                 "item(b, X)", "item(X, 5)",
+                                 "item(f(a), X)"})
             for (SearchMode mode : kAllModes)
                 expectSameResponse(
                     serveOn(live_server, reader, goal, mode),
