@@ -1,5 +1,7 @@
 #include "crs/store.hh"
 
+#include <algorithm>
+
 #include "support/crc32.hh"
 #include "support/logging.hh"
 #include "term/term_reader.hh"
@@ -102,18 +104,30 @@ StoredPredicate::decodedClause(std::uint32_t ordinal) const
 std::shared_ptr<const term::ClauseTable>
 decodeClauses(const storage::ClauseFile &file, term::SymbolTable &symbols)
 {
+    // A batch of parsed clauses is held until its exact size is
+    // known, then copied into the table's next arena; holding the
+    // whole predicate would cost a Clause (an arena of its own) per
+    // record at once.  The entries are reserved for every record up
+    // front, so the batches do not regrow them.
+    static constexpr std::size_t kBatch = 4096;
     term::TermReader reader(symbols);
-    std::vector<term::Clause> parsed;
-    parsed.reserve(file.clauseCount());
-    term::ClauseTable::Size size;
-    for (std::size_t i = 0; i < file.clauseCount(); ++i) {
-        parsed.push_back(reader.parseClause(file.sourceText(i)));
-        size.add(parsed.back().view());
-    }
     auto table = std::make_shared<term::ClauseTable>();
-    table->reserve(size);
-    for (const term::Clause &clause : parsed)
-        table->add(clause);
+    table->reserve(term::ClauseTable::Size{.clauses = file.clauseCount()});
+    std::vector<term::Clause> parsed;
+    parsed.reserve(std::min(kBatch, file.clauseCount()));
+    for (std::size_t begin = 0; begin < file.clauseCount();
+         begin += kBatch) {
+        const std::size_t end = std::min(begin + kBatch, file.clauseCount());
+        parsed.clear();
+        term::ClauseTable::Size size;
+        for (std::size_t i = begin; i < end; ++i) {
+            parsed.push_back(reader.parseClause(file.sourceText(i)));
+            size.add(parsed.back().view());
+        }
+        table->reserve(size);
+        for (const term::Clause &clause : parsed)
+            table->add(clause);
+    }
     return table;
 }
 

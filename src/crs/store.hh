@@ -147,8 +147,9 @@ struct StoredPredicate
 /**
  * The decoded table of every clause of @p file, each parsed once from
  * its source text: the load path's decode, and the text-parse oracle
- * the tests hold a build against.  The table is sized exactly before
- * it is filled.
+ * the tests hold a build against.  The records are parsed a batch at
+ * a time, and each batch fills an exactly sized arena of the table,
+ * so the decode holds no more than a batch of parsed clauses at once.
  */
 std::shared_ptr<const term::ClauseTable>
 decodeClauses(const storage::ClauseFile &file, term::SymbolTable &symbols);

@@ -22,7 +22,9 @@
  * compares its frame address with the thread's stack bounds; a proof
  * that comes within a fixed headroom of the end stops, as the step
  * budget stops it, with SolveStats::stackExhausted set instead of
- * overflowing the stack.
+ * overflowing the stack.  Either stop is final: no solution is
+ * reported after it, not even past a findall/3 or \+ whose sub-proof
+ * it cut short.
  */
 
 #ifndef CLARE_KB_RESOLUTION_HH

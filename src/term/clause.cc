@@ -1,6 +1,7 @@
 #include "term/clause.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "support/logging.hh"
 
@@ -105,7 +106,11 @@ ClauseTable::Size::add(const ClauseView &clause)
 void
 ClauseTable::reserve(const Size &more)
 {
-    arena_.reserve(more.terms);
+    // Growing a filled arena would copy it and strand the old block;
+    // a new arena takes the new clauses instead.
+    if (!entries_.empty())
+        runs_.push_back(Run{entries_.size(), std::make_unique<TermArena>()});
+    last().reserve(more.terms);
     entries_.reserve(entries_.size() + more.clauses);
     goals_.reserve(goals_.size() + more.goals);
 }
@@ -113,12 +118,13 @@ ClauseTable::reserve(const Size &more)
 void
 ClauseTable::add(const ClauseView &clause)
 {
+    TermArena &arena = last();
     Entry e;
-    e.head = arena_.import(*clause.arena, clause.head, 0);
+    e.head = arena.import(*clause.arena, clause.head, 0);
     e.bodyBegin = static_cast<std::uint32_t>(goals_.size());
     e.bodyCount = static_cast<std::uint32_t>(clause.body.size());
     for (TermRef g : clause.body)
-        goals_.push_back(arena_.import(*clause.arena, g, 0));
+        goals_.push_back(arena.import(*clause.arena, g, 0));
     entries_.push_back(e);
 }
 
@@ -128,12 +134,13 @@ ClauseTable::addAsRead(const ClauseView &clause)
     // The reader numbers variables in text order, and the writer
     // renders the head, then the goals, each in import order.
     std::vector<SymbolId> names;
+    TermArena &arena = last();
     Entry e;
-    e.head = arena_.importByName(*clause.arena, clause.head, names);
+    e.head = arena.importByName(*clause.arena, clause.head, names);
     e.bodyBegin = static_cast<std::uint32_t>(goals_.size());
     e.bodyCount = static_cast<std::uint32_t>(clause.body.size());
     for (TermRef g : clause.body)
-        goals_.push_back(arena_.importByName(*clause.arena, g, names));
+        goals_.push_back(arena.importByName(*clause.arena, g, names));
     entries_.push_back(e);
 }
 
@@ -142,10 +149,29 @@ ClauseTable::view(std::size_t i) const
 {
     clare_assert(i < entries_.size(), "clause %zu outside a table of %zu",
                  i, entries_.size());
+    const TermArena *arena = &arena_;
+    if (!runs_.empty() && i >= runs_.front().begin) {
+        auto run = std::upper_bound(
+            runs_.begin(), runs_.end(), i,
+            [](std::size_t j, const Run &r) { return j < r.begin; });
+        arena = std::prev(run)->arena.get();
+    }
     const Entry &e = entries_[i];
-    return ClauseView{&arena_, e.head,
+    return ClauseView{arena, e.head,
                       std::span<const TermRef>(goals_.data() + e.bodyBegin,
                                                e.bodyCount)};
+}
+
+std::size_t
+ClauseTable::memoryBytes() const
+{
+    std::size_t n = arena_.memoryFootprint() +
+        runs_.capacity() * sizeof(Run) +
+        entries_.capacity() * sizeof(Entry) +
+        goals_.capacity() * sizeof(TermRef);
+    for (const Run &run : runs_)
+        n += sizeof(TermArena) + run.arena->memoryFootprint();
+    return n;
 }
 
 std::size_t

@@ -102,13 +102,14 @@ class Clause
 };
 
 /**
- * Many clauses decoded into one shared arena, in insertion order.
- * Unlike a vector of Clause — one arena (and its first block) per
- * clause — the table holds every head and body in a single arena plus
- * two flat index vectors, so a large predicate costs a few bytes per
- * term node.  Each clause keeps its own variable numbering from 0, and
- * readers standardize apart on import exactly as they would from the
- * clause's own arena.
+ * Many clauses decoded into shared arenas, in insertion order.  Unlike
+ * a vector of Clause — one arena (and its first block) per clause —
+ * the table holds every head and body in one arena per reserve() (a
+ * build reserves once, a load once per batch) plus two flat index
+ * vectors, so a large predicate costs a few bytes per term node.  Each
+ * clause keeps its own variable numbering from 0, and readers
+ * standardize apart on import exactly as they would from the clause's
+ * own arena.
  */
 class ClauseTable
 {
@@ -125,8 +126,10 @@ class ClauseTable
     };
 
     /**
-     * Room for exactly @p more: a table filled to it holds no growth
-     * slack (one arena block, exactly sized index vectors).
+     * Room for exactly @p more: a table filled to its reserves holds
+     * no growth slack (exactly sized index vectors, and one arena
+     * block per reserve: the clauses added after a reserve() on a
+     * non-empty table go into an arena of their own).
      */
     void reserve(const Size &more);
 
@@ -147,12 +150,7 @@ class ClauseTable
     ClauseView view(std::size_t i) const;
 
     /** Heap bytes held (arena blocks plus the index vectors). */
-    std::size_t memoryBytes() const
-    {
-        return arena_.memoryFootprint() +
-            entries_.capacity() * sizeof(Entry) +
-            goals_.capacity() * sizeof(TermRef);
-    }
+    std::size_t memoryBytes() const;
 
   private:
     struct Entry
@@ -162,7 +160,18 @@ class ClauseTable
         std::uint32_t bodyCount;
     };
 
+    /** The arenas after the first: each with the entry it begins at. */
+    struct Run
+    {
+        std::size_t begin;
+        std::unique_ptr<TermArena> arena;
+    };
+
+    /** The arena clauses are added to. */
+    TermArena &last() { return runs_.empty() ? arena_ : *runs_.back().arena; }
+
     TermArena arena_;
+    std::vector<Run> runs_;
     std::vector<Entry> entries_;
     std::vector<TermRef> goals_;
 };

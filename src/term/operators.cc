@@ -1,6 +1,5 @@
 #include "term/operators.hh"
 
-#include <cctype>
 #include <map>
 
 namespace clare::term {
@@ -22,10 +21,6 @@ infixOperator(const std::string &name)
         {";", {1100, false, true}},
         {",", {1000, false, true}},
     };
-    // Plain identifiers, the common case, are no operator but these.
-    if (!name.empty() && std::islower(static_cast<unsigned char>(name[0])) &&
-        name != "is" && name != "mod")
-        return nullptr;
     auto it = table.find(name);
     return it == table.end() ? nullptr : &it->second;
 }

@@ -1104,33 +1104,77 @@ onEightMegabyteStack(const std::function<void()> &body)
     pthread_attr_destroy(&attr);
 }
 
-TEST(SolverStackTest, DeepRecursionStopsWithAFlagInsteadOfCrashing)
+/** Optimised and unsanitized: the stack frames the headroom is sized for. */
+constexpr bool kLeanFrames =
+#if defined(__OPTIMIZE__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+    true;
+#else
+    false;
+#endif
+
+/** Solve each query on an 8 MB stack, recording answers and stats. */
+void
+solveOnEightMegabyteStack(kb::Solver &solver,
+                          const std::vector<const char *> &queries,
+                          std::vector<std::size_t> &found,
+                          std::vector<kb::SolveStats> &stats)
 {
-    // Each level nests the continuation-passing search's frames; well
-    // inside the default step budget, these proofs outgrow an 8 MB
-    // stack (and a sanitizer's larger frames sooner).
-    kb::KnowledgeBase base;
-    base.consult("count(0).\n"
-                 "count(N) :- N > 0, M is N - 1, count(M).\n");
-    kb::Solver solver(base);
-    std::vector<kb::SolveStats> stats;
-    std::vector<std::size_t> found;
     onEightMegabyteStack([&] {
-        for (const char *query :
-             {"count(6000)", "count(50000)", "count(100)"}) {
+        for (const char *query : queries) {
             found.push_back(solver.solve(query).size());
             stats.push_back(solver.stats());
         }
     });
-    ASSERT_EQ(stats.size(), 3u);
-    for (std::size_t i = 0; i < 2; ++i) {
-        EXPECT_EQ(found[i], 0u) << i;
-        EXPECT_TRUE(stats[i].stackExhausted) << i;
-        EXPECT_FALSE(stats[i].budgetExhausted) << i;
+}
+
+const char *const kCount = "count(0).\n"
+                           "count(N) :- N > 0, M is N - 1, count(M).\n";
+
+TEST(SolverStackTest, DeepRecursionStopsWithAFlagInsteadOfCrashing)
+{
+    // Each level nests the continuation-passing search's frames; well
+    // inside the default step budget, these proofs outgrow an 8 MB
+    // stack (and a sanitizer's larger frames sooner).  The stop is
+    // final: findall/3 and \+ ignore whether their sub-proof stopped,
+    // and a truncated sub-proof must not let the query answer.
+    kb::KnowledgeBase base;
+    base.consult(kCount);
+    kb::Solver solver(base);
+    std::vector<kb::SolveStats> stats;
+    std::vector<std::size_t> found;
+    const std::vector<const char *> deep = {
+        "count(6000)", "count(50000)", "findall(N, count(6000), L)",
+        "\\+ count(6000)", "\\+ count(6000) ; true"};
+    std::vector<const char *> queries = deep;
+    queries.push_back("count(100)");
+    solveOnEightMegabyteStack(solver, queries, found, stats);
+    ASSERT_EQ(stats.size(), queries.size());
+    for (std::size_t i = 0; i < deep.size(); ++i) {
+        EXPECT_EQ(found[i], 0u) << deep[i];
+        EXPECT_TRUE(stats[i].stackExhausted) << deep[i];
+        EXPECT_FALSE(stats[i].budgetExhausted) << deep[i];
     }
     // A shallow proof still succeeds, and the flag is per solve.
-    EXPECT_EQ(found[2], 1u);
-    EXPECT_FALSE(stats[2].stackExhausted);
+    EXPECT_EQ(found.back(), 1u);
+    EXPECT_FALSE(stats.back().stackExhausted);
+}
+
+TEST(SolverStackTest, HeadroomLeavesTheParentsDepth)
+{
+    // count(5000) fit an 8 MB stack before the check existed; the
+    // headroom must not take that depth away.
+    if (!kLeanFrames)
+        GTEST_SKIP() << "frames of an unoptimised or sanitized build";
+    kb::KnowledgeBase base;
+    base.consult(kCount);
+    kb::Solver solver(base);
+    std::vector<kb::SolveStats> stats;
+    std::vector<std::size_t> found;
+    solveOnEightMegabyteStack(solver, {"count(5000)"}, found, stats);
+    ASSERT_EQ(stats.size(), 1u);
+    EXPECT_EQ(found[0], 1u);
+    EXPECT_FALSE(stats[0].stackExhausted);
 }
 
 } // namespace

@@ -187,11 +187,16 @@ TEST_F(SolverTest, MaxSolutionsLimit)
 
 TEST_F(SolverTest, StepBudgetStopsRunaway)
 {
+    // The stop is final: findall/3 and \+ must not take a sub-proof
+    // that ran out of steps for "no solutions" and answer the query.
     load("loop(X) :- loop(X).\nloop(done).\n");
     SolveOptions options;
     options.maxSteps = 500;
-    auto solutions = solver->solve("loop(Q)", options);
-    EXPECT_TRUE(solver->stats().budgetExhausted);
+    for (const char *query : {"loop(Q)", "findall(Q, loop(Q), L)",
+                              "\\+ loop(done)", "\\+ loop(a) ; true"}) {
+        EXPECT_TRUE(solver->solve(query, options).empty()) << query;
+        EXPECT_TRUE(solver->stats().budgetExhausted) << query;
+    }
 }
 
 TEST_F(SolverTest, ListsInSolutions)

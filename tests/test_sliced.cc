@@ -435,6 +435,40 @@ TEST(PredicateBuilderTest, RulesAndVariablesDecodeAsTheirTextReadsBack)
     expectBuildIdentity(sym, program);
 }
 
+TEST(PredicateBuilderTest, LoadDecodeSpansBatchesWithoutSlack)
+{
+    // A load decodes a large predicate a batch at a time, each into an
+    // arena of its own: every clause, on either side of a batch
+    // boundary, still equals its text parsed, and the table holds no
+    // more than a build's single-arena table plus a little per batch.
+    term::SymbolTable sym;
+    std::string text;
+    for (int i = 0; i < 9000; ++i)
+        text += i % 3 == 0
+            ? "p(k" + std::to_string(i) + ", X) :- q(X, " +
+                std::to_string(i) + "), r([X | T], T).\n"
+            : "p(k" + std::to_string(i) + ", f(v, " + std::to_string(i) +
+                ")).\n";
+    term::TermReader reader(sym);
+    term::Program program;
+    for (term::Clause &c : reader.parseProgram(text))
+        program.add(std::move(c));
+    crs::PredicateStore store(sym, scw::CodewordGenerator{});
+    store.addProgram(program);
+    store.finalize();
+    const auto v = store.predicateVersion(program.predicates()[0]);
+    ASSERT_NE(v, nullptr);
+
+    const auto loaded = crs::decodeClauses(v->clauses, sym);
+    oracle::expectDecodedAsParsed(sym, v->clauses, *loaded);
+    for (std::size_t i = 0; i < loaded->size(); ++i)
+        EXPECT_TRUE(oracle::sameClause(loaded->view(i),
+                                       v->decoded->view(i)))
+            << i;
+    EXPECT_LE(loaded->memoryBytes(),
+              v->decoded->memoryBytes() + v->decoded->memoryBytes() / 100);
+}
+
 TEST_F(SlicedStoreTest, V3RoundTripCarriesIdenticalPlanes)
 {
     term::SymbolTable fresh;
