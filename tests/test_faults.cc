@@ -1104,10 +1104,17 @@ onEightMegabyteStack(const std::function<void()> &body)
     pthread_attr_destroy(&attr);
 }
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CLARE_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CLARE_TEST_SANITIZED 1
+#endif
+#endif
+
 /** Optimised and unsanitized: the stack frames the headroom is sized for. */
 constexpr bool kLeanFrames =
-#if defined(__OPTIMIZE__) && !defined(__SANITIZE_ADDRESS__) && \
-    !defined(__SANITIZE_THREAD__)
+#if defined(__OPTIMIZE__) && !defined(CLARE_TEST_SANITIZED)
     true;
 #else
     false;
