@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "crs/store_io.hh"
 #include "storage/file_io.hh"
@@ -44,9 +45,13 @@ walKind(const LiveOp &op)
         : storage::Wal::RecordKind::Assert;
 }
 
-/** Serialize one op into its WAL payload (see Wal::RecordKind). */
+/**
+ * Serialize one op into its WAL payload (see Wal::RecordKind): an
+ * assert op logs the text of its stored-form clause.
+ */
 std::vector<std::uint8_t>
-encodePayload(const LiveOp &op, const term::SymbolTable &symbols)
+encodePayload(const LiveOp &op, const term::SymbolTable &symbols,
+              const term::TermWriter &writer)
 {
     std::vector<std::uint8_t> payload;
     if (op.kind == LiveOp::Kind::Retract) {
@@ -56,46 +61,27 @@ encodePayload(const LiveOp &op, const term::SymbolTable &symbols)
         putU32(payload, static_cast<std::uint32_t>(name.size()));
         payload.insert(payload.end(), name.begin(), name.end());
     } else {
+        const std::string text = writer.writeClause(op.clause);
         payload.push_back(op.kind == LiveOp::Kind::Asserta ? 1 : 0);
-        putU32(payload, static_cast<std::uint32_t>(op.text.size()));
-        payload.insert(payload.end(), op.text.begin(), op.text.end());
+        putU32(payload, static_cast<std::uint32_t>(text.size()));
+        payload.insert(payload.end(), text.begin(), text.end());
     }
     return payload;
 }
 
-/** Build the right-nested ','/2 conjunction of a clause body. */
-term::TermRef
-bodyConjunction(term::TermArena &arena, term::SymbolTable &symbols,
-                const term::Clause &clause, term::VarId offset)
-{
-    if (clause.isFact())
-        return arena.makeAtom(symbols.intern("true"));
-    term::TermRef conj = arena.import(clause.arena(),
-                                      clause.body().back(), offset);
-    for (std::size_t i = clause.body().size() - 1; i-- > 0;) {
-        term::TermRef g = arena.import(clause.arena(),
-                                       clause.body()[i], offset);
-        term::TermRef args[] = {g, conj};
-        conj = arena.makeStruct(symbols.intern(","), args);
-    }
-    return conj;
-}
-
 /**
- * Apply one op to a predicate's evolving list, of source texts or of
- * decoded clauses; @p item is the asserted clause in the list's terms.
+ * Apply one op to a predicate's evolving clause list.
  * @return false when a retract names a position past the list
  */
-template <typename T>
 bool
-applyOp(std::vector<T> &list, const LiveOp &op, const T &item)
+applyOp(std::vector<term::ClauseView> &list, const LiveOp &op)
 {
     switch (op.kind) {
     case LiveOp::Kind::Assertz:
-        list.push_back(item);
+        list.push_back(op.clause.view());
         break;
     case LiveOp::Kind::Asserta:
-        list.insert(list.begin(), item);
+        list.insert(list.begin(), op.clause.view());
         break;
     case LiveOp::Kind::Retract:
         if (op.ordinal >= list.size())
@@ -106,17 +92,20 @@ applyOp(std::vector<T> &list, const LiveOp &op, const T &item)
     return true;
 }
 
-/** Every source text of @p prev (none when null), in clause order. */
-std::vector<std::string>
-sourceTexts(const StoredPredicate *prev)
+/**
+ * The decoded clauses of @p prev (none when null), in clause order:
+ * the start of the evolving list a retract resolves against and a
+ * compaction rebuilds from, with room for @p more.
+ */
+std::vector<term::ClauseView>
+decodedClauses(const StoredPredicate *prev, std::size_t more)
 {
-    std::vector<std::string> texts;
-    if (prev != nullptr) {
-        texts.reserve(prev->clauses.clauseCount());
-        for (std::size_t i = 0; i < prev->clauses.clauseCount(); ++i)
-            texts.push_back(prev->clauses.sourceText(i));
-    }
-    return texts;
+    std::vector<term::ClauseView> clauses;
+    const std::size_t n = prev != nullptr ? prev->clauses.clauseCount() : 0;
+    clauses.reserve(n + more);
+    for (std::size_t i = 0; i < n; ++i)
+        clauses.push_back(prev->decodedClause(static_cast<std::uint32_t>(i)));
+    return clauses;
 }
 
 /** Durably write a small file in one shot (the CURRENT.tmp path). */
@@ -194,12 +183,11 @@ LiveStore::walDamage(std::uint64_t lsn, const std::string &why) const
 }
 
 LiveOp
-LiveStore::assertOp(LiveOp::Kind kind, std::string text)
+LiveStore::assertOp(LiveOp::Kind kind, const term::ClauseView &clause)
 {
     LiveOp op;
     op.kind = kind;
-    op.text = std::move(text);
-    op.clause = term::TermReader(symbols_).parseClause(op.text);
+    op.clause = term::storedClause(clause, symbols_);
     op.pred = op.clause.predicate();
     return op;
 }
@@ -236,7 +224,10 @@ LiveStore::decodeOp(const storage::Wal::Record &rec)
     // A CRC-valid record whose text does not parse (a writer bug or a
     // forged log) is damage in the log, not a program fault.
     try {
-        op = assertOp(kind, std::string(p.begin() + 5, p.end()));
+        const term::Clause parsed = term::TermReader(symbols_).parseClause(
+            std::string_view(reinterpret_cast<const char *>(p.data()) + 5,
+                             len));
+        op = assertOp(kind, parsed.view());
     } catch (const FatalError &e) {
         throw corrupt(std::string("unparsable clause: ") + e.what());
     }
@@ -289,7 +280,7 @@ LiveStore::commitOps(std::vector<LiveOp> ops, bool log)
         // IoError) here propagates with nothing published — recovery
         // sees either no trace of the transaction or all of it.
         for (const LiveOp &op : ops)
-            wal_->append(walKind(op), encodePayload(op, symbols_));
+            wal_->append(walKind(op), encodePayload(op, symbols_, writer_));
         wal_->commit();
     }
 
@@ -338,37 +329,30 @@ LiveStore::buildComposite(const StoredPredicate &prev,
     // Compile the appended tail exactly as a from-scratch build would
     // compile these clause positions: ordinals continue the base
     // file's, so the concatenated image is byte-identical to a full
-    // rebuild (ClauseFile::concat asserts the contract).
-    const std::size_t base_count = prev.clauses.clauseCount();
+    // rebuild (ClauseFile::concat asserts the contract).  The tail's
+    // index entries take the composite offsets, which continue the
+    // base image's, so the index image is byte-identical too.
     storage::ClauseFileBuilder tail_builder(
-        writer_, static_cast<std::uint32_t>(base_count));
-    std::vector<scw::Signature> sigs;
-    sigs.reserve(ops.size());
+        writer_, static_cast<std::uint32_t>(prev.clauses.clauseCount()));
+    const auto base_bytes =
+        static_cast<std::uint32_t>(prev.clauses.image().size());
+    scw::Signature signature;
+    std::vector<std::uint8_t> entries;
     std::vector<term::Clause> clauses;
     clauses.reserve(ops.size());
     auto out = std::make_shared<StoredPredicate>();
     std::size_t rules = prev.rules;
     for (LiveOp *op : ops) {
-        sigs.push_back(gen.encode(op->clause.arena(), op->clause.head()));
-        tail_builder.add(op->clause);
+        storage::ClauseRecord rec = tail_builder.add(op->clause);
+        rec.offset += base_bytes;
+        gen.encodeInto(op->clause.arena(), op->clause.head(), signature);
+        scw::SecondaryFile::appendEntry(gen, signature, rec, entries);
         rules += op->clause.isFact() ? 0 : 1;
         clauses.push_back(std::move(op->clause));
     }
     out->clauses = storage::ClauseFile::concat(prev.clauses,
                                                tail_builder.finish());
     out->setRules(rules);
-
-    // Composite secondary file: the base entry image plus the tail
-    // entries serialized against the composite clause directory —
-    // again byte-identical to SecondaryFile::build over all clauses.
-    std::vector<std::uint8_t> entries;
-    for (std::size_t k = 0; k < sigs.size(); ++k) {
-        gen.serialize(sigs[k], entries);
-        const storage::ClauseRecord &rec =
-            out->clauses.record(base_count + k);
-        putU32(entries, rec.offset);
-        putU32(entries, rec.ordinal);
-    }
     out->index = prev.index.append(entries);
 
     // Pages before the predecessor's last full page are unchanged, so
@@ -403,7 +387,7 @@ LiveStore::buildComposite(const StoredPredicate &prev,
             .extended(gen, out->index, out->baseEntries));
 
     // The decoded clauses split the same way: the base table is
-    // shared, and the delta chain gains this commit's parsed clauses.
+    // shared, and the delta chain gains this commit's clauses.
     out->decoded = prev.decoded;
     out->decodedDelta = std::make_shared<const DecodedDelta>(
         prev.decodedDelta, std::move(clauses));
@@ -418,21 +402,11 @@ LiveStore::buildCompacted(const StoredPredicate *prev,
                           const std::vector<LiveOp *> &ops)
 {
     // Replay the ops over the predicate's evolving clause list (the
-    // sequence Update resolved retract positions against), then
-    // rebuild the predicate from it: a minor compaction.  The list
-    // holds decoded clauses, which read back as their stored texts,
-    // and each asserted clause was parsed when its op was made, so
-    // the rebuild parses nothing.
-    std::vector<term::ClauseView> clauses;
-    if (prev != nullptr) {
-        const std::size_t n = prev->clauses.clauseCount();
-        clauses.reserve(n + ops.size());
-        for (std::size_t i = 0; i < n; ++i)
-            clauses.push_back(
-                prev->decodedClause(static_cast<std::uint32_t>(i)));
-    }
+    // list Update resolved retract positions against), then rebuild
+    // the predicate from it: a minor compaction.
+    std::vector<term::ClauseView> clauses = decodedClauses(prev, ops.size());
     for (const LiveOp *op : ops)
-        if (!applyOp(clauses, *op, op->clause.view()))
+        if (!applyOp(clauses, *op))
             // Only a replayed record can name a clause that is not
             // there: the live path resolved the position itself.
             throw walDamage(op->lsn,
@@ -567,7 +541,6 @@ LiveStore::Update::abort()
 {
     clare_assert(active_, "abort of a finished update");
     ops_.clear();
-    working_.clear();
     active_ = false;
     if (lock_.owns_lock())
         lock_.unlock();
@@ -579,7 +552,6 @@ LiveStore::Update::commit()
     clare_assert(active_, "commit of a finished update");
     active_ = false;
     std::vector<LiveOp> ops = std::move(ops_);
-    working_.clear();
     // On CrashError the update is already finished; the lock releases
     // via the unique_lock on unwind, and nothing was published.
     std::uint64_t gen = owner_->commitOps(std::move(ops), /*log=*/true);
@@ -588,42 +560,18 @@ LiveStore::Update::commit()
     return gen;
 }
 
-std::vector<std::string> &
-LiveStore::Update::textsOf(const term::PredicateId &pred)
-{
-    auto it = working_.find(pred);
-    if (it != working_.end())
-        return it->second;
-    std::vector<std::string> texts =
-        sourceTexts(owner_->store_.predicateVersion(pred).get());
-    for (const LiveOp &op : ops_)
-        if (op.pred == pred)
-            applyOp(texts, op, op.text);
-    return working_.emplace(pred, std::move(texts)).first->second;
-}
-
-void
-LiveStore::Update::push(LiveOp op)
-{
-    clare_assert(active_, "assert on a finished update");
-    auto it = working_.find(op.pred);
-    if (it != working_.end())
-        applyOp(it->second, op, op.text);
-    ops_.push_back(std::move(op));
-}
-
 void
 LiveStore::Update::assertz(const term::Clause &clause)
 {
-    push(owner_->assertOp(LiveOp::Kind::Assertz,
-                          owner_->writer_.writeClause(clause)));
+    clare_assert(active_, "assert on a finished update");
+    ops_.push_back(owner_->assertOp(LiveOp::Kind::Assertz, clause.view()));
 }
 
 void
 LiveStore::Update::asserta(const term::Clause &clause)
 {
-    push(owner_->assertOp(LiveOp::Kind::Asserta,
-                          owner_->writer_.writeClause(clause)));
+    clare_assert(active_, "assert on a finished update");
+    ops_.push_back(owner_->assertOp(LiveOp::Kind::Asserta, clause.view()));
 }
 
 bool
@@ -631,68 +579,28 @@ LiveStore::Update::retract(const term::TermArena &arena,
                            term::TermRef pattern)
 {
     clare_assert(active_, "retract on a finished update");
-    term::SymbolTable &symbols = owner_->symbols_;
+    const unify::RetractPattern match(arena, pattern, owner_->symbols_);
 
-    // Split the pattern into head and body-conjunction parts.
-    term::TermRef head_pat = pattern;
-    term::TermRef body_pat = term::kNoTerm;
-    term::SymbolId neck = symbols.intern(":-");
-    if (arena.kind(pattern) == term::TermKind::Struct &&
-        arena.functor(pattern) == neck && arena.arity(pattern) == 2) {
-        head_pat = arena.arg(pattern, 0);
-        body_pat = arena.arg(pattern, 1);
-    }
-
-    term::PredicateId pred;
-    term::TermKind hk = arena.kind(head_pat);
-    if (hk == term::TermKind::Atom) {
-        pred = term::PredicateId{arena.atomSymbol(head_pat), 0};
-    } else if (hk == term::TermKind::Struct) {
-        pred = term::PredicateId{arena.functor(head_pat),
-                                 arena.arity(head_pat)};
-    } else {
-        clare_fatal("retract pattern head must be an atom or structure");
-    }
-
-    // Resolve against the evolving list: head store state plus this
-    // transaction's earlier ops.  The matched *position* goes into the
-    // WAL, so replay — which walks the same evolving list — removes
-    // the same clause without re-running unification.
-    std::vector<std::string> &texts = textsOf(pred);
-    term::TermReader reader(symbols);
-    for (std::size_t i = 0; i < texts.size(); ++i) {
-        term::Clause clause = reader.parseClause(texts[i]);
-        // A bare-head pattern matches facts only (retract(H) is
-        // retract((H :- true))).
-        if (body_pat == term::kNoTerm && !clause.isFact())
+    // Resolve against the evolving list: the head version's decoded
+    // clauses (pinned while they are read) with this transaction's
+    // earlier ops applied.  The matched *position* goes into the WAL,
+    // so replay — which walks the same evolving list — removes the
+    // same clause without re-running unification.
+    const term::PredicateId &pred = match.predicate();
+    const std::shared_ptr<const StoredPredicate> prev =
+        owner_->store_.predicateVersion(pred);
+    std::vector<term::ClauseView> clauses =
+        decodedClauses(prev.get(), ops_.size());
+    for (const LiveOp &op : ops_)
+        if (op.pred == pred)
+            applyOp(clauses, op);
+    for (std::size_t i = 0; i < clauses.size(); ++i) {
+        if (!match.matches(clauses[i]))
             continue;
-
-        term::TermArena scratch;
-        term::TermRef goal_head = scratch.import(arena, head_pat, 0);
-        term::VarId offset = arena.varCeiling();
-        term::TermRef clause_head = scratch.import(clause.arena(),
-                                                   clause.head(),
-                                                   offset);
-        unify::Bindings bindings;
-        if (!unify::unifyTerms(scratch, goal_head, clause_head,
-                               bindings)) {
-            continue;
-        }
-        if (body_pat != term::kNoTerm) {
-            term::TermRef goal_body = scratch.import(arena, body_pat, 0);
-            term::TermRef clause_body = bodyConjunction(
-                scratch, symbols, clause, offset);
-            if (!unify::unifyTerms(scratch, goal_body, clause_body,
-                                   bindings)) {
-                continue;
-            }
-        }
-
         LiveOp op;
         op.kind = LiveOp::Kind::Retract;
         op.pred = pred;
         op.ordinal = static_cast<std::uint32_t>(i);
-        applyOp(texts, op, op.text);
         ops_.push_back(std::move(op));
         return true;
     }

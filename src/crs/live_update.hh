@@ -19,30 +19,35 @@
  *    historical generation via RetrievalRequest::snapshot) and never
  *    block on or observe an in-flight writer.
  *
+ *  - One stored form: each asserted clause is put in its stored form
+ *    (term::storedClause) once, when its op is made, and that clause
+ *    feeds the record, the signature, the decoded table and the WAL
+ *    text alike.  The text reads back as the clause, so recovery,
+ *    which parses the logged text, rebuilds the very store the live
+ *    path built; nothing inside the process parses it.  A clause no
+ *    text can carry is rejected before anything is logged.
+ *
  *  - Index maintenance: an assertz-only commit costs O(delta) in
- *    work and bytes copied, whatever the predicate's size.  Each
- *    asserted clause is parsed once.  The clause image, record
- *    directory and index image are prefixes of append-only storage
- *    shared with the predecessor version (support::SharedPrefix): the
- *    new bytes go in place behind the predecessor's prefix, or, when
- *    the storage is full or was already extended, into one copy of
- *    doubled capacity.  The composite images stay byte-identical to a
- *    from-scratch rebuild.  The base bit-sliced plane and decoded
- *    table are shared untouched; the delta mini-plane is the
- *    predecessor's extended by the new entries only, and the decoded
- *    delta is a chain of per-commit links (DecodedDelta).  The rule
- *    count and the index page CRCs carry over; only the CRCs of pages
- *    past the predecessor's last full page are computed.
+ *    work and bytes copied, whatever the predicate's size.  The
+ *    clause image, record directory and index image are prefixes of
+ *    append-only storage shared with the predecessor version
+ *    (support::SharedPrefix): the new bytes go in place behind the
+ *    predecessor's prefix, or, when the storage is full or was
+ *    already extended, into one copy of doubled capacity.  The
+ *    composite images stay byte-identical to a from-scratch rebuild.
+ *    The base bit-sliced plane and decoded table are shared
+ *    untouched; the delta mini-plane is the predecessor's extended by
+ *    the new entries only, and the decoded delta is a chain of
+ *    per-commit links (DecodedDelta).  The rule count and the index
+ *    page CRCs carry over; only the CRCs of pages past the
+ *    predecessor's last full page are computed.
  *    asserta/retract trigger a per-predicate minor compaction: the
  *    predicate is rebuilt from its evolving clause list, which is
  *    exactly the LSM tombstone-merge rule with a level count of one.
  *    The list is the predecessor's decoded clauses with the ops
- *    applied, and the rebuild runs through PredicateBuilder, the
- *    compile's one-pass build, so it parses nothing: each decoded
- *    clause renders back to its stored text, and each asserted
- *    clause was parsed once when its op was made.  (A retract
- *    resolves its target against the source-text list, materialized
- *    only then.)  Either way the images, plane and decoded table,
+ *    applied, the very list a retract resolves its target against,
+ *    and the rebuild runs through PredicateBuilder, the compile's
+ *    one-pass build.  Either way the images, plane and decoded table,
  *    and so the scan results (survivor order AND modeled Ticks), are
  *    bit-identical to a full rebuild.
  *
@@ -60,7 +65,6 @@
 #define CLARE_CRS_LIVE_UPDATE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -76,10 +80,10 @@
 namespace clare::crs {
 
 /**
- * One buffered update operation.  Clause *source text* is the replay
- * currency: the live commit path and WAL recovery both parse the same
- * text through the same reader, so the store states they produce are
- * bit-identical by construction.
+ * One buffered update operation.  An assert op carries its clause in
+ * the stored form; the WAL logs that clause's text, which recovery
+ * parses back into the same clause, so the live path and replay build
+ * bit-identical store states.
  */
 struct LiveOp
 {
@@ -92,14 +96,13 @@ struct LiveOp
 
     Kind kind = Kind::Assertz;
     term::PredicateId pred;
-    std::string text;           ///< clause source (assert ops)
-    /** `text` parsed, the one parse an assert op gets per commit. */
+    /** The asserted clause in its stored form (assert ops). */
     term::Clause clause;
     /** WAL position of a replayed op, for error reports (else 0). */
     std::uint64_t lsn = 0;
     /**
      * Retract target: the clause's position in the predicate's
-     * *evolving* source-text list — head store state with this
+     * *evolving* clause list — head store state with this
      * transaction's earlier ops applied — at the op's sequence point.
      * Replay applies ops in order over the same evolving list, so the
      * position identifies the same clause on both paths.
@@ -139,9 +142,16 @@ class LiveStore
         Update(Update &&) = default;
         ~Update();
 
-        /** Append a clause at the end of its predicate. */
+        /**
+         * Append a clause at the end of its predicate.
+         * @throws FatalError for a clause no text can carry (nothing
+         *         is buffered, and the commit logs nothing of it)
+         */
         void assertz(const term::Clause &clause);
-        /** Prepend a clause (forces a compaction at commit). */
+        /**
+         * Prepend a clause (forces a compaction at commit); throws as
+         * assertz() does.
+         */
         void asserta(const term::Clause &clause);
 
         /**
@@ -172,20 +182,9 @@ class LiveStore
         friend class LiveStore;
         explicit Update(LiveStore &owner);
 
-        /**
-         * Evolving source-text list of @p pred under this txn, built
-         * on first use (a retract) from the head version and this
-         * txn's earlier ops; later ops keep it current.
-         */
-        std::vector<std::string> &textsOf(const term::PredicateId &p);
-
-        /** Record an assert op, keeping a built text list current. */
-        void push(LiveOp op);
-
         LiveStore *owner_;
         std::unique_lock<std::mutex> lock_;
         std::vector<LiveOp> ops_;
-        std::map<term::PredicateId, std::vector<std::string>> working_;
         bool active_ = true;
     };
 
@@ -236,8 +235,11 @@ class LiveStore
     buildCompacted(const StoredPredicate *prev,
                    const std::vector<LiveOp *> &ops);
 
-    /** An assert op of @p text, parsed once. */
-    LiveOp assertOp(LiveOp::Kind kind, std::string text);
+    /**
+     * An assert op of @p clause, put in its stored form.
+     * @throws FatalError for a clause no text can carry
+     */
+    LiveOp assertOp(LiveOp::Kind kind, const term::ClauseView &clause);
 
     /** Damage in the replayed WAL record at @p lsn. */
     CorruptionError walDamage(std::uint64_t lsn,
@@ -247,6 +249,7 @@ class LiveStore
      * Decode a recovered WAL record back into an op (replay path).
      * @throws CorruptionError naming the WAL and the record's LSN when
      *         the payload is malformed or its clause does not parse
+     *         (or is one no text can carry)
      */
     LiveOp decodeOp(const storage::Wal::Record &rec);
 

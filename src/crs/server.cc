@@ -68,18 +68,6 @@ ClauseRetrievalServer::refreshStoreGauges()
         .set(static_cast<double>(store_.retainedBytes()));
 }
 
-term::PredicateId
-ClauseRetrievalServer::goalPredicate(const TermArena &q_arena,
-                                     TermRef goal) const
-{
-    if (q_arena.kind(goal) == TermKind::Atom)
-        return term::PredicateId{q_arena.atomSymbol(goal), 0};
-    if (q_arena.kind(goal) == TermKind::Struct)
-        return term::PredicateId{q_arena.functor(goal),
-                                 q_arena.arity(goal)};
-    clare_fatal("retrieval goal must be an atom or structure");
-}
-
 namespace {
 
 void
@@ -156,7 +144,7 @@ SearchMode
 ClauseRetrievalServer::selectMode(const TermArena &q_arena,
                                   TermRef goal) const
 {
-    term::PredicateId pred = goalPredicate(q_arena, goal);
+    term::PredicateId pred = term::predicateOf(q_arena, goal);
     std::shared_ptr<const StoredPredicate> head =
         store_.predicateVersion(pred);
     return selectModeFor(q_arena, goal,
@@ -370,7 +358,7 @@ ClauseRetrievalServer::pin(const RetrievalRequest &request) const
     clare_assert(request.arena != nullptr, "retrieval request has no "
                  "arena");
     const term::PredicateId pred =
-        goalPredicate(*request.arena, request.goal);
+        term::predicateOf(*request.arena, request.goal);
     std::shared_ptr<const StoredPredicate> pinned =
         store_.predicateVersion(pred, request.snapshot);
     if (pinned == nullptr)
@@ -432,7 +420,7 @@ ClauseRetrievalServer::serveOne(const RetrievalRequest &request,
     // unification — derives from the one pinned version, so a commit
     // landing mid-request cannot tear the view.
     const term::PredicateId pred =
-        goalPredicate(*request.arena, request.goal);
+        term::predicateOf(*request.arena, request.goal);
     RetrievalResponse response;
     const StoredPredicate &stored = *pinned;
     response.mode = request.mode
@@ -541,7 +529,7 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
     pif::Encoder encoder;
     pif::EncodedArgs q_args = encoder.encodeArgs(q_arena, goal,
                                                  pif::Side::Query);
-    term::PredicateId pred = goalPredicate(q_arena, goal);
+    term::PredicateId pred = term::predicateOf(q_arena, goal);
 
     switch (mode) {
       case SearchMode::SoftwareOnly: {

@@ -299,9 +299,6 @@ class ClauseRetrievalServer : public CacheInvalidationSink
                              &metrics_};
     }
 
-    term::PredicateId goalPredicate(const term::TermArena &q_arena,
-                                    term::TermRef goal) const;
-
     /**
      * Pin the MVCC version @p request reads (the head, or the newest
      * at its snapshot).  The one place a request is validated against

@@ -134,20 +134,9 @@ decodeClauses(const storage::ClauseFile &file, term::SymbolTable &symbols)
 std::shared_ptr<StoredPredicate>
 PredicateBuilder::build(std::span<const term::ClauseView> clauses)
 {
-    // Size the decoded table first.  A clause whose text would not
-    // read back as itself is decoded from that text, as a load would
-    // decode its record; these are kept by position.
-    std::vector<std::pair<std::size_t, term::Clause>> reparsed;
     term::ClauseTable::Size size;
-    for (std::size_t i = 0; i < clauses.size(); ++i) {
-        if (writer_.readsBack(clauses[i])) {
-            size.add(clauses[i]);
-            continue;
-        }
-        reparsed.emplace_back(i, term::TermReader(symbols_).parseClause(
-                                     writer_.writeClause(clauses[i])));
-        size.add(reparsed.back().second.view());
-    }
+    for (const term::ClauseView &clause : clauses)
+        size.add(clause);
     auto decoded = std::make_shared<term::ClauseTable>();
     decoded->reserve(size);
 
@@ -158,18 +147,14 @@ PredicateBuilder::build(std::span<const term::ClauseView> clauses)
     auto sliced =
         std::make_shared<scw::BitSlicedIndex>(generator_, clauses.size());
     std::size_t rules = 0;
-    std::size_t next_reparsed = 0;
     for (std::size_t i = 0; i < clauses.size(); ++i) {
-        const term::ClauseView &clause = clauses[i];
+        // The record, its index entry and the table entry all hold the
+        // clause's stored form, the one its record text reads back as.
+        const term::ClauseView clause = decoded->add(clauses[i], symbols_);
         const storage::ClauseRecord rec = file.add(clause);
         generator_.encodeInto(*clause.arena, clause.head, signature_);
         scw::SecondaryFile::appendEntry(generator_, signature_, rec, index);
         sliced->setEntry(i, signature_, rec.offset, rec.ordinal);
-        if (next_reparsed < reparsed.size() &&
-            reparsed[next_reparsed].first == i)
-            decoded->add(reparsed[next_reparsed++].second);
-        else
-            decoded->addAsRead(clause);
         rules += clause.isFact() ? 0 : 1;
     }
 

@@ -32,10 +32,11 @@ namespace clare::crs {
 /**
  * The decoded clauses appended by assertz commits since a version's
  * base decoded table was built.  Each commit adds one link holding
- * its own parsed clauses and chained to its predecessor's link, which
- * keeps the earlier clauses alive; a flat directory of views, shared
- * append-only along the chain, gives O(1) lookup.  A commit therefore
- * neither re-decodes nor copies the earlier delta clauses.
+ * its own clauses, in their stored form, chained to its predecessor's
+ * link, which keeps the earlier clauses alive; a flat directory of
+ * views, shared append-only along the chain, gives O(1) lookup.  A
+ * commit therefore neither re-decodes nor copies the earlier delta
+ * clauses.
  */
 class DecodedDelta
 {
@@ -127,10 +128,10 @@ struct StoredPredicate
     /**
      * Decoded clauses (heads and bodies) in one shared arena, for host
      * unification and the knowledge base: the first decoded->size()
-     * clauses, each equal to its source text parsed (a build imports
-     * them, a load parses each record once).  Like `sliced` it is
-     * built with the version and shared untouched by the versions of
-     * later assertz commits.
+     * clauses, each equal to its source text parsed (a build copies
+     * each in its stored form, a load parses each record once).  Like
+     * `sliced` it is built with the version and shared untouched by the
+     * versions of later assertz commits.
      */
     std::shared_ptr<const term::ClauseTable> decoded;
 
@@ -158,11 +159,11 @@ decodeClauses(const storage::ClauseFile &file, term::SymbolTable &symbols);
  * The one build of a predicate version from clauses, shared by a
  * compile (PredicateStore::addProgram) and a minor compaction
  * (LiveStore's asserta/retract commits).  Each clause takes one pass:
- * its record is appended, its head signature encoded once into a
- * reused scratch, its index entry written, its plane bits set from
- * that signature, and it is imported into a decoded table sized
- * exactly up front.  Nothing is parsed, except the text of a clause
- * that would not read back as itself (TermWriter::readsBack), once.
+ * it is copied in its stored form (term::storedClause) into a decoded
+ * table sized exactly up front, and from that copy its record is
+ * appended, its head signature encoded once into a reused scratch,
+ * its index entry written and its plane bits set.  Nothing is parsed:
+ * the record's text reads back as the table's copy.
  */
 class PredicateBuilder
 {
@@ -177,6 +178,7 @@ class PredicateBuilder
      * A version holding @p clauses in order: clause and index images,
      * index page CRCs, a full plane (no delta), the decoded table and
      * the rule count.  Placement and generation are the caller's.
+     * @throws FatalError for a clause no text can carry
      */
     std::shared_ptr<StoredPredicate>
     build(std::span<const term::ClauseView> clauses);
@@ -214,7 +216,8 @@ class PredicateStore
   public:
     /**
      * @param symbols shared symbol table (non-const: addStored() parses
-     *        stored clause text to build the decoded tables)
+     *        stored clause text to build the decoded tables, and a
+     *        build may name variables of the clauses it stores)
      */
     PredicateStore(term::SymbolTable &symbols,
                    scw::CodewordGenerator generator,

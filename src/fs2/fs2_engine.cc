@@ -39,14 +39,7 @@ Fs2Engine::setQuery(const term::TermArena &q_arena, term::TermRef q_goal)
     pif::Encoder encoder;
     pif::EncodedArgs args = encoder.encodeArgs(q_arena, q_goal,
                                                pif::Side::Query);
-    term::PredicateId pred;
-    if (q_arena.kind(q_goal) == term::TermKind::Atom) {
-        pred = term::PredicateId{q_arena.atomSymbol(q_goal), 0};
-    } else {
-        pred = term::PredicateId{q_arena.functor(q_goal),
-                                 q_arena.arity(q_goal)};
-    }
-    setQuery(std::move(args), pred);
+    setQuery(std::move(args), term::predicateOf(q_arena, q_goal));
 }
 
 void

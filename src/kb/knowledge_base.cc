@@ -1,7 +1,6 @@
 #include "kb/knowledge_base.hh"
 
 #include "support/logging.hh"
-#include "unify/bindings.hh"
 #include "unify/unify.hh"
 
 namespace clare::kb {
@@ -102,52 +101,12 @@ KnowledgeBase::asserta(term::Clause clause)
     program_.addFront(std::move(clause));
 }
 
-namespace {
-
-/** Build the right-nested ','/2 conjunction of a clause body. */
-term::TermRef
-bodyConjunction(term::TermArena &arena, term::SymbolTable &symbols,
-                const term::Clause &clause, term::VarId offset)
-{
-    if (clause.isFact())
-        return arena.makeAtom(symbols.intern("true"));
-    term::TermRef conj = arena.import(clause.arena(),
-                                      clause.body().back(), offset);
-    for (std::size_t i = clause.body().size() - 1; i-- > 0;) {
-        term::TermRef g = arena.import(clause.arena(),
-                                       clause.body()[i], offset);
-        term::TermRef args[] = {g, conj};
-        conj = arena.makeStruct(symbols.intern(","), args);
-    }
-    return conj;
-}
-
-} // namespace
-
 bool
 KnowledgeBase::retract(const term::TermArena &arena,
                        term::TermRef pattern)
 {
-    // Split the pattern into head and body-conjunction parts.
-    term::TermRef head_pat = pattern;
-    term::TermRef body_pat = term::kNoTerm;
-    term::SymbolId neck = symbols_.intern(":-");
-    if (arena.kind(pattern) == term::TermKind::Struct &&
-        arena.functor(pattern) == neck && arena.arity(pattern) == 2) {
-        head_pat = arena.arg(pattern, 0);
-        body_pat = arena.arg(pattern, 1);
-    }
-
-    term::PredicateId pred;
-    term::TermKind hk = arena.kind(head_pat);
-    if (hk == term::TermKind::Atom) {
-        pred = term::PredicateId{arena.atomSymbol(head_pat), 0};
-    } else if (hk == term::TermKind::Struct) {
-        pred = term::PredicateId{arena.functor(head_pat),
-                                 arena.arity(head_pat)};
-    } else {
-        clare_fatal("retract pattern head must be an atom or structure");
-    }
+    const unify::RetractPattern match(arena, pattern, symbols_);
+    const term::PredicateId &pred = match.predicate();
     if (compiled_ && isLarge(pred)) {
         if (live_ != nullptr)
             return live_->retract(arena, pattern).has_value();
@@ -158,35 +117,10 @@ KnowledgeBase::retract(const term::TermArena &arena,
     }
 
     for (std::size_t ordinal : program_.clausesOf(pred)) {
-        const term::Clause &clause = program_.clause(ordinal);
-        // A bare-head pattern matches facts only (retract(H) is
-        // retract((H :- true))).
-        if (body_pat == term::kNoTerm && !clause.isFact())
-            continue;
-
-        // Standardize apart and unify head (and body when given).
-        term::TermArena scratch;
-        term::TermRef goal_head = scratch.import(arena, head_pat, 0);
-        term::VarId offset = arena.varCeiling();
-        term::TermRef clause_head = scratch.import(clause.arena(),
-                                                   clause.head(),
-                                                   offset);
-        unify::Bindings bindings;
-        if (!unify::unifyTerms(scratch, goal_head, clause_head,
-                               bindings)) {
-            continue;
+        if (match.matches(program_.clause(ordinal).view())) {
+            program_.remove(ordinal);
+            return true;
         }
-        if (body_pat != term::kNoTerm) {
-            term::TermRef goal_body = scratch.import(arena, body_pat, 0);
-            term::TermRef clause_body = bodyConjunction(
-                scratch, symbols_, clause, offset);
-            if (!unify::unifyTerms(scratch, goal_body, clause_body,
-                                   bindings)) {
-                continue;
-            }
-        }
-        program_.remove(ordinal);
-        return true;
     }
     return false;
 }
@@ -202,19 +136,11 @@ KnowledgeBase::compile()
         const auto &ordinals = program_.clausesOf(pred);
         if (ordinals.size() >= config_.largeThreshold) {
             largePreds_.push_back(pred);
-            for (std::size_t i : ordinals) {
-                // Clauses are copied into the store; the in-memory
-                // program keeps them too as the source of truth for
-                // introspection.
-                const term::Clause &c = program_.clause(i);
-                term::TermArena arena;
-                term::TermRef head = arena.import(c.arena(), c.head(), 0);
-                std::vector<term::TermRef> body;
-                for (term::TermRef g : c.body())
-                    body.push_back(arena.import(c.arena(), g, 0));
-                large_program.add(term::Clause(std::move(arena), head,
-                                               std::move(body)));
-            }
+            // Clauses are copied into the store; the in-memory
+            // program keeps them too as the source of truth for
+            // introspection.
+            for (std::size_t i : ordinals)
+                large_program.add(program_.clause(i));
         }
     }
 
@@ -270,16 +196,7 @@ KnowledgeBase::clausesFor(const term::TermArena &q_arena,
                           term::TermRef goal,
                           std::optional<crs::SearchMode> mode)
 {
-    term::PredicateId pred;
-    if (q_arena.kind(goal) == term::TermKind::Atom) {
-        pred = term::PredicateId{q_arena.atomSymbol(goal), 0};
-    } else if (q_arena.kind(goal) == term::TermKind::Struct) {
-        pred = term::PredicateId{q_arena.functor(goal),
-                                 q_arena.arity(goal)};
-    } else {
-        clare_fatal("goal must be an atom or structure");
-    }
-
+    const term::PredicateId pred = term::predicateOf(q_arena, goal);
     RetrievedClauses out;
     if (compiled_ && isLarge(pred)) {
         crs::RetrievalRequest request;

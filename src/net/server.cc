@@ -20,14 +20,6 @@ namespace {
 
 constexpr std::string_view kWireSite = "wire.conn";
 
-term::PredicateId
-goalPredicate(const term::TermArena &arena, term::TermRef goal)
-{
-    if (arena.kind(goal) == term::TermKind::Atom)
-        return {arena.atomSymbol(goal), 0};
-    return {arena.functor(goal), arena.arity(goal)};
-}
-
 } // namespace
 
 NetServer::NetServer(term::SymbolTable &symbols,
@@ -306,7 +298,7 @@ NetServer::serveRequest(Connection &conn,
                    encodeError(ErrorCode::BadRequest, e.what()));
         return;
     }
-    if (goalPredicate(arena, local.goal) != request.predicate) {
+    if (term::predicateOf(arena, local.goal) != request.predicate) {
         ++server_.metrics().counter("net.bad_requests",
                                     "requests failing validation");
         queueFrame(conn, FrameType::Error,
@@ -406,7 +398,7 @@ NetServer::serveBatchRequest(Connection &conn,
                        encodeError(ErrorCode::BadRequest, e.what()));
             return;
         }
-        if (goalPredicate(arena, local.goal) != request.predicate) {
+        if (term::predicateOf(arena, local.goal) != request.predicate) {
             ++server_.metrics().counter("net.bad_requests",
                                         "requests failing validation");
             queueFrame(conn, FrameType::Error,

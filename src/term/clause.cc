@@ -1,7 +1,10 @@
 #include "term/clause.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <iterator>
+#include <string>
 
 #include "support/logging.hh"
 
@@ -86,11 +89,20 @@ ClauseView::isGroundFact() const
 }
 
 PredicateId
+predicateOf(const TermArena &arena, TermRef t)
+{
+    if (arena.kind(t) == TermKind::Atom)
+        return PredicateId{arena.atomSymbol(t), 0};
+    if (arena.kind(t) != TermKind::Struct)
+        clare_fatal("a goal or clause head must be an atom or structure, "
+                    "not %s", termKindName(arena.kind(t)));
+    return PredicateId{arena.functor(t), arena.arity(t)};
+}
+
+PredicateId
 ClauseView::predicate() const
 {
-    if (arena->kind(head) == TermKind::Atom)
-        return PredicateId{arena->atomSymbol(head), 0};
-    return PredicateId{arena->functor(head), arena->arity(head)};
+    return predicateOf(*arena, head);
 }
 
 void
@@ -115,33 +127,189 @@ ClauseTable::reserve(const Size &more)
     goals_.reserve(goals_.size() + more.goals);
 }
 
-void
-ClauseTable::add(const ClauseView &clause)
+namespace {
+
+/**
+ * A variable token: an uppercase letter or '_' first, then letters,
+ * digits and '_'; '_' alone is the anonymous variable.
+ */
+bool
+isVariableToken(const std::string &name)
+{
+    if (name.empty() || name == "_" ||
+        !(std::isupper(static_cast<unsigned char>(name[0])) ||
+          name[0] == '_'))
+        return false;
+    return std::all_of(name.begin(), name.end(), [](char c) {
+        return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+    });
+}
+
+/**
+ * The stored form of one clause (storedClause()): its goals as
+ * stored, and each variable's VarId and name in it.
+ */
+class StoredForm
+{
+  public:
+    StoredForm(const ClauseView &clause, SymbolTable &symbols)
+        : goals_(clause.body.begin(), clause.body.end())
+    {
+        // The reader splits a body at every ',' of its right spine, so
+        // a last goal that is a conjunction is stored as its goals.
+        const TermArena &arena = *clause.arena;
+        const SymbolId comma = symbols.lookup(",");
+        for (TermRef g = goals_.empty() ? kNoTerm : goals_.back();
+             g != kNoTerm && arena.kind(g) == TermKind::Struct &&
+             arena.functor(g) == comma && arena.arity(g) == 2;
+             g = goals_.back()) {
+            goals_.back() = arena.arg(g, 0);
+            goals_.push_back(arena.arg(g, 1));
+        }
+        scan(arena, clause.head, symbols);
+        for (TermRef g : goals_)
+            scan(arena, g, symbols);
+        name(symbols);
+    }
+
+    std::span<const TermRef> goals() const { return goals_; }
+    std::span<const TermArena::Rename> vars() const { return vars_; }
+
+  private:
+    std::vector<TermRef> goals_;
+    /** The variables by first occurrence, each with its name there. */
+    std::vector<TermArena::Rename> vars_;
+    std::vector<std::uint32_t> uses_;
+
+    void
+    scan(const TermArena &arena, TermRef t, const SymbolTable &symbols)
+    {
+        switch (arena.kind(t)) {
+          case TermKind::Atom:
+          case TermKind::Int:
+            return;
+          case TermKind::Float: {
+            const double v = symbols.floatValue(arena.floatId(t));
+            if (!std::isfinite(v))
+                clare_fatal("no clause text can carry the float %g", v);
+            return;
+          }
+          case TermKind::Var: {
+            const VarId id = arena.varId(t);
+            std::size_t i = 0;
+            while (i < vars_.size() && vars_[i].from != id)
+                ++i;
+            if (i == vars_.size()) {
+                vars_.push_back({id, arena.varName(t)});
+                uses_.push_back(0);
+            }
+            ++uses_[i];
+            return;
+          }
+          case TermKind::Struct:
+          case TermKind::List:
+            for (std::uint32_t i = 0; i < arena.arity(t); ++i)
+                scan(arena, arena.arg(t, i), symbols);
+            if (arena.kind(t) == TermKind::Struct ||
+                arena.isTerminatedList(t))
+                return;
+            // Neither the reader nor the solver makes another tail.
+            if (arena.kind(arena.listTail(t)) != TermKind::Var)
+                clare_fatal("no clause text can carry a list whose tail "
+                            "is not a variable");
+            scan(arena, arena.listTail(t), symbols);
+            return;
+        }
+    }
+
+    /** Settle each variable's name, once every name is known. */
+    void
+    name(SymbolTable &symbols)
+    {
+        auto holder = [this](SymbolId name) {
+            return std::find_if(vars_.begin(), vars_.end(),
+                                [name](const TermArena::Rename &v) {
+                                    return v.name == name;
+                                });
+        };
+        for (std::size_t i = 0; i < vars_.size(); ++i) {
+            SymbolId &name = vars_[i].name;
+            if (name == kNoSymbol ? uses_[i] == 1
+                    : isVariableToken(symbols.name(name)) &&
+                      holder(name) == vars_.begin() + i)
+                continue;
+            for (std::size_t n = i;; ++n) {
+                const std::string fresh = "_" + std::to_string(n);
+                const SymbolId id = symbols.lookup(fresh);
+                if (id == kNoSymbol || holder(id) == vars_.end()) {
+                    name = symbols.intern(fresh);
+                    break;
+                }
+            }
+        }
+    }
+};
+
+} // namespace
+
+template <typename Copy>
+ClauseView
+ClauseTable::append(TermRef head, std::span<const TermRef> body,
+                    const Copy &copy)
 {
     TermArena &arena = last();
     Entry e;
-    e.head = arena.import(*clause.arena, clause.head, 0);
+    e.head = copy(arena, head);
     e.bodyBegin = static_cast<std::uint32_t>(goals_.size());
-    e.bodyCount = static_cast<std::uint32_t>(clause.body.size());
-    for (TermRef g : clause.body)
-        goals_.push_back(arena.import(*clause.arena, g, 0));
+    e.bodyCount = static_cast<std::uint32_t>(body.size());
+    for (TermRef g : body)
+        goals_.push_back(copy(arena, g));
     entries_.push_back(e);
+    return ClauseView{&arena, e.head,
+                      std::span<const TermRef>(goals_.data() + e.bodyBegin,
+                                               e.bodyCount)};
 }
 
 void
-ClauseTable::addAsRead(const ClauseView &clause)
+ClauseTable::add(const ClauseView &clause)
 {
-    // The reader numbers variables in text order, and the writer
-    // renders the head, then the goals, each in import order.
-    std::vector<SymbolId> names;
-    TermArena &arena = last();
-    Entry e;
-    e.head = arena.importByName(*clause.arena, clause.head, names);
-    e.bodyBegin = static_cast<std::uint32_t>(goals_.size());
-    e.bodyCount = static_cast<std::uint32_t>(clause.body.size());
-    for (TermRef g : clause.body)
-        goals_.push_back(arena.importByName(*clause.arena, g, names));
-    entries_.push_back(e);
+    append(clause.head, clause.body, [&clause](TermArena &arena, TermRef t) {
+        return arena.import(*clause.arena, t, 0);
+    });
+}
+
+ClauseView
+ClauseTable::add(const ClauseView &clause, SymbolTable &symbols)
+{
+    const StoredForm form(clause, symbols);
+    return append(clause.head, form.goals(),
+                  [&](TermArena &arena, TermRef t) {
+                      return arena.import(*clause.arena, t, form.vars());
+                  });
+}
+
+Clause
+storedClause(const ClauseView &clause, SymbolTable &symbols)
+{
+    ClauseTable table;
+    const ClauseView stored = table.add(clause, symbols);
+    return Clause(*stored.arena, stored.head,
+                  {stored.body.begin(), stored.body.end()});
+}
+
+TermRef
+bodyTerm(TermArena &into, SymbolTable &symbols, const ClauseView &clause,
+         VarId offset)
+{
+    if (clause.isFact())
+        return into.makeAtom(symbols.intern("true"));
+    TermRef conj = into.import(*clause.arena, clause.body.back(), offset);
+    for (std::size_t i = clause.body.size() - 1; i-- > 0;) {
+        TermRef args[] = {into.import(*clause.arena, clause.body[i], offset),
+                          conj};
+        conj = into.makeStruct(symbols.intern(","), args);
+    }
+    return conj;
 }
 
 ClauseView

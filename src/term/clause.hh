@@ -35,6 +35,13 @@ struct PredicateId
 };
 
 /**
+ * The predicate a goal or clause head @p t names: an atom's name/0, or
+ * a structure's functor and arity.
+ * @throws FatalError when @p t is neither
+ */
+PredicateId predicateOf(const TermArena &arena, TermRef t);
+
+/**
  * A read-only view of one clause whose terms live in a shared arena
  * (a ClauseTable, or a Clause's own arena).
  */
@@ -109,7 +116,9 @@ class Clause
  * vectors, so a large predicate costs a few bytes per term node.  Each
  * clause keeps its own variable numbering from 0, and readers
  * standardize apart on import exactly as they would from the clause's
- * own arena.
+ * own arena.  A store's table holds each clause in its stored form
+ * (storedClause()), which a build copies in (add(clause, symbols)) and
+ * a load parses from the record text; both give the same clause.
  */
 class ClauseTable
 {
@@ -133,17 +142,20 @@ class ClauseTable
      */
     void reserve(const Size &more);
 
-    /** Append a copy of @p clause, variable ids unchanged. */
+    /**
+     * Append a copy of @p clause as it is, variable ids and names
+     * unchanged: a clause already in its stored form (a parse of its
+     * text), or an in-memory predicate's snapshot.
+     */
     void add(const ClauseView &clause);
     void add(const Clause &clause) { add(clause.view()); }
 
     /**
-     * Append @p clause as TermReader decodes the text TermWriter
-     * renders for it, without rendering or parsing it: variables are
-     * renumbered by name from 0, in order of first occurrence.  Only
-     * for a clause TermWriter::readsBack() accepts.
+     * Append @p clause in its stored form (see storedClause()) and
+     * return the copy, valid until the table next grows.
+     * @throws FatalError for a clause no text can carry
      */
-    void addAsRead(const ClauseView &clause);
+    ClauseView add(const ClauseView &clause, SymbolTable &symbols);
 
     std::size_t size() const { return entries_.size(); }
 
@@ -170,11 +182,50 @@ class ClauseTable
     /** The arena clauses are added to. */
     TermArena &last() { return runs_.empty() ? arena_ : *runs_.back().arena; }
 
+    /** Append a clause of @p head and @p body, each term by @p copy. */
+    template <typename Copy>
+    ClauseView append(TermRef head, std::span<const TermRef> body,
+                      const Copy &copy);
+
     TermArena arena_;
     std::vector<Run> runs_;
     std::vector<Entry> entries_;
     std::vector<TermRef> goals_;
 };
+
+/**
+ * @p clause in its stored form, in an arena of its own: the one form
+ * a stored clause takes, in its record, its index entry, its decoded
+ * table entry and its WAL text alike.  TermReader reads the text
+ * TermWriter renders for it back as this very form, node for node.
+ *
+ *  - Variables are numbered from 0 by the first occurrence of their
+ *    identity (VarId), never by name: the head, then each goal, each
+ *    term's arguments left to right and a list's tail after its
+ *    elements.  That is the numbering the reader gives the text.
+ *  - A nameless variable that occurs once stays anonymous ('_').
+ *  - Every other variable is named: its own name when that is a
+ *    variable token no earlier variable holds, else "_<n>", a name
+ *    the clause does not use.
+ *  - A last goal that is a ','/2 conjunction is split into its
+ *    goals, as the reader splits a body.
+ *
+ * A parsed clause is in its stored form already.
+ * @throws FatalError for a clause no text can carry: one holding a
+ *         non-finite float, or a list whose tail is not a variable
+ *         (the reader splices "[a|[b]]" into one list, and the solver's
+ *         resolved terms are spliced the same way)
+ */
+Clause storedClause(const ClauseView &clause, SymbolTable &symbols);
+
+/**
+ * The body of @p clause as one goal term in @p into: the right-nested
+ * ','/2 conjunction of its goals, or 'true' for a fact, with
+ * @p offset added to every variable id (what a retract pattern's
+ * body unifies with).
+ */
+TermRef bodyTerm(TermArena &into, SymbolTable &symbols,
+                 const ClauseView &clause, VarId offset);
 
 /**
  * An ordered set of clauses.  Clause order is the order of addition

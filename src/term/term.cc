@@ -306,8 +306,10 @@ TermArena::isTerminatedList(TermRef t) const
     return listTail(t) == kNoTerm;
 }
 
+template <typename MakeVar>
 TermRef
-TermArena::import(const TermArena &src, TermRef t, VarId var_offset)
+TermArena::importWith(const TermArena &src, TermRef t,
+                      const MakeVar &make_var)
 {
     const Node &n = src.node(t);
     switch (n.kind()) {
@@ -318,7 +320,7 @@ TermArena::import(const TermArena &src, TermRef t, VarId var_offset)
       case TermKind::Float:
         return makeFloat(n.a);
       case TermKind::Var:
-        return makeVar(n.a + var_offset, n.b);
+        return make_var(n.a, n.b);
       case TermKind::Struct:
       case TermKind::List: {
         // Children are imported first (they append to args_ too), so
@@ -334,12 +336,12 @@ TermArena::import(const TermArena &src, TermRef t, VarId var_offset)
             refs = spilled.data();
         }
         for (std::uint32_t i = 0; i < n.argsCount(); ++i)
-            refs[i] = import(src, src.args_[n.b + i], var_offset);
+            refs[i] = importWith(src, src.args_[n.b + i], make_var);
         std::span<const TermRef> children(refs, n.argsCount());
         if (n.kind() == TermKind::Struct)
             return makeStruct(n.a, children);
         TermRef tail = n.a == kNoTerm
-            ? kNoTerm : import(src, n.a, var_offset);
+            ? kNoTerm : importWith(src, n.a, make_var);
         return makeList(children, tail);
       }
     }
@@ -347,45 +349,24 @@ TermArena::import(const TermArena &src, TermRef t, VarId var_offset)
 }
 
 TermRef
-TermArena::importByName(const TermArena &src, TermRef t,
-                        std::vector<SymbolId> &names)
+TermArena::import(const TermArena &src, TermRef t, VarId var_offset)
 {
-    const Node &n = src.node(t);
-    switch (n.kind()) {
-      case TermKind::Atom:
-      case TermKind::Int:
-      case TermKind::Float:
-        return import(src, t, 0);
-      case TermKind::Var: {
-        clare_assert(n.b != kNoSymbol,
-                     "renumbering an anonymous variable by name");
-        auto it = std::find(names.begin(), names.end(), n.b);
-        if (it == names.end())
-            it = names.insert(names.end(), n.b);
-        return makeVar(static_cast<VarId>(it - names.begin()), n.b);
-      }
-      case TermKind::Struct:
-      case TermKind::List: {
-        // As in import(): children first, their refs gathered aside.
-        constexpr std::uint32_t kInline = 8;
-        TermRef inline_refs[kInline];
-        std::vector<TermRef> spilled;
-        TermRef *refs = inline_refs;
-        if (n.argsCount() > kInline) {
-            spilled.resize(n.argsCount());
-            refs = spilled.data();
-        }
-        for (std::uint32_t i = 0; i < n.argsCount(); ++i)
-            refs[i] = importByName(src, src.args_[n.b + i], names);
-        std::span<const TermRef> children(refs, n.argsCount());
-        if (n.kind() == TermKind::Struct)
-            return makeStruct(n.a, children);
-        TermRef tail = n.a == kNoTerm
-            ? kNoTerm : importByName(src, n.a, names);
-        return makeList(children, tail);
-      }
-    }
-    clare_panic("unreachable term kind");
+    return importWith(src, t, [this, var_offset](VarId v, SymbolId name) {
+        return makeVar(v + var_offset, name);
+    });
+}
+
+TermRef
+TermArena::import(const TermArena &src, TermRef t,
+                  std::span<const Rename> vars)
+{
+    return importWith(src, t, [this, vars](VarId v, SymbolId) {
+        const auto it = std::find_if(
+            vars.begin(), vars.end(),
+            [v](const Rename &r) { return r.from == v; });
+        clare_assert(it != vars.end(), "variable %u is not renamed", v);
+        return makeVar(static_cast<VarId>(it - vars.begin()), it->name);
+    });
 }
 
 bool

@@ -172,16 +172,20 @@ class TermArena
      */
     TermRef import(const TermArena &src, TermRef t, VarId var_offset);
 
+    /** A variable of a renaming: its source VarId, its name in the copy. */
+    struct Rename
+    {
+        VarId from;
+        SymbolId name;
+    };
+
     /**
-     * import() with variables renumbered by name instead of offset: a
-     * variable takes its name's position in @p names, where the name
-     * is appended at its first occurrence in import order (arguments
-     * left to right, a list's tail after its elements).  That is the
-     * numbering TermReader gives the text TermWriter renders.  Every
-     * variable of @p t must be named.
+     * import() with every variable renamed by @p vars: its VarId in the
+     * copy is the position of its source VarId in @p vars, and its name
+     * the one held there.  Every variable of @p t must be listed.
      */
-    TermRef importByName(const TermArena &src, TermRef t,
-                         std::vector<SymbolId> &names);
+    TermRef import(const TermArena &src, TermRef t,
+                   std::span<const Rename> vars);
 
     /** Deep structural equality between terms of two arenas. */
     static bool equal(const TermArena &a, TermRef ta,
@@ -237,6 +241,11 @@ class TermArena
 
     const Node &node(TermRef t) const;
     TermRef push(Node n);
+
+    /** import(), each variable node made by @p make_var. */
+    template <typename MakeVar>
+    TermRef importWith(const TermArena &src, TermRef t,
+                       const MakeVar &make_var);
 };
 
 } // namespace clare::term

@@ -1,6 +1,8 @@
 #include "term/term_reader.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 
 #include "support/logging.hh"
@@ -195,10 +197,15 @@ Lexer::lexNumber(bool negative)
             t.floatValue = -t.floatValue;
         return t;
     }
+    // Read unsigned, so the most negative integer's digits fit.
     Token t = make(Tok::Int, digits);
-    t.intValue = std::strtoll(digits.c_str(), nullptr, 10);
-    if (negative)
-        t.intValue = -t.intValue;
+    errno = 0;
+    const std::uint64_t magnitude = std::strtoull(digits.c_str(), nullptr, 10);
+    if (errno == ERANGE || magnitude > std::uint64_t{INT64_MAX} + negative)
+        clare_fatal("integer %s out of range at line %d", digits.c_str(),
+                    line_);
+    t.intValue = static_cast<std::int64_t>(negative ? 0 - magnitude
+                                                    : magnitude);
     return t;
 }
 

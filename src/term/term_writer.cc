@@ -1,11 +1,9 @@
 #include "term/term_writer.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <string_view>
 
 #include "support/logging.hh"
@@ -24,7 +22,7 @@ isUnquotedAtom(const std::string &name)
 {
     if (name.empty())
         return false;
-    if (name == "[]" || name == "." || name == "!" || name == ";")
+    if (name == "[]" || name == "!" || name == ";")
         return true;
     if (std::islower(static_cast<unsigned char>(name[0]))) {
         for (char c : name) {
@@ -33,7 +31,11 @@ isUnquotedAtom(const std::string &name)
         }
         return true;
     }
-    // Symbolic atoms made purely of symbol chars.
+    // Symbolic atoms made purely of symbol chars, but for those the
+    // reader would take for a clause neck or end, or a comment.
+    if (name == "." || name.starts_with(":-") || name.starts_with("?-") ||
+        name.starts_with("/*"))
+        return false;
     for (char c : name) {
         if (kSymbolChars.find(c) == std::string_view::npos)
             return false;
@@ -83,27 +85,24 @@ TermWriter::writeTerm(const TermArena &arena, TermRef t,
         return;
       }
       case TermKind::Float: {
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "%g",
-                      symbols_.floatValue(arena.floatId(t)));
-        out += buf;
-        // Ensure it reads back as a float, not an integer.
-        std::string s(buf);
-        if (s.find('.') == std::string::npos &&
-            s.find('e') == std::string::npos &&
-            s.find("inf") == std::string::npos &&
-            s.find("nan") == std::string::npos) {
+        // The shortest digits that read back as the same double, with
+        // ".0" on an integral value so it reads back as a float.
+        char buf[32];
+        char *end = std::to_chars(
+            buf, buf + sizeof(buf),
+            symbols_.floatValue(arena.floatId(t))).ptr;
+        out.append(buf, end);
+        if (std::all_of(buf, end, [](char c) {
+                return c == '-' || std::isdigit(static_cast<unsigned char>(c));
+            }))
             out += ".0";
-        }
         return;
       }
       case TermKind::Var:
-        if (arena.isAnonymous(t)) {
-            out += "_G";
-            out += std::to_string(arena.varId(t));
-        } else {
+        if (arena.isAnonymous(t))
+            out += '_';
+        else
             out += symbols_.name(arena.varName(t));
-        }
         return;
       case TermKind::Struct: {
         const std::string &name = symbols_.name(arena.functor(t));
@@ -189,19 +188,23 @@ TermWriter::writeOperand(const TermArena &arena, TermRef t,
     bool negative_literal =
         (arena.kind(t) == TermKind::Int && arena.intValue(t) < 0) ||
         (arena.kind(t) == TermKind::Float &&
-         symbols_.floatValue(arena.floatId(t)) < 0);
-    // A bare symbolic atom next to a symbolic operator would lex as
-    // one longer symbolic token ("*+"), so such operands are
+         std::signbit(symbols_.floatValue(arena.floatId(t))));
+    // A bare symbolic atom, or a structure written f(...) under a
+    // symbolic name, next to a symbolic operator would lex as one
+    // longer symbolic token ("*+", "--(1)"), so such operands are
     // parenthesized.
     bool symbolic_atom = false;
-    if (arena.kind(t) == TermKind::Atom) {
-        const std::string &name = symbols_.name(arena.atomSymbol(t));
+    const bool atom = arena.kind(t) == TermKind::Atom;
+    if (atom || (arena.kind(t) == TermKind::Struct &&
+                 termPrecedence(arena, t) == 0)) {
+        const std::string &name =
+            symbols_.name(atom ? arena.atomSymbol(t) : arena.functor(t));
         // Operator-*named* atoms also confuse re-parsing even when
         // alphanumeric ("is-1" would lex -1 as a literal), so they
         // are parenthesized too.
         symbolic_atom = (!name.empty() &&
             kSymbolChars.find(name[0]) != std::string_view::npos) ||
-            infixOperator(name) != nullptr;
+            (atom && infixOperator(name) != nullptr);
     }
     // The literal/atom lexing hazards only exist next to an infix
     // operator; in argument positions only precedence matters.
@@ -231,86 +234,25 @@ TermWriter::writeClause(const ClauseView &clause) const
 void
 TermWriter::appendClause(const ClauseView &clause, std::string &out) const
 {
-    writeTerm(*clause.arena, clause.head, out);
+    // The reader takes the head below the neck's precedence and splits
+    // the body at every top-level ',', so a head or goal that binds
+    // looser is parenthesized.
+    writeOperand(*clause.arena, clause.head, 1199, false, out);
     if (!clause.isFact()) {
         out += " :- ";
         for (std::size_t i = 0; i < clause.body.size(); ++i) {
             if (i)
                 out += ", ";
-            writeTerm(*clause.arena, clause.body[i], out);
+            writeOperand(*clause.arena, clause.body[i], 999, false, out);
         }
     }
     // A trailing symbolic character would merge with the clause dot
     // ("+." lexes as one symbolic atom); separate them.
-    if (!out.empty() && out.back() != '.' &&
+    if (!out.empty() &&
         kSymbolChars.find(out.back()) != std::string_view::npos) {
         out += ' ';
     }
     out += '.';
-}
-
-bool
-TermWriter::readsBack(const ClauseView &clause) const
-{
-    // The reader takes the head below the neck's precedence and splits
-    // the body at every top-level ',', so a goal binding looser than
-    // an argument would regroup with its neighbours.
-    if (termPrecedence(*clause.arena, clause.head) >= 1200 ||
-        !termReadsBack(*clause.arena, clause.head))
-        return false;
-    for (TermRef g : clause.body)
-        if (termPrecedence(*clause.arena, g) > 999 ||
-            !termReadsBack(*clause.arena, g))
-            return false;
-    return true;
-}
-
-bool
-TermWriter::termReadsBack(const TermArena &arena, TermRef t) const
-{
-    switch (arena.kind(t)) {
-      case TermKind::Atom:
-        return true;
-      case TermKind::Int:
-        // Its digits overflow the reader before the sign applies.
-        return arena.intValue(t) != INT64_MIN;
-      case TermKind::Float: {
-        const double v = symbols_.floatValue(arena.floatId(t));
-        if (!std::isfinite(v))
-            return false;
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "%g", v);
-        return std::strtod(buf, nullptr) == v;
-      }
-      case TermKind::Var: {
-        if (arena.isAnonymous(t))
-            return false;
-        // A variable token: uppercase or '_' first, '_' alone being
-        // the anonymous variable.
-        const std::string &name = symbols_.name(arena.varName(t));
-        if (name.empty() || name == "_" ||
-            !(std::isupper(static_cast<unsigned char>(name[0])) ||
-              name[0] == '_'))
-            return false;
-        for (char c : name)
-            if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_')
-                return false;
-        return true;
-      }
-      case TermKind::Struct:
-        for (std::uint32_t i = 0; i < arena.arity(t); ++i)
-            if (!termReadsBack(arena, arena.arg(t, i)))
-                return false;
-        return true;
-      case TermKind::List:
-        for (std::uint32_t i = 0; i < arena.arity(t); ++i)
-            if (!termReadsBack(arena, arena.arg(t, i)))
-                return false;
-        return arena.isTerminatedList(t) ||
-            (arena.kind(arena.listTail(t)) == TermKind::Var &&
-             termReadsBack(arena, arena.listTail(t)));
-    }
-    clare_panic("unreachable term kind");
 }
 
 } // namespace clare::term

@@ -18,8 +18,10 @@ struct ClauseView;
 
 /**
  * Renders terms against a symbol table.  Atoms that are not valid
- * unquoted identifiers are single-quoted; variables print their source
- * name when one exists, otherwise "_Gn".
+ * unquoted identifiers are single-quoted, a variable prints its name
+ * and an anonymous one '_', and a float prints the shortest digits
+ * that read back as it.  TermReader reads the text of a clause in its
+ * stored form (term::storedClause) back as that clause, node for node.
  */
 class TermWriter
 {
@@ -36,17 +38,6 @@ class TermWriter
     /** writeClause() appended to @p out. */
     void appendClause(const ClauseView &clause, std::string &out) const;
 
-    /**
-     * True when TermReader reads writeClause(@p clause) back as
-     * @p clause, variable numbering aside (ClauseTable::addAsRead
-     * numbers them as the reader does).  False for what the text
-     * cannot carry: an anonymous variable, a variable name that is
-     * not a variable token, a float "%g" rounds, the most negative
-     * integer, a list with a non-variable tail, or a head or goal of
-     * an operator the clause syntax would regroup.
-     */
-    bool readsBack(const ClauseView &clause) const;
-
   private:
     const SymbolTable &symbols_;
 
@@ -54,7 +45,6 @@ class TermWriter
                    std::string &out) const;
     void writeAtomText(const std::string &name, std::string &out) const;
     int termPrecedence(const TermArena &arena, TermRef t) const;
-    bool termReadsBack(const TermArena &arena, TermRef t) const;
     void writeOperand(const TermArena &arena, TermRef t, int max_prec,
                       bool infix_context, std::string &out) const;
 };

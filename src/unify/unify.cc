@@ -229,4 +229,39 @@ resolveTerm(const TermArena &arena, TermRef t, const Bindings &bindings,
     clare_panic("unreachable kind in resolveTerm");
 }
 
+RetractPattern::RetractPattern(const term::TermArena &arena,
+                               term::TermRef pattern,
+                               term::SymbolTable &symbols)
+    : arena_(arena), symbols_(symbols), head_(pattern)
+{
+    if (arena.kind(pattern) == TermKind::Struct &&
+        arena.functor(pattern) == symbols.intern(":-") &&
+        arena.arity(pattern) == 2) {
+        head_ = arena.arg(pattern, 0);
+        body_ = arena.arg(pattern, 1);
+    }
+    pred_ = term::predicateOf(arena, head_);
+}
+
+bool
+RetractPattern::matches(const term::ClauseView &clause) const
+{
+    if (body_ == term::kNoTerm && !clause.isFact())
+        return false;
+    term::TermArena scratch;
+    const term::VarId offset = arena_.varCeiling();
+    const TermRef goal_head = scratch.import(arena_, head_, 0);
+    const TermRef clause_head =
+        scratch.import(*clause.arena, clause.head, offset);
+    Bindings bindings;
+    if (!unifyTerms(scratch, goal_head, clause_head, bindings))
+        return false;
+    if (body_ == term::kNoTerm)
+        return true;
+    const TermRef goal_body = scratch.import(arena_, body_, 0);
+    const TermRef clause_body =
+        term::bodyTerm(scratch, symbols_, clause, offset);
+    return unifyTerms(scratch, goal_body, clause_body, bindings);
+}
+
 } // namespace clare::unify

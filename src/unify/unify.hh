@@ -15,6 +15,8 @@
 #ifndef CLARE_UNIFY_UNIFY_HH
 #define CLARE_UNIFY_UNIFY_HH
 
+#include "term/clause.hh"
+#include "term/symbol_table.hh"
 #include "term/term.hh"
 #include "unify/bindings.hh"
 
@@ -50,6 +52,32 @@ bool unifyTerms(term::TermArena &arena, term::TermRef a, term::TermRef b,
 term::TermRef resolveTerm(const term::TermArena &arena, term::TermRef t,
                           const Bindings &bindings,
                           term::TermArena &out);
+
+/**
+ * A retract pattern: a clause head, which matches facts only
+ * (retract(H) is retract((H :- true))), or ':-'(Head, Body), which
+ * matches a clause whose head and body conjunction both unify with it.
+ */
+class RetractPattern
+{
+  public:
+    /** @throws FatalError when the head is not an atom or structure */
+    RetractPattern(const term::TermArena &arena, term::TermRef pattern,
+                   term::SymbolTable &symbols);
+
+    /** The predicate the pattern's head names. */
+    const term::PredicateId &predicate() const { return pred_; }
+
+    /** True when @p clause matches, standardized apart from the pattern. */
+    bool matches(const term::ClauseView &clause) const;
+
+  private:
+    const term::TermArena &arena_;
+    term::SymbolTable &symbols_;
+    term::TermRef head_;
+    term::TermRef body_ = term::kNoTerm;
+    term::PredicateId pred_;
+};
 
 } // namespace clare::unify
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 
 #include "crs/server.hh"
@@ -203,6 +204,74 @@ sameClause(const term::ClauseView &a, const term::ClauseView &b)
         if (!sameTerm(*a.arena, a.body[g], *b.arena, b.body[g]))
             return false;
     return true;
+}
+
+/**
+ * True when @p b is @p a with its variables renamed one to one: by
+ * identity (VarId), names aside, @p ab and @p ba holding the renaming.
+ */
+inline bool
+variantTerm(const term::TermArena &a, term::TermRef ta,
+            const term::TermArena &b, term::TermRef tb,
+            std::map<term::VarId, term::VarId> &ab,
+            std::map<term::VarId, term::VarId> &ba)
+{
+    using term::TermKind;
+    if (a.kind(ta) != b.kind(tb))
+        return false;
+    switch (a.kind(ta)) {
+      case TermKind::Atom:
+        return a.atomSymbol(ta) == b.atomSymbol(tb);
+      case TermKind::Int:
+        return a.intValue(ta) == b.intValue(tb);
+      case TermKind::Float:
+        return a.floatId(ta) == b.floatId(tb);
+      case TermKind::Var: {
+        const term::VarId va = a.varId(ta);
+        const term::VarId vb = b.varId(tb);
+        return ab.try_emplace(va, vb).first->second == vb &&
+            ba.try_emplace(vb, va).first->second == va;
+      }
+      case TermKind::Struct:
+      case TermKind::List:
+        if (a.arity(ta) != b.arity(tb))
+            return false;
+        if (a.kind(ta) == TermKind::Struct
+                ? a.functor(ta) != b.functor(tb)
+                : (a.listTail(ta) == term::kNoTerm) !=
+                      (b.listTail(tb) == term::kNoTerm))
+            return false;
+        for (std::uint32_t i = 0; i < a.arity(ta); ++i)
+            if (!variantTerm(a, a.arg(ta, i), b, b.arg(tb, i), ab, ba))
+                return false;
+        return a.kind(ta) == TermKind::Struct ||
+            a.listTail(ta) == term::kNoTerm ||
+            variantTerm(a, a.listTail(ta), b, b.listTail(tb), ab, ba);
+    }
+    return false;
+}
+
+/**
+ * True when @p b is a variant of @p a (variantTerm), each clause taken
+ * as one term Head :- Body, its goals one conjunction.
+ */
+inline bool
+variantClause(term::SymbolTable &symbols, const term::ClauseView &a,
+              const term::ClauseView &b)
+{
+    auto whole = [&symbols](term::TermArena &into,
+                            const term::ClauseView &c) {
+        term::TermRef args[] = {into.import(*c.arena, c.head, 0),
+                                term::bodyTerm(into, symbols, c, 0)};
+        return into.makeStruct(symbols.intern(":-"), args);
+    };
+    term::TermArena sa;
+    term::TermArena sb;
+    const term::TermRef ta = whole(sa, a);
+    const term::TermRef tb = whole(sb, b);
+    std::map<term::VarId, term::VarId> ab;
+    std::map<term::VarId, term::VarId> ba;
+    return variantTerm(sa, ta, sb, tb, ab, ba);
 }
 
 /**

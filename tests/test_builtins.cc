@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "kb/arith.hh"
 #include "kb/knowledge_base.hh"
 #include "kb/resolution.hh"
@@ -425,6 +427,43 @@ TEST_F(BuiltinSolver, DynamicUpdateOfLargePredicateRejected)
     EXPECT_THROW(solver->solve("retract(big(a))"), FatalError);
     // Small predicates stay dynamic after compilation.
     EXPECT_EQ(solver->solve("assertz(note(1)), note(N)").size(), 1u);
+}
+
+TEST_F(BuiltinSolver, AssertedVariablesKeepTheirIdentity)
+{
+    // big/2 is store-resident, so an assertz goes through the live
+    // store: the stored clause must hold the asserted variables as
+    // they were, two distinct ones of one source name kept apart and
+    // one nameless shared one kept shared.
+    const std::string wal = ::testing::TempDir() + "asserted_vars.wal";
+    auto open = [&] {
+        solver.reset();
+        kb.reset();
+        std::remove(wal.c_str());
+        KbConfig config;
+        config.largeThreshold = 2;
+        kb = std::make_unique<KnowledgeBase>(config);
+        kb->consult("same(X).\n"
+                    "pairup(P, Q) :- same(P), same(Q).\n"
+                    "big(3, 4).\n"
+                    "big(5, 5).\n");
+        kb->compile();
+        kb->enableLiveUpdates(wal);
+        solver = std::make_unique<Solver>(*kb);
+    };
+
+    // A and B are two instances of same/1's X.
+    open();
+    ASSERT_EQ(solver->solve("pairup(A, B), assertz(big(A, B))").size(), 1u);
+    EXPECT_EQ(solver->solve("big(1, 2)").size(), 1u);
+
+    open();
+    ASSERT_EQ(solver->solve("A = _, assertz(big(A, A))").size(), 1u);
+    EXPECT_EQ(solver->solve("big(3, 4)").size(), 1u);
+    EXPECT_EQ(solver->solve("big(5, 5)").size(), 2u);
+    solver.reset();
+    kb.reset();
+    std::remove(wal.c_str());
 }
 
 TEST_F(BuiltinSolver, DisjunctionBranches)

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "support/logging.hh"
 #include "term/term_reader.hh"
 #include "term/term_writer.hh"
@@ -59,6 +63,16 @@ TEST_F(ReaderTest, Integers)
     EXPECT_EQ(t.arena.intValue(t.root), 42);
     ParsedTerm n = reader.parseTerm("-17");
     EXPECT_EQ(n.arena.intValue(n.root), -17);
+}
+
+TEST_F(ReaderTest, IntegerRange)
+{
+    ParsedTerm m = reader.parseTerm("-9223372036854775808");
+    EXPECT_EQ(m.arena.intValue(m.root), INT64_MIN);
+    EXPECT_EQ(roundTrip("f(-9223372036854775808, 9223372036854775807)"),
+              "f(-9223372036854775808,9223372036854775807)");
+    EXPECT_THROW(reader.parseTerm("9223372036854775808"), FatalError);
+    EXPECT_THROW(reader.parseTerm("-9223372036854775809"), FatalError);
 }
 
 TEST_F(ReaderTest, Floats)
@@ -291,6 +305,143 @@ TEST_F(ReaderTest, ClauseRoundTripPreservesStructure)
     Clause b = reader.parseClause(writer.writeClause(a));
     EXPECT_TRUE(TermArena::equal(a.arena(), a.head(),
                                  b.arena(), b.head()));
+}
+
+TEST_F(ReaderTest, WriterFloatsReadBackExactly)
+{
+    for (double v : {3.14159265, 0.1, 1e-300, 5e-324,
+                     1.7976931348623157e308, 0.30000000000000004,
+                     -2.5, 100.0, 1e22}) {
+        TermArena arena;
+        const std::string text =
+            writer.write(arena, arena.makeFloat(sym.internFloat(v)));
+        ParsedTerm back = reader.parseTerm(text);
+        ASSERT_EQ(back.arena.kind(back.root), TermKind::Float) << text;
+        EXPECT_EQ(sym.floatValue(back.arena.floatId(back.root)), v)
+            << text;
+    }
+    EXPECT_EQ(roundTrip("p(3.14159265)"), "p(3.14159265)");
+    EXPECT_EQ(roundTrip("1 - -0.0"), "1-(-0.0)");
+}
+
+TEST_F(ReaderTest, WriterClauseTextReadsBack)
+{
+    // Atoms the reader would take for a neck, an end or a comment, and
+    // a symbolic structure beside a symbolic operator.
+    for (const char *text : {"p(':-','?-','/*').", "p :- '.'.",
+                             "p :- =.. .", "p(a-(-(1)),b+(~(c))).",
+                             "p :- (a;b), (c:-d)."}) {
+        const Clause c = reader.parseClause(text);
+        EXPECT_EQ(writer.writeClause(c), text);
+    }
+}
+
+/** The text of @p clause's stored form. */
+class StoredFormTest : public ReaderTest
+{
+  protected:
+    std::string
+    stored(const Clause &clause)
+    {
+        const Clause s = storedClause(clause.view(), sym);
+        const std::string text = writer.writeClause(s);
+        // The text reads back as the stored form, node for node.
+        const Clause back = reader.parseClause(text);
+        EXPECT_EQ(back.body().size(), s.body().size()) << text;
+        EXPECT_TRUE(TermArena::equal(back.arena(), back.head(),
+                                     s.arena(), s.head()))
+            << text;
+        return text;
+    }
+
+    /** big(@p a, @p b) over @p arena. */
+    Clause
+    big(TermArena arena, TermRef a, TermRef b)
+    {
+        TermRef args[] = {a, b};
+        TermRef head = arena.makeStruct(sym.intern("big"), args);
+        return Clause(std::move(arena), head, {});
+    }
+};
+
+TEST_F(StoredFormTest, ParsedClausesAreStoredAsParsed)
+{
+    for (const char *text : {"p(X, _, [a|T], Y) :- q(Y, _), r(X, T).",
+                             "p(_1, _G3, _) :- \\+ q(_1)."}) {
+        const Clause c = reader.parseClause(text);
+        EXPECT_EQ(stored(c), writer.writeClause(c));
+    }
+}
+
+TEST_F(StoredFormTest, VariablesAreStoredByIdentity)
+{
+    {
+        // Two variables of one name (two instances of a clause's X).
+        TermArena arena;
+        const TermRef x1 = arena.makeVar(7, sym.intern("X"));
+        const TermRef x2 = arena.makeVar(9, sym.intern("X"));
+        EXPECT_EQ(stored(big(std::move(arena), x1, x2)), "big(X,_1).");
+    }
+    {
+        // One nameless variable twice: named, so it stays shared.
+        TermArena arena;
+        const TermRef v = arena.makeVar(4);
+        EXPECT_EQ(stored(big(std::move(arena), v, v)), "big(_0,_0).");
+    }
+    {
+        // Nameless and once each: anonymous.
+        TermArena arena;
+        const TermRef a = arena.makeVar(4);
+        const TermRef b = arena.makeVar(5);
+        EXPECT_EQ(stored(big(std::move(arena), a, b)), "big(_,_).");
+    }
+    {
+        // A fresh name avoids every name the clause holds.
+        TermArena arena;
+        const TermRef v = arena.makeVar(0);
+        TermRef args[] = {v, v, arena.makeVar(1, sym.intern("_0"))};
+        const TermRef head = arena.makeStruct(sym.intern("t"), args);
+        EXPECT_EQ(stored(Clause(std::move(arena), head, {})),
+                  "t(_1,_1,_0).");
+    }
+}
+
+TEST_F(StoredFormTest, GoalsAreStoredAsTheyRead)
+{
+    // A goal or head that binds looser than the clause syntax allows
+    // is parenthesized, and a last goal that is a conjunction is
+    // split, as the reader splits a body.
+    ParsedTerm t = reader.parseTerm(
+        "f((a :- b), (x, y), (l ; r), [1|[2|T]], [3|[]])");
+    const TermArena &a = t.arena;
+    TermArena arena;
+    const TermRef head = arena.import(a, a.arg(t.root, 3), 0);
+    std::vector<TermRef> body = {arena.import(a, a.arg(t.root, 0), 0),
+                                 arena.import(a, a.arg(t.root, 2), 0),
+                                 arena.import(a, a.arg(t.root, 4), 0),
+                                 arena.import(a, a.arg(t.root, 1), 0)};
+    TermRef h = arena.makeStruct(sym.intern("h"), std::span(&head, 1));
+    EXPECT_EQ(stored(Clause(std::move(arena), h, body)),
+              "h([1,2|T]) :- (a:-b), (l;r), [3], x, y.");
+}
+
+TEST_F(StoredFormTest, ClausesNoTextCanCarryAreRejected)
+{
+    TermArena arena;
+    const TermRef inf = arena.makeFloat(
+        sym.internFloat(std::numeric_limits<double>::infinity()));
+    const TermRef a = arena.makeAtom(sym.intern("a"));
+    const TermRef open = arena.makeList(std::span(&a, 1),
+                                        arena.makeAtom(sym.intern("foo")));
+    // A list node as a tail: what the reader would splice.
+    const TermRef nested = arena.makeList(
+        std::span(&a, 1), arena.makeList(std::span(&a, 1), arena.makeVar(0)));
+    for (const Clause &bad : {big(arena, inf, a), big(arena, open, a),
+                              big(arena, nested, a)}) {
+        EXPECT_THROW(storedClause(bad.view(), sym), FatalError);
+        ClauseTable table;
+        EXPECT_THROW(table.add(bad.view(), sym), FatalError);
+    }
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -480,9 +481,11 @@ TEST(LiveUpdate, AssertzDeltaIsBitIdenticalToRebuild)
             txn.assertz(reader.parseClause("edge(f, f)."));
             txn.commit();
         }
+        // An anonymous variable is stored as one, as a consult stores it.
+        live.assertz(reader.parseClause("edge(g, _)."));
 
         const std::string rebuilt_text = std::string(kBaseProgram) +
-            "edge(a, e).\nedge(e, b).\nedge(f, f).\n";
+            "edge(a, e).\nedge(e, b).\nedge(f, f).\nedge(g, _).\n";
         auto ref_store = makeStore(sym, reader, rebuilt_text);
         ClauseRetrievalServer ref_server(sym, *ref_store);
 
@@ -491,23 +494,29 @@ TEST(LiveUpdate, AssertzDeltaIsBitIdenticalToRebuild)
         ASSERT_NE(v, nullptr);
         // Composite images are byte-identical to the from-scratch build.
         const auto ref = ref_store->predicateVersion(edge);
+        EXPECT_EQ(v->clauses.image(), ref->clauses.image());
         EXPECT_EQ(v->index.image(), ref->index.image());
-        ASSERT_EQ(v->clauses.clauseCount(), 8u);
-        for (std::size_t i = 0; i < v->clauses.clauseCount(); ++i)
+        ASSERT_EQ(v->clauses.clauseCount(), 9u);
+        for (std::size_t i = 0; i < v->clauses.clauseCount(); ++i) {
             EXPECT_EQ(v->clauses.sourceText(i),
                       ref->clauses.sourceText(i));
+            EXPECT_TRUE(oracle::sameClause(
+                v->decodedClause(static_cast<std::uint32_t>(i)),
+                ref->decoded->view(i)))
+                << "clause " << i;
+        }
         // The base plane is shared; only the tail got a delta.
         ASSERT_NE(v->deltaSliced, nullptr);
         EXPECT_EQ(v->baseEntries, 5u);
         EXPECT_EQ(v->sliced->entryCount(), 5u);
-        EXPECT_EQ(v->deltaSliced->entryCount(), 3u);
+        EXPECT_EQ(v->deltaSliced->entryCount(), 4u);
         // So is the base decoded table; the tail was decoded alone.
         const term::PredicateId base_edge{sym.lookup("edge"), 2};
         EXPECT_EQ(v->decoded,
                   live_store->predicateVersion(base_edge, 0)->decoded);
         EXPECT_EQ(v->decoded->size(), 5u);
         ASSERT_NE(v->decodedDelta, nullptr);
-        EXPECT_EQ(v->decodedDelta->size(), 3u);
+        EXPECT_EQ(v->decodedDelta->size(), 4u);
 
         for (const char *goal : kOracleQueries)
             for (SearchMode mode : kAllModes) {
@@ -564,12 +573,16 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
             LiveStore::Update txn = live.begin();
             txn.asserta(
                 reader.parseClause("item(g(Y, Z), Y) :- item(Y, Z)."));
+            // Stored with its anonymous variable, as a consult stores it.
+            txn.asserta(
+                reader.parseClause("item(g(Y, _), Y) :- item(Y, 1)."));
             term::ParsedTerm pat = reader.parseTerm("item(b, 2)");
             EXPECT_TRUE(txn.retract(pat.arena, pat.root));
             txn.commit();
         }
 
         const char *const rebuilt_text =
+            "item(g(Y, _), Y) :- item(Y, 1).\n"
             "item(g(Y, Z), Y) :- item(Y, Z).\n"
             "item(a, 1).\n"
             "item(c, 3).\n"
@@ -591,7 +604,7 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
         EXPECT_EQ(v->deltaSliced, nullptr);
         EXPECT_EQ(v->baseEntries, 0u);
         ASSERT_NE(v->sliced, nullptr);
-        EXPECT_EQ(v->sliced->entryCount(), 6u);
+        EXPECT_EQ(v->sliced->entryCount(), 7u);
         EXPECT_TRUE(*v->sliced == *ref->sliced);
         EXPECT_EQ(v->decodedDelta, nullptr);
         ASSERT_NE(v->decoded, nullptr);
@@ -604,13 +617,123 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
 
         for (const char *goal : {"item(X, Y)", "item(g(X, 2), X)",
                                  "item(b, X)", "item(X, 5)",
-                                 "item(f(a), X)"})
+                                 "item(f(a), X)", "item(g(X, Y), X)"})
             for (SearchMode mode : kAllModes)
                 expectSameResponse(
                     serveOn(live_server, reader, goal, mode),
                     serveOn(ref_server, reader, goal, mode),
                     std::string(goal) + " " + searchModeName(mode));
     }
+}
+
+TEST(LiveUpdate, FloatClausesAnswerHoweverStored)
+{
+    // A float the old "%g" text rounded: each way of storing the
+    // clause must keep the value the goal asks for, in every mode.
+    const std::string base = "p(3.14159265, a).\np(2.5, b).\n";
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    auto expectAnswers = [](term::SymbolTable &symbols,
+                            const PredicateStore &store, std::size_t n,
+                            const std::string &when) {
+        term::TermReader goals(symbols);
+        ClauseRetrievalServer server(symbols, store);
+        for (SearchMode mode : kAllModes) {
+            EXPECT_EQ(serveOn(server, goals, "p(3.14159265, X)", mode)
+                          .answers.size(),
+                      n)
+                << when << " " << searchModeName(mode);
+            EXPECT_TRUE(serveOn(server, goals, "p(3.14159, X)", mode)
+                            .answers.empty())
+                << when << " " << searchModeName(mode);
+        }
+    };
+
+    TempDir dir;
+    const std::string wal = dir.path + "/wal.log";
+    {
+        auto store = makeStore(sym, reader, base);
+        expectAnswers(sym, *store, 1, "consult");
+        LiveStore live(*store, sym, wal);
+        live.assertz(reader.parseClause("p(3.14159265, c)."));
+        expectAnswers(sym, *store, 2, "assertz");
+        live.asserta(reader.parseClause("p(3.14159265, d)."));
+        expectAnswers(sym, *store, 3, "asserta compaction");
+    }
+
+    // Replay after a clean close, onto a fresh table of symbols.
+    term::SymbolTable replay_sym;
+    term::TermReader replay_reader(replay_sym);
+    auto replayed = makeStore(replay_sym, replay_reader, base);
+    {
+        LiveStore live(*replayed, replay_sym, wal);
+        EXPECT_EQ(live.recoveredCommits(), 2u);
+    }
+    expectAnswers(replay_sym, *replayed, 3, "WAL replay");
+
+    saveStore(dir.path + "/saved", *replayed, replay_sym);
+    term::SymbolTable load_sym;
+    const PredicateStore loaded = loadStore(dir.path + "/saved", load_sym);
+    expectAnswers(load_sym, loaded, 3, "save/load");
+}
+
+/** The fact edge(@p arg, b), @p arg a term of @p arena. */
+term::Clause
+clauseOf(term::SymbolTable &sym, term::TermArena arena, term::TermRef arg)
+{
+    term::TermRef args[] = {arg, arena.makeAtom(sym.intern("b"))};
+    const term::TermRef head = arena.makeStruct(sym.intern("edge"), args);
+    return term::Clause(std::move(arena), head, {});
+}
+
+TEST(LiveUpdate, ClausesNoTextCanCarryAreRejectedBeforeLogging)
+{
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    TempDir dir;
+    const std::string wal = dir.path + "/wal.log";
+
+    std::vector<term::Clause> rejected;
+    for (double v : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+        term::TermArena arena;
+        const term::TermRef f = arena.makeFloat(sym.internFloat(v));
+        rejected.push_back(clauseOf(sym, std::move(arena), f));
+    }
+    {
+        // [a|foo]: a list tail that is neither a variable nor a list.
+        term::TermArena arena;
+        const term::TermRef a = arena.makeAtom(sym.intern("a"));
+        const term::TermRef list =
+            arena.makeList(std::span(&a, 1),
+                           arena.makeAtom(sym.intern("foo")));
+        rejected.push_back(clauseOf(sym, std::move(arena), list));
+    }
+
+    {
+        auto store = makeStore(sym, reader, kBaseProgram);
+        LiveStore live(*store, sym, wal);
+        live.assertz(reader.parseClause("edge(a, e)."));
+        const std::uint64_t tail = live.wal().tailLsn();
+        for (const term::Clause &clause : rejected) {
+            EXPECT_THROW(live.assertz(clause), FatalError);
+            EXPECT_THROW(live.asserta(clause), FatalError);
+            // A transaction refuses the op too.
+            LiveStore::Update txn = live.begin();
+            EXPECT_THROW(txn.assertz(clause), FatalError);
+            txn.abort();
+        }
+        EXPECT_EQ(live.wal().tailLsn(), tail);
+        EXPECT_EQ(store->headGeneration(), 1u);
+    }
+
+    // The log holds the one good commit, and replays cleanly.
+    auto reopened = makeStore(sym, reader, kBaseProgram);
+    LiveStore live(*reopened, sym, wal);
+    EXPECT_EQ(live.recoveredCommits(), 1u);
+    const term::PredicateId edge{sym.lookup("edge"), 2};
+    EXPECT_EQ(reopened->predicateVersion(edge)->clauses.clauseCount(), 6u);
 }
 
 TEST(LiveUpdate, EmptiedPredicateGrowsAgainInEveryMode)
