@@ -40,7 +40,7 @@ namespace {
  * modeled timing) are checked bit-identical per row.
  */
 void
-slicedScanSweep(fs1::Fs1Kernel kernel, json::Value &json_rows)
+slicedScanSweep(json::Value &json_rows)
 {
     term::SymbolTable sym;
     workload::KbGenerator kbgen(sym);
@@ -77,9 +77,7 @@ slicedScanSweep(fs1::Fs1Kernel kernel, json::Value &json_rows)
         static_cast<double>(queries.size());
     constexpr int kReps = 3;
 
-    fs1::Fs1Config fs1_config;
-    fs1_config.kernel = kernel;
-    fs1::Fs1Engine engine(store.generator(), fs1_config);
+    fs1::Fs1Engine engine(store.generator());
 
     // One timed pass: every query through the plane, or through the
     // row-major oracle.
@@ -89,7 +87,7 @@ slicedScanSweep(fs1::Fs1Kernel kernel, json::Value &json_rows)
             results.push_back(
                 is_sliced
                     ? engine.search(stored.index, stored.sliced.get(),
-                                    nullptr, 0, q, nullptr, 1)
+                                    nullptr, 0, q)
                     : engine.searchRowMajor(stored.index, q));
         return results;
     };
@@ -99,8 +97,6 @@ slicedScanSweep(fs1::Fs1Kernel kernel, json::Value &json_rows)
     t.header({"Scan", "Wall time", "Scan rate", "Speedup",
               "Identical results"});
 
-    const std::string sliced_label = std::string("sliced (") +
-        fs1::kernelName(fs1::resolveKernel(kernel)) + ")";
     std::vector<fs1::Fs1Result> baseline;
     double base_seconds = 0.0;
     for (const bool is_sliced : {false, true}) {
@@ -135,7 +131,7 @@ slicedScanSweep(fs1::Fs1Kernel kernel, json::Value &json_rows)
         std::snprintf(wall, sizeof(wall), "%.2f ms", seconds * 1e3);
         std::snprintf(speedup, sizeof(speedup), "%.2fx",
                       base_seconds / seconds);
-        t.row({is_sliced ? sliced_label : "row-major", wall,
+        t.row({is_sliced ? "sliced" : "row-major", wall,
                bench::formatRate(batch_bytes / seconds), speedup,
                identical ? "yes" : "NO"});
 
@@ -162,7 +158,6 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     std::string json_path = bench::jsonPathArg(argc, argv);
-    fs1::Fs1Kernel kernel = bench::scanConfigArg(argc, argv);
     json::Value json_rows = json::Value::array();
 
     // A 4 MB Sun3/160-class memory budget, minus system overhead:
@@ -286,7 +281,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\n");
-    slicedScanSweep(kernel, json_rows);
+    slicedScanSweep(json_rows);
 
     if (!bench::writeBenchJson(json_path, "scaling",
                                std::move(json_rows)))

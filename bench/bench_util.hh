@@ -17,7 +17,6 @@
 
 #include "crs/server.hh"
 #include "crs/store.hh"
-#include "fs1/kernels.hh"
 #include "support/fault_injector.hh"
 #include "support/json.hh"
 #include "support/obs.hh"
@@ -194,41 +193,6 @@ cacheConfigArg(int argc, char **argv)
         }
     }
     return knobs;
-}
-
-/**
- * Parse the plane-scan knob: `--kernel=NAME` forces a specific block
- * kernel from the registry (scalar64 / avx2 / avx512 / auto) — every
- * kernel is bit-identical, so this is how the benches compare
- * kernels.  An unknown kernel name exits with the supported list
- * rather than silently falling back.
- */
-inline fs1::Fs1Kernel
-scanConfigArg(int argc, char **argv)
-{
-    fs1::Fs1Kernel kernel = fs1::Fs1Kernel::Auto;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
-            const char *name = argv[i] + 9;
-            fs1::Fs1Kernel parsed = fs1::Fs1Kernel::Auto;
-            if (!fs1::parseKernelName(name, parsed)) {
-                std::fprintf(stderr,
-                             "unknown --kernel '%s' (expected auto, "
-                             "scalar64, avx2, or avx512)\n",
-                             name);
-                std::exit(2);
-            }
-            if (!fs1::kernelSupported(parsed)) {
-                std::fprintf(stderr,
-                             "--kernel '%s' is not supported on this "
-                             "host (use auto)\n",
-                             name);
-                std::exit(2);
-            }
-            kernel = parsed;
-        }
-    }
-    return kernel;
 }
 
 /** One retrieval as a JSON row (shared shape across harnesses). */

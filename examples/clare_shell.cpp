@@ -118,8 +118,10 @@ main()
                 options.maxSolutions = 10;
                 auto solutions = solver.solve(input, options);
                 last_stats = solver.stats();
+                const char *stop = last_stats.stopReason();
                 if (solutions.empty()) {
-                    std::printf("no.\n");
+                    if (stop == nullptr)
+                        std::printf("no.\n");
                 } else {
                     for (const auto &s : solutions) {
                         if (s.bindings.empty()) {
@@ -140,6 +142,13 @@ main()
                                     static_cast<unsigned long long>(
                                         options.maxSolutions));
                 }
+                // A proof cut short is not a failed one: say which
+                // limit stopped it, after the solutions it found.
+                if (stop != nullptr)
+                    std::printf("stopped: the %s ran out after %llu "
+                                "steps.\n", stop,
+                                static_cast<unsigned long long>(
+                                    last_stats.steps));
             }
         } catch (const FatalError &e) {
             std::printf("error: %s\n", e.what());

@@ -14,6 +14,18 @@
 #include "kb/knowledge_base.hh"
 #include "kb/resolution.hh"
 
+namespace {
+
+/** Say which limit cut the last proof short, if one did. */
+void
+reportStop(const clare::kb::Solver &solver)
+{
+    if (const char *stop = solver.stats().stopReason())
+        std::printf("   stopped: the %s ran out\n", stop);
+}
+
+} // namespace
+
 int
 main()
 {
@@ -63,16 +75,20 @@ main()
         std::printf("   Where = %s, Miles = %s\n",
                     s.bindings.at("Where").c_str(),
                     s.bindings.at("Miles").c_str());
+    reportStop(solver);
 
     std::printf("\n?- edge(X, X, _).        %% shared variable\n");
     for (const auto &s : solver.solve("edge(X, X, _)"))
         std::printf("   X = %s\n", s.bindings.at("X").c_str());
+    reportStop(solver);
 
     std::printf("\n?- path(edinburgh, london).\n");
     kb::SolveOptions one;
     one.maxSolutions = 1;
     auto reachable = solver.solve("path(edinburgh, london)", one);
-    std::printf("   %s\n", reachable.empty() ? "no" : "yes");
+    if (!reachable.empty() || solver.stats().stopReason() == nullptr)
+        std::printf("   %s\n", reachable.empty() ? "no" : "yes");
+    reportStop(solver);
 
     // 5. What did CLARE do for us?
     const kb::SolveStats &stats = solver.stats();

@@ -6,12 +6,11 @@
 # again under TSan so concurrent serve() callers, the shared goal
 # cache and the live-update readers are proven free of data races,
 # and the bit-sliced equivalence suite again under ASan so the
-# word-indexed plane arithmetic (edge-masked partial ranges in
-# particular) is proven in-bounds, and finally the kernel-dispatch
-# suites under ASan
-# so every FS1 kernel the host supports (scalar64/avx2/avx512) and
-# both FS2 dispatch targets (interpreter and compiled routines) run
-# sanitized.  On success it prints the net src/ line count.
+# word-indexed plane arithmetic (lane, block and final-word boundaries
+# in particular) is proven in-bounds, and finally the kernel suites
+# under ASan so the one FS1 plane kernel and both FS2 dispatch targets
+# (interpreter and compiled routines) run sanitized.  On success it
+# prints the net src/ line count.
 #
 # Usage: scripts/tier1.sh [build-dir] [asan-build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -51,10 +50,10 @@ echo "== tier-1: ASan+UBSan build + shard-labeled tests =="
 # slice load/save walks are in-bounds, not just bit-identical.
 ctest --test-dir "$ASAN_BUILD" -L shard --output-on-failure -j
 
-echo "== tier-1: ASan+UBSan build + kernel-dispatch tests =="
-# The kernels-labeled suites internally sweep every FS1 kernel the
-# host supports (skipping the rest) and both FS2 dispatch targets, so
-# one labeled run covers the whole registry.
+echo "== tier-1: ASan+UBSan build + kernel tests =="
+# The kernels-labeled suites check the one FS1 plane kernel (its lane
+# loop and scalar tail) against the PLA and row-major oracles, and
+# both FS2 dispatch targets against each other.
 ctest --test-dir "$ASAN_BUILD" -L kernels --output-on-failure -j
 
 echo "== tier-1: ASan+UBSan build + arena-labeled tests =="

@@ -51,10 +51,6 @@ CrsConfig::validate() const
     // fallback.
     require(std::isfinite(fs1.scanRate) && fs1.scanRate > 0,
             "fs1.scanRate", "scan rate must be a positive byte rate");
-    require(fs1::kernelSupported(fs1.kernel), "fs1.kernel",
-            std::string("kernel '") + fs1::kernelName(fs1.kernel) +
-                "' is not supported on this host (use 'auto' to pick "
-                "the widest supported one)");
 
     // FS2: the microprogram is assembled for levels 1-3; the stream
     // needs a non-empty double buffer bank and result slots that fit

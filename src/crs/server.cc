@@ -235,7 +235,7 @@ ClauseRetrievalServer::scanIndex(const StoredPredicate &stored,
     scw::Signature query_sig = store_.generator().encode(q_arena, goal);
     scan.fs1 = fs1_.search(stored.index, stored.sliced.get(),
                            stored.deltaSliced.get(), stored.baseEntries,
-                           query_sig, nullptr, 1, obs, parent);
+                           query_sig, obs, parent);
     return scan;
 }
 

@@ -1,5 +1,6 @@
 #include "fs1/sliced_matcher.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "support/logging.hh"
@@ -15,14 +16,57 @@ namespace {
  */
 constexpr std::size_t kBlockWords = 256;
 
+/**
+ * Words one step of the kernel's main loop folds.  Each step keeps
+ * its words in a fixed-size local array, so the plane-row ANDs are
+ * independent lanes the compiler can put in vector registers.
+ */
+constexpr std::size_t kLanes = 8;
+
 constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
 
-} // namespace
-
-SlicedMatcher::SlicedMatcher(Fs1Kernel kernel)
-    : kernel_(resolveKernel(kernel)), kernelFn_(kernelFn(kernel_))
+/**
+ * One field's survivor update over a run of plane words:
+ *
+ *     surv[j] &= (AND over t of planes[t][word_begin + j])
+ *                | mask[word_begin + j]          for j in [0, count)
+ *
+ * @p surv is indexed from 0, the plane rows from @p word_begin, and
+ * @p nplanes >= 1.  The main loop folds kLanes words per step, every
+ * plane row into all of them before the next row; each step loads all
+ * its words before it stores any, so the lanes vectorize without an
+ * aliasing check.  A scalar loop finishes the last word_count % kLanes
+ * words.
+ */
+void
+foldField(std::uint64_t *surv, const std::uint64_t *const *planes,
+          std::size_t nplanes, const std::uint64_t *mask,
+          std::size_t word_begin, std::size_t word_count)
 {
+    std::size_t j = 0;
+    for (; j + kLanes <= word_count; j += kLanes) {
+        const std::size_t w = word_begin + j;
+        std::uint64_t acc[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l)
+            acc[l] = planes[0][w + l];
+        for (std::size_t t = 1; t < nplanes; ++t)
+            for (std::size_t l = 0; l < kLanes; ++l)
+                acc[l] &= planes[t][w + l];
+        for (std::size_t l = 0; l < kLanes; ++l)
+            acc[l] = surv[j + l] & (acc[l] | mask[w + l]);
+        for (std::size_t l = 0; l < kLanes; ++l)
+            surv[j + l] = acc[l];
+    }
+    for (; j < word_count; ++j) {
+        const std::size_t w = word_begin + j;
+        std::uint64_t acc = planes[0][w];
+        for (std::size_t t = 1; t < nplanes; ++t)
+            acc &= planes[t][w];
+        surv[j] &= acc | mask[w];
+    }
 }
+
+} // namespace
 
 SlicedMatcher::QueryPlan
 SlicedMatcher::buildPlan(const scw::BitSlicedIndex &plane,
@@ -51,31 +95,23 @@ SlicedMatcher::buildPlan(const scw::BitSlicedIndex &plane,
 
 void
 SlicedMatcher::scanBlock(const scw::BitSlicedIndex &plane,
-                         const QueryPlan &plan, std::size_t word_begin,
-                         std::size_t word_count,
-                         std::uint64_t first_mask, std::size_t last_word,
-                         std::uint64_t last_mask, Hits &out)
+                         const QueryPlan &plan, std::uint64_t *surv,
+                         std::size_t word_begin, std::size_t word_count,
+                         Hits &out)
 {
-    if (surv_.size() < word_count)
-        surv_.resize(word_count);
-    for (std::size_t j = 0; j < word_count; ++j)
-        surv_[j] = kAllOnes;
-    // Edge masking: a shard range need not start or end on a word
-    // boundary, and the final word of the file has slack bits past the
-    // last entry.  Clearing them up front keeps the kernel branch-free
-    // and makes partial ranges concatenate bit-identically.
-    surv_[0] &= first_mask;
-    if (last_word >= word_begin && last_word < word_begin + word_count)
-        surv_[last_word - word_begin] &= last_mask;
+    std::fill_n(surv, word_count, kAllOnes);
+    // The final word of the plane has slack bits past the last entry;
+    // a query with no active field would let them survive.
+    const std::size_t tail = plane.entryCount() % 64;
+    if (tail != 0 && word_begin + word_count == plane.planeWords())
+        surv[word_count - 1] = kAllOnes >> (64 - tail);
 
     for (const FieldPlan &field : plan.fields) {
-        kernelFn_(surv_.data(), field.planes.data(),
-                  field.planes.size(), field.mask, word_begin,
-                  word_count);
-        // The activity counter models 64-bit plane operations, so it
-        // is kernel-independent: a vector kernel fuses several words
-        // per host op but the modeled hardware still touches every
-        // word of every plane row.
+        foldField(surv, field.planes.data(), field.planes.size(),
+                  field.mask, word_begin, word_count);
+        // The activity counter models 64-bit plane operations: the
+        // modeled hardware touches every word of every plane row,
+        // however many words the host folds per instruction.
         out.wordOps += static_cast<std::uint64_t>(word_count) *
             (field.planes.size() + 1);
     }
@@ -84,11 +120,11 @@ SlicedMatcher::scanBlock(const scw::BitSlicedIndex &plane,
     // not grow with its survivor count.
     std::size_t hits = out.ordinals.size();
     for (std::size_t j = 0; j < word_count; ++j)
-        hits += static_cast<std::size_t>(std::popcount(surv_[j]));
+        hits += static_cast<std::size_t>(std::popcount(surv[j]));
     out.clauseOffsets.reserve(hits);
     out.ordinals.reserve(hits);
     for (std::size_t j = 0; j < word_count; ++j) {
-        std::uint64_t w = surv_[j];
+        std::uint64_t w = surv[j];
         const std::size_t base = (word_begin + j) * 64;
         while (w != 0) {
             const std::size_t e =
@@ -101,27 +137,18 @@ SlicedMatcher::scanBlock(const scw::BitSlicedIndex &plane,
 }
 
 SlicedMatcher::Hits
-SlicedMatcher::scanRange(const scw::BitSlicedIndex &plane,
-                         const scw::Signature &query,
-                         const scw::EntryRange &range)
+SlicedMatcher::scan(const scw::BitSlicedIndex &plane,
+                    const scw::Signature &query)
 {
     Hits out;
-    if (range.begin >= range.end)
+    if (plane.entryCount() == 0)
         return out;
-    clare_assert(range.end <= plane.entryCount(),
-                 "entry range [%zu, %zu) exceeds plane of %zu entries",
-                 range.begin, range.end, plane.entryCount());
     const QueryPlan plan = buildPlan(plane, query);
-
-    const EdgeMasks masks = edgeMasks(range.begin, range.end);
-    for (std::size_t bw = masks.firstWord; bw < masks.wordEnd;
-         bw += kBlockWords) {
-        const std::size_t count = std::min(kBlockWords,
-                                           masks.wordEnd - bw);
-        scanBlock(plane, plan, bw, count,
-                  bw == masks.firstWord ? masks.firstMask : kAllOnes,
-                  masks.lastWord, masks.lastMask, out);
-    }
+    std::uint64_t surv[kBlockWords];
+    const std::size_t words = plane.planeWords();
+    for (std::size_t bw = 0; bw < words; bw += kBlockWords)
+        scanBlock(plane, plan, surv, bw, std::min(kBlockWords, words - bw),
+                  out);
     return out;
 }
 

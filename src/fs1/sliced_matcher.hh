@@ -11,10 +11,10 @@
  * Fields whose query code is empty impose no constraint — their
  * planes are never touched, which is where the asymptotic win comes
  * from: work scales with the query's set bits, not the signature
- * width.  Survivors are extracted in entry order, so the hit list is
- * bit-identical to the sequential row-major scan, including over
- * partial shard ranges (the first and last words of a range are edge
- * masked).
+ * width.  A scan covers a whole plane, from entry 0; the slack bits of
+ * the final word past the last entry are masked off.  Survivors are
+ * extracted in entry order, so the hit list is bit-identical to the
+ * sequential row-major scan.
  */
 
 #ifndef CLARE_FS1_SLICED_MATCHER_HH
@@ -23,10 +23,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "fs1/kernels.hh"
 #include "scw/bit_sliced_index.hh"
 #include "scw/codeword.hh"
-#include "scw/index_file.hh"
 
 namespace clare::fs1 {
 
@@ -34,18 +32,6 @@ namespace clare::fs1 {
 class SlicedMatcher
 {
   public:
-    /**
-     * @param kernel block kernel to evaluate fields with; Auto picks
-     *        the widest ISA the host supports.  Every kernel yields
-     *        bit-identical hits, order, and wordOps (the counter
-     *        models 64-bit plane operations regardless of how many
-     *        the host fuses per vector op).
-     */
-    explicit SlicedMatcher(Fs1Kernel kernel = Fs1Kernel::Auto);
-
-    /** The kernel scans actually run through (Auto resolved). */
-    Fs1Kernel kernel() const { return kernel_; }
-
     /** Survivors of one query, in entry order. */
     struct Hits
     {
@@ -56,12 +42,11 @@ class SlicedMatcher
     };
 
     /**
-     * Scan a contiguous entry range for one query.  Exactly the
-     * entries PlaMatcher accepts survive, in the same order.
+     * Scan every entry of @p plane for one query.  Exactly the entries
+     * PlaMatcher accepts survive, in the same order.
      */
-    Hits scanRange(const scw::BitSlicedIndex &plane,
-                   const scw::Signature &query,
-                   const scw::EntryRange &range);
+    static Hits scan(const scw::BitSlicedIndex &plane,
+                     const scw::Signature &query);
 
   private:
     /** One query's touched rows: per active field, its plane rows. */
@@ -79,21 +64,13 @@ class SlicedMatcher
                                const scw::Signature &query);
 
     /**
-     * Evaluate one block of words for one plan into surv_ (edge words
-     * pre-masked by the caller), then extract survivors into @p out.
+     * Evaluate one block of words for one plan into the survivor
+     * scratch @p surv, then extract survivors into @p out.
      */
-    void scanBlock(const scw::BitSlicedIndex &plane,
-                   const QueryPlan &plan, std::size_t word_begin,
-                   std::size_t word_count, std::uint64_t first_mask,
-                   std::size_t last_word, std::uint64_t last_mask,
-                   Hits &out);
-
-    /** Resolved kernel identity (never Auto after construction). */
-    Fs1Kernel kernel_;
-    /** The block function of kernel_. */
-    BlockKernelFn kernelFn_;
-    /** Survivor-word scratch, reused across blocks. */
-    std::vector<std::uint64_t> surv_;
+    static void scanBlock(const scw::BitSlicedIndex &plane,
+                          const QueryPlan &plan, std::uint64_t *surv,
+                          std::size_t word_begin, std::size_t word_count,
+                          Hits &out);
 };
 
 } // namespace clare::fs1

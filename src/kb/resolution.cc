@@ -541,6 +541,89 @@ class SearchState
     }
 };
 
+/**
+ * The variables of one solution's resolved bindings, by first
+ * occurrence across all of them, with how often each occurs.
+ */
+class AnswerVars
+{
+  public:
+    void
+    clear()
+    {
+        vars_.clear();
+        uses_.clear();
+    }
+
+    const std::vector<TermArena::Rename> &vars() const { return vars_; }
+
+    /** Count the variables of @p t. */
+    void
+    count(const TermArena &arena, TermRef t)
+    {
+        switch (arena.kind(t)) {
+          case TermKind::Var: {
+            const term::VarId id = arena.varId(t);
+            std::size_t i = 0;
+            while (i < vars_.size() && vars_[i].from != id)
+                ++i;
+            if (i == vars_.size()) {
+                vars_.push_back({id, arena.varName(t)});
+                uses_.push_back(0);
+            }
+            ++uses_[i];
+            return;
+          }
+          case TermKind::Struct:
+          case TermKind::List:
+            for (std::uint32_t i = 0; i < arena.arity(t); ++i)
+                count(arena, arena.arg(t, i));
+            if (arena.kind(t) == TermKind::List &&
+                arena.listTail(t) != term::kNoTerm)
+                count(arena, arena.listTail(t));
+            return;
+          default:
+            return;
+        }
+    }
+
+    /**
+     * Name each nameless variable that occurs more than once `_<n>`,
+     * n = 1, 2, ... by first occurrence, skipping a name that a named
+     * variable of the answer holds; one that occurs once stays '_'.
+     * @return whether any variable was named
+     */
+    bool
+    nameShared(term::SymbolTable &symbols)
+    {
+        bool named = false;
+        std::size_t n = 1;
+        for (std::size_t i = 0; i < vars_.size(); ++i) {
+            if (vars_[i].name != term::kNoSymbol || uses_[i] == 1)
+                continue;
+            for (;; ++n) {
+                const std::string fresh = "_" + std::to_string(n);
+                const term::SymbolId id = symbols.lookup(fresh);
+                if (id == term::kNoSymbol ||
+                    std::none_of(vars_.begin(), vars_.end(),
+                                 [id](const TermArena::Rename &v) {
+                                     return v.name == id;
+                                 })) {
+                    vars_[i].name = symbols.intern(fresh);
+                    ++n;
+                    break;
+                }
+            }
+            named = true;
+        }
+        return named;
+    }
+
+  private:
+    std::vector<TermArena::Rename> vars_;
+    std::vector<std::uint32_t> uses_;
+};
+
 } // namespace
 
 std::vector<Solution>
@@ -564,16 +647,37 @@ Solver::solve(const term::ParsedQuery &query, SolveOptions options)
         goals.push_back({state.arena().import(query.arena, g, 0),
                          query_barrier});
 
+    // Every binding of a solution resolves into one arena, so an
+    // unbound variable two bindings share is one variable there; a
+    // shared nameless one is written under a name (AnswerVars).  The
+    // arenas and scratch are reused from solution to solution.
     term::TermWriter writer(kb_.symbols());
+    TermArena resolved, named;
+    const TermArena::Mark resolved_empty = resolved.mark();
+    const TermArena::Mark named_empty = named.mark();
+    std::vector<TermRef> roots;
+    AnswerVars vars;
     state.solve(goals, 0, [&]() {
-        Solution solution;
+        resolved.rewind(resolved_empty);
+        roots.clear();
+        vars.clear();
         for (const auto &kv : query.varNames) {
-            TermArena out;
             TermRef v = state.arena().makeVar(kv.second, term::kNoSymbol);
-            TermRef resolved = unify::resolveTerm(state.arena(), v,
-                                                  state.bindings(), out);
-            solution.bindings[kv.first] = writer.write(out, resolved);
+            roots.push_back(unify::resolveTerm(state.arena(), v,
+                                               state.bindings(), resolved));
+            vars.count(resolved, roots.back());
         }
+        const TermArena *shown = &resolved;
+        if (vars.nameShared(kb_.symbols())) {
+            named.rewind(named_empty);
+            for (TermRef &root : roots)
+                root = named.import(resolved, root, vars.vars());
+            shown = &named;
+        }
+        Solution solution;
+        std::size_t i = 0;
+        for (const auto &kv : query.varNames)
+            solution.bindings[kv.first] = writer.write(*shown, roots[i++]);
         solutions.push_back(std::move(solution));
         return solutions.size() >= options.maxSolutions;
     });

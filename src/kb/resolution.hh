@@ -71,6 +71,17 @@ struct SolveStats
      * thread's native stack (see the implementation note above).
      */
     bool stackExhausted = false;
+
+    /**
+     * The limit that cut the search short ("step budget" or "native
+     * stack"), or nullptr when the search ran its course.
+     */
+    const char *
+    stopReason() const
+    {
+        return budgetExhausted ? "step budget"
+            : stackExhausted ? "native stack" : nullptr;
+    }
 };
 
 /** The resolution engine. */

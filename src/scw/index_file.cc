@@ -1,7 +1,5 @@
 #include "scw/index_file.hh"
 
-#include <algorithm>
-
 #include "support/logging.hh"
 
 namespace clare::scw {
@@ -61,25 +59,6 @@ SecondaryFile::append(std::span<const std::uint8_t> entries) const
     file.count_ = count_ + entries.size() / entryBytes_;
     file.entryBytes_ = entryBytes_;
     return file;
-}
-
-std::vector<EntryRange>
-SecondaryFile::shardRanges(std::size_t shards) const
-{
-    std::vector<EntryRange> ranges;
-    if (count_ == 0 || shards == 0)
-        return ranges;
-    shards = std::min(shards, count_);
-    ranges.reserve(shards);
-    std::size_t base = count_ / shards;
-    std::size_t extra = count_ % shards;    // first `extra` shards get +1
-    std::size_t at = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-        std::size_t len = base + (s < extra ? 1 : 0);
-        ranges.push_back(EntryRange{at, at + len});
-        at += len;
-    }
-    return ranges;
 }
 
 IndexEntry

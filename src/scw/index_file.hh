@@ -3,7 +3,8 @@
  * The secondary (index) file: fixed-size records associating each
  * clause's codeword signature with its address in the compiled clause
  * file.  FS1 scans this file — much smaller than the clause file —
- * and emits the addresses of clauses whose codewords match the query.
+ * whole, from its first entry to its last, and emits the addresses of
+ * clauses whose codewords match the query.
  *
  * Record layout: signature wire form, then u32 clause offset, then
  * u32 clause ordinal.
@@ -27,20 +28,6 @@ struct IndexEntry
     Signature signature;
     std::uint32_t clauseOffset = 0;
     std::uint32_t ordinal = 0;
-};
-
-/**
- * A contiguous half-open run of index entries — the unit of work one
- * FS1 scan worker takes.  Shards of one file are contiguous and
- * ordered, so concatenating per-shard hit lists in shard order
- * reproduces the sequential scan order exactly.
- */
-struct EntryRange
-{
-    std::size_t begin = 0;
-    std::size_t end = 0;
-
-    std::size_t size() const { return end - begin; }
 };
 
 /**
@@ -101,19 +88,6 @@ class SecondaryFile
      */
     void entryInto(const CodewordGenerator &generator, std::size_t i,
                    IndexEntry &scratch) const;
-
-    /**
-     * Partition the file into at most @p shards contiguous ranges of
-     * near-equal size (never more ranges than entries; an empty file
-     * yields no ranges).
-     */
-    std::vector<EntryRange> shardRanges(std::size_t shards) const;
-
-    /** Bytes occupied by the entries of @p range. */
-    std::size_t rangeBytes(const EntryRange &range) const
-    {
-        return range.size() * entryBytes_;
-    }
 
   private:
     support::SharedPrefix<std::uint8_t> image_;

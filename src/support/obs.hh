@@ -3,7 +3,7 @@
  * Pipeline observability: a lightweight span tracer, a metrics
  * registry, and JSON/CSV exporters.
  *
- * The retrieval pipeline is instrumented at every layer — FS1 shard
+ * The retrieval pipeline is instrumented at every layer — FS1 plane
  * scans, FS2 streams and double-buffer fills, disk transfers, host
  * unification, and per-query roots in the CRS — and this module is
  * the common substrate:
@@ -13,12 +13,12 @@
  *    by the component that computed it (the pipeline's Tick model is
  *    analytic, not sampled).  Parents nest implicitly through a
  *    thread-local current span, or explicitly by id for work handed
- *    to pool workers.
+ *    to another thread.
  *
  *  - Metrics are registered by name: monotonically increasing
  *    counters, last-value gauges, and fixed-bucket histograms.  All
- *    updates are lock-free atomics so engines shared by the parallel
- *    retrieval pipeline can account concurrently; registration takes
+ *    updates are lock-free atomics so engines shared by concurrent
+ *    serve() callers can account concurrently; registration takes
  *    a registry lock and returns references that stay valid for the
  *    registry's lifetime.
  *

@@ -31,7 +31,6 @@
 #include "net/wire.hh"
 #include "storage/disk_model.hh"
 #include "support/lru.hh"
-#include "support/thread_pool.hh"
 #include "term/canonical.hh"
 #include "term/term_reader.hh"
 #include "workload/kb_generator.hh"
@@ -175,17 +174,17 @@ TEST(DiskCacheTest, DisabledModelReadMatchesAnalyticTiming)
 }
 
 // ---------------------------------------------------------------------
-// FS1 shard spans telescope to the merged busy time (satellite fix:
-// span ticks and busyTime derive from one cumulative conversion).
+// The FS1 scan span carries the search's busy time (span ticks and
+// busyTime derive from one conversion).
 // ---------------------------------------------------------------------
 
-TEST(Fs1SpanAccountingTest, ShardSpanTicksSumToMergedBusyTime)
+TEST(Fs1SpanAccountingTest, ScanSpanTicksEqualBusyTime)
 {
     term::SymbolTable sym;
     workload::KbGenerator kbgen(sym);
     workload::KbSpec spec;
     spec.predicates = 1;
-    spec.clausesPerPredicate = 777;   // odd count → uneven shards
+    spec.clausesPerPredicate = 777;
     spec.seed = 5;
     term::Program program = kbgen.generate(spec);
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
@@ -200,21 +199,17 @@ TEST(Fs1SpanAccountingTest, ShardSpanTicksSumToMergedBusyTime)
     scw::Signature sig = store.generator().encode(goal.arena, goal.root);
 
     fs1::Fs1Engine engine(store.generator(), fs1::Fs1Config{});
-    support::ThreadPool pool(3);
     obs::Tracer tracer;
     obs::MetricsRegistry metrics;
     obs::Observer obs{&tracer, &metrics};
-    for (std::uint32_t shards : {1u, 3u, 7u}) {
-        tracer.clear();
-        fs1::Fs1Result result =
-            engine.search(stored.index, stored.sliced.get(), nullptr, 0,
-                          sig, &pool, shards, obs);
-        Tick span_sum = 0;
-        for (const obs::SpanRecord &span : tracer.snapshot())
-            if (span.name == "fs1.shard")
-                span_sum += span.simTicks;
-        EXPECT_EQ(span_sum, result.busyTime) << shards << " shards";
-    }
+    fs1::Fs1Result result = engine.search(
+        stored.index, stored.sliced.get(), nullptr, 0, sig, obs);
+    EXPECT_EQ(result.busyTime,
+              engine.searchRowMajor(stored.index, sig).busyTime);
+    std::vector<obs::SpanRecord> spans = tracer.snapshot();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].name, "fs1.scan");
+    EXPECT_EQ(spans[0].simTicks, result.busyTime);
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,8 @@
 /**
  * @file
- * Concurrency coverage: thread-pool primitives, FS1 shard determinism
- * (bit-identical candidates and answers at any shard width), server
- * retrieval against the reference oracle, serveBatch() equivalence
- * with a serve() loop, fs1.* metric aggregation on a shared server,
+ * Concurrency coverage: server retrieval against the reference
+ * oracle, serveBatch() equivalence with a serve() loop, fs1.* metric
+ * aggregation on a shared server,
  * and live-update interleaving: a writer thread streaming assertz
  * commits through a LiveStore while concurrent serveBatch() readers
  * prove that snapshot-pinned reads stay bit-identical to the quiesced
@@ -29,7 +28,6 @@
 #include "kb/knowledge_base.hh"
 #include "net/wire.hh"
 #include "oracle_retrieval.hh"
-#include "support/thread_pool.hh"
 #include "term/term_reader.hh"
 #include "term/term_writer.hh"
 #include "workload/kb_generator.hh"
@@ -48,126 +46,6 @@ serveOne(crs::ClauseRetrievalServer &server, const term::TermArena &arena,
     request.goal = goal;
     request.mode = mode;
     return server.serve(request);
-}
-
-// ---------------------------------------------------------------------
-// ThreadPool primitives.
-// ---------------------------------------------------------------------
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce)
-{
-    support::ThreadPool pool(3);
-    constexpr std::size_t kCount = 1000;
-    std::vector<std::atomic<int>> touched(kCount);
-    pool.parallelFor(kCount, [&](std::size_t i) {
-        touched[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < kCount; ++i)
-        EXPECT_EQ(touched[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPoolTest, ZeroWorkersRunsInline)
-{
-    support::ThreadPool pool(0);
-    int calls = 0;
-    pool.parallelFor(5, [&](std::size_t) { ++calls; });
-    EXPECT_EQ(calls, 5);
-}
-
-TEST(ThreadPoolTest, NestedParallelForFromWorkerDoesNotDeadlock)
-{
-    // A sharded scan may be issued from inside a pool task; the
-    // construct must complete even when the nested loop's helper jobs
-    // can never be picked up by another worker.
-    // Each outer body waits until both have started, so the calling
-    // thread cannot take both indices and one nested loop must be
-    // issued from the pool's only worker.
-    support::ThreadPool pool(1);
-    const std::thread::id caller = std::this_thread::get_id();
-    std::atomic<int> started{0};
-    std::atomic<int> n{0};
-    std::atomic<int> nestedOffCaller{0};
-    pool.parallelFor(2, [&](std::size_t) {
-        started.fetch_add(1, std::memory_order_acq_rel);
-        while (started.load(std::memory_order_acquire) < 2)
-            std::this_thread::yield();
-        pool.parallelFor(8, [&](std::size_t) {
-            n.fetch_add(1, std::memory_order_relaxed);
-            if (std::this_thread::get_id() != caller)
-                nestedOffCaller.fetch_add(1, std::memory_order_relaxed);
-        });
-    });
-    EXPECT_EQ(n.load(), 16);
-    EXPECT_GE(nestedOffCaller.load(), 1);
-}
-
-// ---------------------------------------------------------------------
-// Shard ranges.
-// ---------------------------------------------------------------------
-
-TEST(ShardRangeTest, PartitionIsContiguousAndComplete)
-{
-    scw::CodewordGenerator gen;
-    scw::SecondaryFile file = scw::SecondaryFile::fromImage(
-        std::vector<std::uint8_t>(10 * (gen.signatureBytes() + 8)), 10,
-        gen.signatureBytes() + 8);
-    for (std::size_t shards : {1u, 2u, 3u, 7u, 10u, 32u}) {
-        std::vector<scw::EntryRange> ranges = file.shardRanges(shards);
-        ASSERT_FALSE(ranges.empty());
-        EXPECT_LE(ranges.size(), std::min<std::size_t>(shards, 10));
-        EXPECT_EQ(ranges.front().begin, 0u);
-        EXPECT_EQ(ranges.back().end, 10u);
-        for (std::size_t s = 1; s < ranges.size(); ++s)
-            EXPECT_EQ(ranges[s].begin, ranges[s - 1].end);
-    }
-    EXPECT_TRUE(file.shardRanges(0).empty());
-}
-
-// ---------------------------------------------------------------------
-// Engine-level sharded scan.  The server scans unsharded, so this test
-// drives Fs1Engine directly with an explicit pool and shard width to
-// cover the scan/merge path with real threads on any hardware.
-// ---------------------------------------------------------------------
-
-TEST(Fs1ShardedScanTest, MatchesSequentialScanForAnyShardWidth)
-{
-    term::SymbolTable sym;
-    workload::KbGenerator kbgen(sym);
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 500;
-    spec.varProb = 0.1;
-    spec.seed = 29;
-    term::Program program = kbgen.generate(spec);
-    crs::PredicateStore store(sym, scw::CodewordGenerator{});
-    store.addProgram(program);
-    store.finalize();
-    const std::shared_ptr<const crs::StoredPredicate> pinned =
-        store.predicateVersion(program.predicates()[0]);
-    const crs::StoredPredicate &stored = *pinned;
-
-    term::TermReader reader(sym);
-    term::ParsedTerm goal = reader.parseTerm("p0(a1, B)");
-    scw::Signature sig = store.generator().encode(goal.arena, goal.root);
-
-    fs1::Fs1Engine engine(store.generator(), fs1::Fs1Config{});
-    fs1::Fs1Result seq = engine.searchRowMajor(stored.index, sig);
-    ASSERT_GT(seq.entriesScanned, 0u);
-
-    support::ThreadPool pool(3);
-    for (std::uint32_t shards : {2u, 4u, 16u}) {
-        fs1::Fs1Result par =
-            engine.search(stored.index, stored.sliced.get(), nullptr, 0,
-                          sig, &pool, shards);
-        EXPECT_EQ(par.ordinals, seq.ordinals) << shards << " shards";
-        EXPECT_EQ(par.clauseOffsets, seq.clauseOffsets);
-        EXPECT_EQ(par.entriesScanned, seq.entriesScanned);
-        EXPECT_EQ(par.bytesScanned, seq.bytesScanned);
-        // Shard byte counts are summed before the single tick
-        // conversion, so timing is identical at any shard width.
-        EXPECT_EQ(par.busyTime, seq.busyTime);
-        EXPECT_EQ(par.shards, shards);
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -24,8 +24,7 @@ planeSearch(const Fs1Engine &engine, const scw::SecondaryFile &index,
 {
     scw::BitSlicedIndex plane =
         scw::BitSlicedIndex::build(engine.generator(), index);
-    Fs1Result r = engine.search(index, &plane, nullptr, 0, query, nullptr,
-                                1);
+    Fs1Result r = engine.search(index, &plane, nullptr, 0, query);
     Fs1Result oracle = engine.searchRowMajor(index, query);
     EXPECT_EQ(r.ordinals, oracle.ordinals);
     EXPECT_EQ(r.clauseOffsets, oracle.clauseOffsets);

@@ -740,19 +740,26 @@ TEST_P(SlicedOracleFuzz, SlicedMatcherAgreesWithPlaMatcher)
         term::Program program = kbgen.generate(spec);
         const auto &pred = program.predicates()[0];
 
+        // The index and plane of clauses [first, last) of the predicate
+        // as a file of their own.
+        const std::vector<std::size_t> &clauses = program.clausesOf(pred);
         term::TermWriter writer(sym);
-        storage::ClauseFileBuilder builder(writer);
-        std::vector<scw::Signature> sigs;
-        for (std::size_t i : program.clausesOf(pred)) {
-            const term::Clause &c = program.clause(i);
-            builder.add(c);
-            sigs.push_back(gen.encode(c.arena(), c.head()));
-        }
-        storage::ClauseFile file = builder.finish();
-        scw::SecondaryFile index =
-            scw::SecondaryFile::build(gen, sigs, file);
-        scw::BitSlicedIndex plane =
-            scw::BitSlicedIndex::build(gen, index);
+        auto build = [&](std::size_t first, std::size_t last) {
+            storage::ClauseFileBuilder builder(writer);
+            std::vector<scw::Signature> sigs;
+            for (std::size_t i = first; i < last; ++i) {
+                const term::Clause &c = program.clause(clauses[i]);
+                builder.add(c);
+                sigs.push_back(gen.encode(c.arena(), c.head()));
+            }
+            storage::ClauseFile file = builder.finish();
+            scw::SecondaryFile index =
+                scw::SecondaryFile::build(gen, sigs, file);
+            scw::BitSlicedIndex plane =
+                scw::BitSlicedIndex::build(gen, index);
+            return std::pair{std::move(index), std::move(plane)};
+        };
+        const auto whole = build(0, clauses.size());
 
         workload::QuerySpec qspec;
         qspec.boundArgProb = rng.uniform();
@@ -760,22 +767,22 @@ TEST_P(SlicedOracleFuzz, SlicedMatcherAgreesWithPlaMatcher)
         qspec.seed = spec.seed + 7;
         workload::QueryGenerator qgen(sym, qspec);
 
-        fs1::SlicedMatcher matcher;
         for (int q = 0; q < 4; ++q) {
             workload::GeneratedQuery gq = qgen.generate(program, pred);
             scw::Signature query = gen.encode(gq.arena, gq.goal);
 
-            // Full file plus one random sub-range per query.
-            std::size_t count = index.entryCount();
+            // The whole file, plus a random run of its entries as a
+            // plane of its own.
+            std::size_t count = clauses.size();
             std::size_t begin = rng.below(count + 1);
             std::size_t end = begin + rng.below(count - begin + 1);
-            for (scw::EntryRange range :
-                 {scw::EntryRange{0, count},
-                  scw::EntryRange{begin, end}}) {
+            const auto interior = build(begin, end);
+            for (const auto *built : {&whole, &interior}) {
+                const auto &[index, plane] = *built;
                 fs1::PlaMatcher pla(gen);
                 pla.setQuery(query);
                 std::vector<std::uint32_t> want_offsets, want_ordinals;
-                for (std::size_t i = range.begin; i < range.end; ++i) {
+                for (std::size_t i = 0; i < index.entryCount(); ++i) {
                     scw::IndexEntry entry = index.entry(gen, i);
                     if (pla.present(entry.signature)) {
                         want_offsets.push_back(entry.clauseOffset);
@@ -783,13 +790,13 @@ TEST_P(SlicedOracleFuzz, SlicedMatcherAgreesWithPlaMatcher)
                     }
                 }
                 fs1::SlicedMatcher::Hits got =
-                    matcher.scanRange(plane, query, range);
+                    fs1::SlicedMatcher::scan(plane, query);
                 EXPECT_EQ(got.clauseOffsets, want_offsets)
-                    << "iter " << iter << " query " << q << " range ["
-                    << range.begin << ", " << range.end << ")";
+                    << "iter " << iter << " query " << q << " plane of "
+                    << index.entryCount() << " entries";
                 EXPECT_EQ(got.ordinals, want_ordinals)
-                    << "iter " << iter << " query " << q << " range ["
-                    << range.begin << ", " << range.end << ")";
+                    << "iter " << iter << " query " << q << " plane of "
+                    << index.entryCount() << " entries";
             }
         }
     }
@@ -851,11 +858,10 @@ TEST(InjectedFaultSweep, SlicedServerDegradesIdentically)
 }
 
 // ---------------------------------------------------------------------
-// Kernel-sweep fuzz: the same seed replayed through every supported
-// FS1 kernel (with the compiled FS2 routines) must reproduce the
+// Kernel-sweep fuzz: each seed served through the production paths
+// (the FS1 plane kernel, the compiled FS2 routines) must reproduce the
 // oracle — row-major FS1, interpreted FS2, text-parse unification —
-// in every response field and stage tick (unsupported ISAs are
-// skipped, not failed).
+// in every response field and stage tick.
 // ---------------------------------------------------------------------
 
 class KernelSweepFuzz : public ::testing::TestWithParam<std::uint64_t>
@@ -918,23 +924,14 @@ TEST_P(KernelSweepFuzz, DispatchTargetsAreBitIdentical)
                 goal.q.goal, goal.mode));
         }
 
-        for (fs1::Fs1Kernel kernel : {fs1::Fs1Kernel::Scalar64,
-                                      fs1::Fs1Kernel::Avx2,
-                                      fs1::Fs1Kernel::Avx512}) {
-            if (!fs1::kernelSupported(kernel))
-                continue;
-            crs::CrsConfig cfg;
-            cfg.fs1.kernel = kernel;
-            crs::ClauseRetrievalServer server(sym, store, cfg);
-            for (std::size_t i = 0; i < goals.size(); ++i)
-                oracle::expectSame(
-                    expected[i],
-                    serveOne(server, goals[i].q.arena, goals[i].q.goal,
-                             goals[i].mode),
-                    std::string("iter ") + std::to_string(iter) + " " +
-                        fs1::kernelName(kernel) + " goal " +
-                        std::to_string(i));
-        }
+        crs::ClauseRetrievalServer server(sym, store, crs::CrsConfig{});
+        for (std::size_t i = 0; i < goals.size(); ++i)
+            oracle::expectSame(
+                expected[i],
+                serveOne(server, goals[i].q.arena, goals[i].q.goal,
+                         goals[i].mode),
+                std::string("iter ") + std::to_string(iter) + " goal " +
+                    std::to_string(i));
     }
 }
 

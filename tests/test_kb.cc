@@ -199,6 +199,30 @@ TEST_F(SolverTest, StepBudgetStopsRunaway)
     }
 }
 
+TEST_F(SolverTest, AnswerKeepsSharedUnboundVariables)
+{
+    // The bindings of one solution are one answer: an unbound
+    // variable they share is written under one name in all of them,
+    // while a variable that occurs once stays '_'.
+    load("p(a).\n");
+    auto solutions = solver->solve("A = _, X = f(A, A, _)");
+    ASSERT_EQ(solutions.size(), 1u);
+    EXPECT_EQ(solutions[0].bindings.at("A"), "_1");
+    EXPECT_EQ(solutions[0].bindings.at("X"), "f(_1,_1,_)");
+
+    // Names go by first occurrence, across the bindings in order.
+    solutions = solver->solve("A = _, B = _, X = g(B, A, B, _, A)");
+    ASSERT_EQ(solutions.size(), 1u);
+    EXPECT_EQ(solutions[0].bindings.at("A"), "_1");
+    EXPECT_EQ(solutions[0].bindings.at("B"), "_2");
+    EXPECT_EQ(solutions[0].bindings.at("X"), "g(_2,_1,_2,_,_1)");
+
+    // A ground answer names nothing.
+    solutions = solver->solve("X = f(a, b)");
+    ASSERT_EQ(solutions.size(), 1u);
+    EXPECT_EQ(solutions[0].bindings.at("X"), "f(a,b)");
+}
+
 TEST_F(SolverTest, ListsInSolutions)
 {
     load("route(a, [a, b, c]).\n");

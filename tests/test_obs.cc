@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "crs/api.hh"
@@ -19,13 +21,32 @@
 #include "crs/store.hh"
 #include "support/json.hh"
 #include "support/obs.hh"
-#include "support/thread_pool.hh"
 #include "term/term_reader.hh"
 #include "workload/kb_generator.hh"
 #include "workload/query_generator.hh"
 
 namespace clare {
 namespace {
+
+/**
+ * Run tasks 0 .. @p tasks - 1 on @p threads threads (the caller only
+ * waits): each thread takes the next unstarted task until none is
+ * left.
+ */
+template <typename Task>
+void
+runOnThreads(std::size_t threads, std::size_t tasks, const Task &task)
+{
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < threads; ++t)
+        workers.emplace_back([&] {
+            for (std::size_t i = next++; i < tasks; i = next++)
+                task(i);
+        });
+    for (std::thread &worker : workers)
+        worker.join();
+}
 
 // ---------------------------------------------------------------------
 // Spans.
@@ -67,12 +88,11 @@ TEST(ObsSpan, NullTracerIsInert)
 TEST(ObsSpan, ExplicitParentCrossesThreads)
 {
     obs::Tracer tracer;
-    support::ThreadPool pool(3);
     obs::SpanId root_id = 0;
     {
         obs::ScopedSpan root(&tracer, "root");
         root_id = root.id();
-        pool.parallelFor(8, [&](std::size_t i) {
+        runOnThreads(3, 8, [&](std::size_t i) {
             obs::ScopedSpan child(&tracer, "child", root_id);
             child.attr("index", static_cast<std::uint64_t>(i));
             child.addSimTicks(static_cast<Tick>(i));
@@ -149,10 +169,9 @@ TEST(ObsMetrics, CounterGaugeBasics)
 TEST(ObsMetrics, CountersAreThreadSafe)
 {
     obs::MetricsRegistry reg;
-    support::ThreadPool pool(4);
     constexpr std::size_t kTasks = 64;
     constexpr std::uint64_t kPerTask = 1000;
-    pool.parallelFor(kTasks, [&](std::size_t) {
+    runOnThreads(4, kTasks, [&](std::size_t) {
         // Registration from many threads must also be safe.
         obs::Counter &c = reg.counter("shared");
         for (std::uint64_t i = 0; i < kPerTask; ++i)
@@ -185,8 +204,7 @@ TEST(ObsMetrics, HistogramConcurrentRecords)
 {
     obs::MetricsRegistry reg;
     obs::Histogram &h = reg.histogram("lat", {10.0, 100.0});
-    support::ThreadPool pool(4);
-    pool.parallelFor(32, [&](std::size_t i) {
+    runOnThreads(4, 32, [&](std::size_t i) {
         for (int j = 0; j < 100; ++j)
             h.record(static_cast<double>(i));
     });

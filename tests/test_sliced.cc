@@ -5,11 +5,11 @@
  * The contract under test is exactness: the word-parallel kernel is a
  * host-side optimization, so every observable — survivor sets (order
  * included), entriesScanned, bytesScanned, busyTime, the full server
- * response — must be bit-identical to the row-major scan at any shard
- * width, served alone or in a batch.  The suite property-tests the
- * SlicedMatcher against the structural PlaMatcher across generator
- * configurations, mask densities, and entry counts straddling 64-entry
- * word boundaries; round-trips the persisted v3 plane section; and
+ * response — must be bit-identical to the row-major scan, served alone
+ * or in a batch.  The suite property-tests the SlicedMatcher against
+ * the structural PlaMatcher across generator configurations, mask
+ * densities, and plane sizes at word, lane and block boundaries;
+ * round-trips the persisted v3 plane section; and
  * checks that a corrupted plane is a typed load error, never wrong
  * survivors.  It also holds the store's one build path
  * (crs::PredicateBuilder) to the piecewise oracles: images, page CRCs
@@ -34,7 +34,6 @@
 #include "storage/file_io.hh"
 #include "support/crc32.hh"
 #include "support/errors.hh"
-#include "support/thread_pool.hh"
 #include "term/term_reader.hh"
 #include "term/term_writer.hh"
 #include "workload/kb_generator.hh"
@@ -88,15 +87,14 @@ buildIndex(term::SymbolTable &sym, scw::ScwConfig scw_config,
     return out;
 }
 
-/** PlaMatcher survivors of @p query over @p range, in entry order. */
+/** PlaMatcher survivors of @p query over every entry, in entry order. */
 std::vector<scw::IndexEntry>
-plaSurvivors(const BuiltIndex &built, const scw::Signature &query,
-             const scw::EntryRange &range)
+plaSurvivors(const BuiltIndex &built, const scw::Signature &query)
 {
     fs1::PlaMatcher pla(built.generator);
     pla.setQuery(query);
     std::vector<scw::IndexEntry> hits;
-    for (std::size_t i = range.begin; i < range.end; ++i) {
+    for (std::size_t i = 0; i < built.index.entryCount(); ++i) {
         scw::IndexEntry entry = built.index.entry(built.generator, i);
         if (pla.present(entry.signature))
             hits.push_back(std::move(entry));
@@ -157,52 +155,20 @@ TEST(SlicedMatcherTest, AgreesWithPlaAcrossConfigsAndMaskDensities)
         BuiltIndex built = buildIndex(sym, scw_config, spec, 6, 0.7);
         ASSERT_EQ(built.plane.entryCount(), built.index.entryCount());
 
-        scw::EntryRange all{0, built.index.entryCount()};
-        fs1::SlicedMatcher matcher;
         for (std::size_t q = 0; q < built.queries.size(); ++q) {
             std::string label = std::to_string(c.clauses) + " clauses, "
                 + std::to_string(c.fieldBits) + " bits, query "
                 + std::to_string(q);
             expectSameHits(
-                plaSurvivors(built, built.queries[q], all),
-                matcher.scanRange(built.plane, built.queries[q], all),
-                label);
-        }
-    }
-}
-
-TEST(SlicedMatcherTest, PartialRangesAreEdgeMaskedExactly)
-{
-    term::SymbolTable sym;
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 150;
-    spec.varProb = 0.25;
-    spec.seed = 21;
-    BuiltIndex built = buildIndex(sym, {}, spec, 3, 0.6);
-
-    // Ranges deliberately misaligned with the 64-entry word grid,
-    // including within-one-word and empty ranges.
-    const scw::EntryRange ranges[] = {
-        {0, 1},   {0, 63},  {1, 64},   {63, 65}, {64, 128},
-        {65, 67}, {17, 93}, {100, 150}, {149, 150}, {70, 70},
-    };
-    fs1::SlicedMatcher matcher;
-    for (const scw::EntryRange &range : ranges) {
-        for (std::size_t q = 0; q < built.queries.size(); ++q) {
-            std::string label = "range [" + std::to_string(range.begin) +
-                ", " + std::to_string(range.end) + ") query " +
-                std::to_string(q);
-            expectSameHits(
-                plaSurvivors(built, built.queries[q], range),
-                matcher.scanRange(built.plane, built.queries[q], range),
+                plaSurvivors(built, built.queries[q]),
+                fs1::SlicedMatcher::scan(built.plane, built.queries[q]),
                 label);
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Fs1Engine: sliced scans are bit-identical at any shard width.
+// Fs1Engine: the production scan entry point.
 // ---------------------------------------------------------------------
 
 void
@@ -214,33 +180,6 @@ expectSameResult(const fs1::Fs1Result &a, const fs1::Fs1Result &b,
     EXPECT_EQ(a.entriesScanned, b.entriesScanned) << label;
     EXPECT_EQ(a.bytesScanned, b.bytesScanned) << label;
     EXPECT_EQ(a.busyTime, b.busyTime) << label;
-}
-
-TEST(Fs1SlicedEngineTest, SearchBitIdenticalAtAnyWorkerCount)
-{
-    term::SymbolTable sym;
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 321;
-    spec.varProb = 0.15;
-    spec.seed = 44;
-    BuiltIndex built = buildIndex(sym, {}, spec, 5, 0.7);
-
-    fs1::Fs1Engine sliced(built.generator);
-
-    support::ThreadPool pool(4);
-    for (const scw::Signature &query : built.queries) {
-        fs1::Fs1Result baseline = sliced.searchRowMajor(built.index, query);
-        for (std::uint32_t shards : {1u, 2u, 4u, 7u}) {
-            fs1::Fs1Result got = sliced.search(
-                built.index, &built.plane, nullptr, 0, query,
-                shards > 1 ? &pool : nullptr, shards);
-            expectSameResult(baseline, got,
-                             std::to_string(shards) + " shards");
-            EXPECT_EQ(got.shards,
-                      shards > 1 ? shards : 1u);
-        }
-    }
 }
 
 TEST(Fs1SlicedEngineTest, MissingOrMismatchedPlaneIsRejected)
@@ -260,14 +199,14 @@ TEST(Fs1SlicedEngineTest, MissingOrMismatchedPlaneIsRejected)
     fs1::Fs1Engine engine(built.generator);
     for (const scw::Signature &query : built.queries) {
         EXPECT_THROW(engine.search(built.index, nullptr, nullptr, 0,
-                                   query, nullptr, 1),
+                                   query),
                      FatalError);
         EXPECT_THROW(engine.search(built.index, &shorter.plane, nullptr,
-                                   0, query, nullptr, 1),
+                                   0, query),
                      FatalError);
         // A delta that does not tile the file is rejected too.
         EXPECT_THROW(engine.search(built.index, &built.plane,
-                                   &shorter.plane, 80, query, nullptr, 1),
+                                   &shorter.plane, 80, query),
                      FatalError);
     }
 }
@@ -685,179 +624,22 @@ TEST_F(SlicedServerTest, SlicedSingleRequestsMatchOracle)
 }
 
 // ---------------------------------------------------------------------
-// Kernel registry: detection, parsing, validation, dispatch.
+// The plane kernel at whole-plane boundary sizes vs the PLA oracle.
 // ---------------------------------------------------------------------
 
-/** Concrete kernels the host can run, scalar oracle first. */
-std::vector<fs1::Fs1Kernel>
-supportedKernels()
+TEST(SlicedKernelTest, BoundaryPlaneSizesAgreeWithPla)
 {
-    std::vector<fs1::Fs1Kernel> out;
-    for (fs1::Fs1Kernel k : {fs1::Fs1Kernel::Scalar64,
-                             fs1::Fs1Kernel::Avx2,
-                             fs1::Fs1Kernel::Avx512})
-        if (fs1::kernelSupported(k))
-            out.push_back(k);
-    return out;
-}
-
-TEST(KernelRegistryTest, ScalarAlwaysAvailableAndAutoResolves)
-{
-    EXPECT_TRUE(fs1::kernelSupported(fs1::Fs1Kernel::Scalar64));
-    EXPECT_TRUE(fs1::kernelSupported(fs1::Fs1Kernel::Auto));
-    fs1::Fs1Kernel resolved = fs1::resolveKernel(fs1::Fs1Kernel::Auto);
-    EXPECT_NE(resolved, fs1::Fs1Kernel::Auto);
-    EXPECT_TRUE(fs1::kernelSupported(resolved));
-    // Explicit choices pass through unresolved.
-    EXPECT_EQ(fs1::resolveKernel(fs1::Fs1Kernel::Scalar64),
-              fs1::Fs1Kernel::Scalar64);
-    EXPECT_NE(fs1::kernelFn(fs1::Fs1Kernel::Scalar64), nullptr);
-}
-
-TEST(KernelRegistryTest, NamesRoundTripAndRejectJunk)
-{
-    for (fs1::Fs1Kernel k : {fs1::Fs1Kernel::Auto,
-                             fs1::Fs1Kernel::Scalar64,
-                             fs1::Fs1Kernel::Avx2,
-                             fs1::Fs1Kernel::Avx512}) {
-        fs1::Fs1Kernel parsed;
-        ASSERT_TRUE(fs1::parseKernelName(fs1::kernelName(k), parsed))
-            << fs1::kernelName(k);
-        EXPECT_EQ(parsed, k);
-    }
-    fs1::Fs1Kernel parsed = fs1::Fs1Kernel::Avx2;
-    EXPECT_FALSE(fs1::parseKernelName("sse9", parsed));
-    EXPECT_FALSE(fs1::parseKernelName("", parsed));
-    EXPECT_FALSE(fs1::parseKernelName("AVX2", parsed));
-    EXPECT_EQ(parsed, fs1::Fs1Kernel::Avx2);    // no write on failure
-}
-
-TEST(KernelRegistryTest, UnsupportedExplicitKernelIsConfigError)
-{
-    // An unsupported ISA must be a typed config rejection, not a
-    // runtime crash.  On hosts supporting everything there is nothing
-    // to reject; the validator accepting all supported choices is
-    // still asserted.
-    for (fs1::Fs1Kernel k : {fs1::Fs1Kernel::Avx2,
-                             fs1::Fs1Kernel::Avx512}) {
-        crs::CrsConfig config;
-        config.fs1.kernel = k;
-        if (fs1::kernelSupported(k))
-            EXPECT_NO_THROW(config.validate()) << fs1::kernelName(k);
-        else
-            EXPECT_THROW(config.validate(), crs::ConfigError)
-                << fs1::kernelName(k);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Edge-mask derivation: the shared helper, all partial-word cases.
-// ---------------------------------------------------------------------
-
-TEST(EdgeMasksTest, CoversEveryPartialWordCase)
-{
-    constexpr std::uint64_t kOnes = ~std::uint64_t{0};
-
-    // Full single word.
-    fs1::EdgeMasks m = fs1::edgeMasks(0, 64);
-    EXPECT_EQ(m.firstWord, 0u);
-    EXPECT_EQ(m.wordEnd, 1u);
-    EXPECT_EQ(m.lastWord, 0u);
-    EXPECT_EQ(m.firstMask, kOnes);
-    EXPECT_EQ(m.lastMask, kOnes);       // word-aligned end: no shift
-
-    // Single entry.
-    m = fs1::edgeMasks(0, 1);
-    EXPECT_EQ(m.wordCount(), 1u);
-    EXPECT_EQ(m.firstMask, kOnes);
-    EXPECT_EQ(m.lastMask, std::uint64_t{1});
-
-    // Just under a word.
-    m = fs1::edgeMasks(0, 63);
-    EXPECT_EQ(m.wordCount(), 1u);
-    EXPECT_EQ(m.lastMask, kOnes >> 1);
-
-    // One word plus one entry.
-    m = fs1::edgeMasks(0, 65);
-    EXPECT_EQ(m.wordCount(), 2u);
-    EXPECT_EQ(m.lastWord, 1u);
-    EXPECT_EQ(m.lastMask, std::uint64_t{1});
-
-    // Same-word range: both masks land on word 1, and their AND keeps
-    // exactly bits [1, 3).
-    m = fs1::edgeMasks(65, 67);
-    EXPECT_EQ(m.firstWord, 1u);
-    EXPECT_EQ(m.lastWord, 1u);
-    EXPECT_EQ(m.wordCount(), 1u);
-    EXPECT_EQ(m.firstMask & m.lastMask, std::uint64_t{0x6});
-
-    // Mid-word begin, word-aligned end.
-    m = fs1::edgeMasks(70, 128);
-    EXPECT_EQ(m.firstWord, 1u);
-    EXPECT_EQ(m.wordEnd, 2u);
-    EXPECT_EQ(m.firstMask, kOnes << 6);
-    EXPECT_EQ(m.lastMask, kOnes);
-
-    // Word-aligned begin, mid-word end, multi-word.
-    m = fs1::edgeMasks(64, 200);
-    EXPECT_EQ(m.firstWord, 1u);
-    EXPECT_EQ(m.wordEnd, 4u);
-    EXPECT_EQ(m.lastWord, 3u);
-    EXPECT_EQ(m.firstMask, kOnes);
-    EXPECT_EQ(m.lastMask, (std::uint64_t{1} << 8) - 1);
-}
-
-// ---------------------------------------------------------------------
-// Boundary geometries vs the PLA oracle, on every supported kernel.
-// ---------------------------------------------------------------------
-
-TEST(SlicedKernelTest, BoundaryRangesAgreeWithPlaOnEveryKernel)
-{
-    term::SymbolTable sym;
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 193;     // three words + one entry
-    spec.varProb = 0.25;
-    spec.seed = 91;
-    BuiltIndex built = buildIndex(sym, {}, spec, 4, 0.6);
-
-    // Every length the issue calls out (0, 1, 63, 64, 65), plus
-    // same-word and word-aligned-end ranges, at offsets that exercise
-    // both aligned and misaligned begins.
-    const scw::EntryRange ranges[] = {
-        {0, 0},     {64, 64},   {100, 100},         // empty
-        {0, 1},     {63, 64},   {64, 65}, {192, 193},
-        {0, 63},    {1, 64},    {65, 128},          // length 63
-        {0, 64},    {64, 128},  {128, 192},         // length 64
-        {0, 65},    {63, 128},  {128, 193},         // length 65
-        {65, 67},   {190, 193},                     // same-word
-        {7, 64},    {70, 192},                      // word-aligned end
-        {0, 193},                                   // whole plane
-    };
-    for (fs1::Fs1Kernel kernel : supportedKernels()) {
-        fs1::SlicedMatcher matcher(kernel);
-        EXPECT_EQ(matcher.kernel(), kernel);
-        for (const scw::EntryRange &range : ranges) {
-            for (std::size_t q = 0; q < built.queries.size(); ++q) {
-                std::string label = std::string(fs1::kernelName(kernel))
-                    + " range [" + std::to_string(range.begin) + ", "
-                    + std::to_string(range.end) + ") query "
-                    + std::to_string(q);
-                expectSameHits(
-                    plaSurvivors(built, built.queries[q], range),
-                    matcher.scanRange(built.plane, built.queries[q],
-                                      range),
-                    label);
-            }
-        }
-    }
-}
-
-TEST(SlicedKernelTest, BoundaryPlaneSizesAgreeAcrossKernels)
-{
-    // Whole planes of the boundary entry counts: the slack bits past
-    // the last entry are the hazard here, not range edges.
-    for (std::uint32_t clauses : {1u, 63u, 64u, 65u}) {
+    // Whole planes of every size at a word, lane or block boundary:
+    // the slack bits past the last entry, the scalar tail after the
+    // kernel's 8-word lanes (511/512/513/577 entries are 8, 8, 9 and
+    // 10 words) and the 256-word block edge (16,385 entries) are the
+    // hazards.  The sizes in between are those of entry ranges that
+    // earlier partial-range tests scanned.  Each plane also meets a
+    // query with no bound field, which leaves every entry a survivor,
+    // so a slack bit that is not masked off shows as a hit.
+    for (std::uint32_t clauses :
+         {1u, 2u, 3u, 50u, 57u, 58u, 63u, 64u, 65u, 76u, 122u, 136u,
+          150u, 193u, 200u, 511u, 512u, 513u, 577u, 16385u}) {
         term::SymbolTable sym;
         workload::KbSpec spec;
         spec.predicates = 1;
@@ -865,23 +647,36 @@ TEST(SlicedKernelTest, BoundaryPlaneSizesAgreeAcrossKernels)
         spec.varProb = 0.2;
         spec.seed = 120 + clauses;
         BuiltIndex built = buildIndex(sym, {}, spec, 3, 0.5);
-        scw::EntryRange all{0, built.index.entryCount()};
-        for (fs1::Fs1Kernel kernel : supportedKernels()) {
-            fs1::SlicedMatcher matcher(kernel);
-            for (std::size_t q = 0; q < built.queries.size(); ++q) {
-                expectSameHits(
-                    plaSurvivors(built, built.queries[q], all),
-                    matcher.scanRange(built.plane, built.queries[q],
-                                      all),
-                    std::string(fs1::kernelName(kernel)) + " " +
-                        std::to_string(clauses) + " clauses, query " +
-                        std::to_string(q));
-            }
+        ASSERT_EQ(built.plane.entryCount(), clauses);
+        scw::Signature open = built.queries.front();
+        for (BitVec &code : open.fields)
+            code = BitVec(built.plane.fieldBits());
+        built.queries.push_back(std::move(open));
+        for (std::size_t q = 0; q < built.queries.size(); ++q) {
+            expectSameHits(
+                plaSurvivors(built, built.queries[q]),
+                fs1::SlicedMatcher::scan(built.plane, built.queries[q]),
+                std::to_string(clauses) + " clauses, query " +
+                    std::to_string(q));
         }
     }
 }
 
-TEST(SlicedKernelTest, EngineBitIdenticalAcrossKernelsAndShards)
+TEST(SlicedKernelTest, EmptyPlaneHasNoSurvivors)
+{
+    scw::CodewordGenerator generator;
+    const scw::BitSlicedIndex plane(generator, 0);
+    scw::Signature query;
+    for (std::uint32_t f = 0; f < plane.fields(); ++f)
+        query.fields.emplace_back(plane.fieldBits());
+    const fs1::SlicedMatcher::Hits hits =
+        fs1::SlicedMatcher::scan(plane, query);
+    EXPECT_TRUE(hits.ordinals.empty());
+    EXPECT_TRUE(hits.clauseOffsets.empty());
+    EXPECT_EQ(hits.wordOps, 0u);
+}
+
+TEST(SlicedKernelTest, EngineBitIdenticalToRowMajor)
 {
     term::SymbolTable sym;
     workload::KbSpec spec;
@@ -891,27 +686,12 @@ TEST(SlicedKernelTest, EngineBitIdenticalAcrossKernelsAndShards)
     spec.seed = 77;
     BuiltIndex built = buildIndex(sym, {}, spec, 6, 0.7);
 
-    fs1::Fs1Engine scalar(built.generator);
-    support::ThreadPool pool(4);
-    for (fs1::Fs1Kernel kernel : supportedKernels()) {
-        fs1::Fs1Config config;
-        config.kernel = kernel;
-        fs1::Fs1Engine engine(built.generator, config);
-        const std::string name = fs1::kernelName(kernel);
-
-        for (const scw::Signature &query : built.queries) {
-            fs1::Fs1Result baseline =
-                scalar.searchRowMajor(built.index, query);
-            for (std::uint32_t shards : {1u, 3u, 7u}) {
-                expectSameResult(
-                    baseline,
-                    engine.search(built.index, &built.plane, nullptr, 0,
-                                  query, shards > 1 ? &pool : nullptr,
-                                  shards),
-                    name + " " + std::to_string(shards) + " shards");
-            }
-        }
-    }
+    fs1::Fs1Engine engine(built.generator);
+    for (const scw::Signature &query : built.queries)
+        expectSameResult(engine.searchRowMajor(built.index, query),
+                         engine.search(built.index, &built.plane,
+                                       nullptr, 0, query),
+                         "321 entries");
 }
 
 } // namespace
